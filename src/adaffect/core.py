@@ -278,8 +278,10 @@ def load_ratings_csv(path) -> dict[str, RatingMatrix]:
         rid = list(raters[attr])
         iid = list(items[attr])
         grid = np.full((len(rid), len(iid)), np.nan)
+        rpos = {r: k for k, r in enumerate(rid)}
+        ipos = {i: k for k, i in enumerate(iid)}
         for (r, i), v in cells.items():
-            grid[rid.index(r), iid.index(i)] = v
+            grid[rpos[r], ipos[i]] = v
         out[attr] = RatingMatrix(grid, lo, hi, attr, rater_ids=rid, item_ids=iid)
     return out
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal
 
 EEG_CHANNELS = 14
 EEG_SAMPLE_RATE = 128
@@ -55,6 +54,8 @@ class EegEpoch:
 
 def bandpass_filter(e: EegEpoch, low: float = 0.1, high: float = 45.0) -> EegEpoch:
     """Zero-phase 4th-order Butterworth band-pass (forward-backward SOS)."""
+    from scipy import signal  # slow to import, so only commands that filter pay for it
+
     nyquist = e.sample_rate / 2.0
     if not (0.0 < low < high < nyquist):
         raise InvalidBandError(f"band [{low}, {high}] Hz invalid for fs={e.sample_rate}")

@@ -13,7 +13,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .core import AffectLabel, FeatureMatrix, Quadrant
 
@@ -48,6 +47,8 @@ def fmt(x) -> str:
 
 def write_wav(path, samples: np.ndarray, sample_rate: int):
     """Write mono or multichannel float samples in [-1,1] as 32-bit float WAV."""
+    from scipy.io import wavfile  # imported here so commands without audio skip it
+
     data = np.asarray(samples, dtype=np.float32)
     buf = io.BytesIO()
     wavfile.write(buf, int(sample_rate), data)
@@ -60,6 +61,8 @@ def read_wav(path):
     Returns (samples, sample_rate, channels) with samples flattened
     interleaved for multichannel input.
     """
+    from scipy.io import wavfile
+
     sample_rate, data = wavfile.read(path)
     if data.dtype == np.int16:
         data = data.astype(np.float64) / 32768.0

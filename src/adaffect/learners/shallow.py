@@ -57,72 +57,97 @@ def _kernel(kind: str, gamma: float):
 def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = KKT_TOL, max_iter: int = 400000):
     """SMO with second-order working-pair selection on a precomputed kernel.
 
-    Returns (alpha, b). Optimality: there is a b satisfying every KKT
-    box condition within `tol`. State (t = y - G and the bound-set
-    eligibility masks) is maintained incrementally to keep iterations cheap.
+    Returns (alpha, b, iters, converged). Optimality: there is a b
+    satisfying every KKT box condition within `tol`; `converged` is True
+    only when the solver stopped on that test, and `iters` counts the pair
+    updates made. State (t = y - G and the bound-set eligibility penalties)
+    is maintained incrementally, in preallocated buffers, and the
+    two-variable subproblem is solved on Python floats, to keep iterations
+    cheap.
     """
     n = len(y)
-    alpha = np.zeros(n)
+    C = float(C)
     t = y.astype(float).copy()  # y - G, the per-item implied bias
-    diag = np.diag(K).copy()
-    y_pos = y > 0
+    ys = t.tolist()
+    a = [0.0] * n  # alpha
+    diag = np.diag(K)
+    K_rows = list(K)
+    # Row i is the second-order curvature diag_i + diag_j - 2 K_ij of every pair (i, j).
+    eta_rows = list(np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, 1e-12))
     eps = 1e-12
-    # Eligibility to bound b from below (i side) / above (j side).
-    lb = y_pos.copy()   # at alpha = 0: +1 items can still grow
-    ub = ~y_pos
+    inf = math.inf
+    # Eligibility to bound b from below (i side) / above (j side), kept as
+    # penalties added to t: 0 where eligible, -inf / +inf where not.
+    y_pos = y > 0
+    lb_pen = np.where(y_pos, 0.0, -inf)  # at alpha = 0: +1 items can still grow
+    ub_pen = np.where(y_pos, inf, 0.0)
+    t_lb = np.empty(n)
+    delta = np.empty(n)  # t_i - t on the j side, -inf elsewhere
+    cand = np.empty(n, dtype=bool)
+    gain = np.empty(n)
+    step = np.empty(n)
 
     def refresh(k):
-        a = alpha[k]
-        if y_pos[k]:
-            lb[k] = a < C - eps
-            ub[k] = a > eps
+        ak = a[k]
+        if ys[k] > 0:
+            lb_pen[k] = 0.0 if ak < C - eps else -inf
+            ub_pen[k] = 0.0 if ak > eps else inf
         else:
-            lb[k] = a > eps
-            ub[k] = a < C - eps
+            lb_pen[k] = 0.0 if ak > eps else -inf
+            ub_pen[k] = 0.0 if ak < C - eps else inf
 
-    for _ in range(max_iter):
-        t_lb = np.where(lb, t, -np.inf)
-        i = int(np.argmax(t_lb))
-        min_ub = np.min(np.where(ub, t, np.inf))
-        if t_lb[i] - min_ub <= 2.0 * tol:
+    iters = 0
+    converged = False
+    while iters < max_iter:
+        np.add(t, lb_pen, out=t_lb)
+        i = int(t_lb.argmax())
+        t_i = t_lb.item(i)
+        np.subtract(t_i, np.add(t, ub_pen, out=delta), out=delta)
+        if delta.item(delta.argmax()) <= 2.0 * tol:  # max over j of t_i - t_j
+            converged = True
             break
         # Second-order partner: maximize the guaranteed objective gain
         # delta^2 / eta among violating candidates.
-        delta = t_lb[i] - t
-        cand = ub & (delta > 1e-15)
-        if not cand.any():
+        np.greater(delta, 1e-15, out=cand)
+        eta_i = eta_rows[i]
+        gain.fill(-inf)
+        np.divide(np.multiply(delta, delta, out=step), eta_i, out=gain, where=cand)
+        j = int(gain.argmax())
+        if gain.item(j) == -inf:
             break
-        eta_row = np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)
-        gain = np.where(cand, delta * delta / eta_row, -np.inf)
-        j = int(np.argmax(gain))
         # Two-variable subproblem on (i, j) with the rest fixed.
-        if y[i] != y[j]:
-            lo = max(0.0, alpha[j] - alpha[i])
-            hi = min(C, C + alpha[j] - alpha[i])
+        a_i, a_j, y_i, y_j = a[i], a[j], ys[i], ys[j]
+        if y_i != y_j:
+            lo = max(0.0, a_j - a_i)
+            hi = min(C, C + a_j - a_i)
         else:
-            lo = max(0.0, alpha[i] + alpha[j] - C)
-            hi = min(C, alpha[i] + alpha[j])
+            lo = max(0.0, a_i + a_j - C)
+            hi = min(C, a_i + a_j)
         if hi - lo < 1e-14:
             break
         # E_i - E_j = t_j - t_i = -delta[j]
-        aj_new = min(max(alpha[j] - y[j] * delta[j] / eta_row[j], lo), hi)
-        delta_j = aj_new - alpha[j]
+        aj_new = min(max(a_j - y_j * delta.item(j) / eta_i.item(j), lo), hi)
+        delta_j = aj_new - a_j
         if abs(delta_j) < 1e-14:
             break
-        ai_new = alpha[i] - y[i] * y[j] * delta_j
-        t -= y[i] * (ai_new - alpha[i]) * K[i] + y[j] * delta_j * K[j]
-        alpha[i], alpha[j] = ai_new, aj_new
+        ai_new = a_i - y_i * y_j * delta_j
+        # t -= y_i (ai_new - a_i) K_i + y_j delta_j K_j, in that operation order.
+        np.multiply(K_rows[i], y_i * (ai_new - a_i), out=step)
+        step += np.multiply(K_rows[j], y_j * delta_j, out=gain)
+        t -= step
+        a[i], a[j] = ai_new, aj_new
         refresh(i)
         refresh(j)
-    b_low = np.max(np.where(lb, t, -np.inf))
-    b_up = np.min(np.where(ub, t, np.inf))
+        iters += 1
+    b_low = np.max(np.where(lb_pen == 0.0, t, -inf))
+    b_up = np.min(np.where(ub_pen == 0.0, t, inf))
     if not np.isfinite(b_low):
         b = b_up if np.isfinite(b_up) else 0.0
     elif not np.isfinite(b_up):
         b = b_low
     else:
         b = 0.5 * (b_low + b_up)
-    return alpha, float(b)
+    return np.array(a), float(b), iters, converged
 
 
 # --------------------------------------------------------- Platt scaling
@@ -289,10 +314,10 @@ def _fit_uncalibrated(X, y, kind, hyper) -> ShallowModel:
             gamma = 1.0 / X.shape[1]
         gamma = float(gamma)
     K = _kernel(kind, gamma)(X, X)
-    alpha, b = _smo(K, y, hyper["C"])
+    alpha, b, iters, converged = _smo(K, y, hyper["C"])
     coef = alpha * y
     model = ShallowModel(kind, dict(hyper), X.shape[1], b=b, gamma=gamma,
-                         train_meta={"alpha": alpha})
+                         train_meta={"alpha": alpha, "iters": iters, "converged": converged})
     if kind == "linear_svm":
         model.w = X.T @ coef
         model.support_vectors = X

@@ -1,10 +1,14 @@
 """Independent brute-force reference implementations used to check the
 library's closed-form/vectorized routines. These deliberately stay naive:
-explicit pair enumeration, dictionaries and Python loops only.
+explicit pair enumeration, dictionaries and Python loops only. The one
+exception is `reference_smo`, a frozen copy of the solver the optimized
+`shallow._smo` must reproduce exactly.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 
 def cohen_kappa_bruteforce(a, b):
@@ -93,3 +97,77 @@ def f1_bruteforce(pred, truth, positive):
     if precision + recall == 0.0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
+
+
+def reference_smo(K, y, C, tol=1e-3, max_iter=400000):
+    """The original, plain-numpy SMO loop that `shallow._smo` must match
+    bit for bit (same alpha array, same b) on every input.
+
+    SMO with second-order working-pair selection on a precomputed kernel.
+
+    Returns (alpha, b). Optimality: there is a b satisfying every KKT
+    box condition within `tol`. State (t = y - G and the bound-set
+    eligibility masks) is maintained incrementally to keep iterations cheap.
+    """
+    n = len(y)
+    alpha = np.zeros(n)
+    t = y.astype(float).copy()  # y - G, the per-item implied bias
+    diag = np.diag(K).copy()
+    y_pos = y > 0
+    eps = 1e-12
+    # Eligibility to bound b from below (i side) / above (j side).
+    lb = y_pos.copy()   # at alpha = 0: +1 items can still grow
+    ub = ~y_pos
+
+    def refresh(k):
+        a = alpha[k]
+        if y_pos[k]:
+            lb[k] = a < C - eps
+            ub[k] = a > eps
+        else:
+            lb[k] = a > eps
+            ub[k] = a < C - eps
+
+    for _ in range(max_iter):
+        t_lb = np.where(lb, t, -np.inf)
+        i = int(np.argmax(t_lb))
+        min_ub = np.min(np.where(ub, t, np.inf))
+        if t_lb[i] - min_ub <= 2.0 * tol:
+            break
+        # Second-order partner: maximize the guaranteed objective gain
+        # delta^2 / eta among violating candidates.
+        delta = t_lb[i] - t
+        cand = ub & (delta > 1e-15)
+        if not cand.any():
+            break
+        eta_row = np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)
+        gain = np.where(cand, delta * delta / eta_row, -np.inf)
+        j = int(np.argmax(gain))
+        # Two-variable subproblem on (i, j) with the rest fixed.
+        if y[i] != y[j]:
+            lo = max(0.0, alpha[j] - alpha[i])
+            hi = min(C, C + alpha[j] - alpha[i])
+        else:
+            lo = max(0.0, alpha[i] + alpha[j] - C)
+            hi = min(C, alpha[i] + alpha[j])
+        if hi - lo < 1e-14:
+            break
+        # E_i - E_j = t_j - t_i = -delta[j]
+        aj_new = min(max(alpha[j] - y[j] * delta[j] / eta_row[j], lo), hi)
+        delta_j = aj_new - alpha[j]
+        if abs(delta_j) < 1e-14:
+            break
+        ai_new = alpha[i] - y[i] * y[j] * delta_j
+        t -= y[i] * (ai_new - alpha[i]) * K[i] + y[j] * delta_j * K[j]
+        alpha[i], alpha[j] = ai_new, aj_new
+        refresh(i)
+        refresh(j)
+    b_low = np.max(np.where(lb, t, -np.inf))
+    b_up = np.min(np.where(ub, t, np.inf))
+    if not np.isfinite(b_low):
+        b = b_up if np.isfinite(b_up) else 0.0
+    elif not np.isfinite(b_up):
+        b = b_low
+    else:
+        b = 0.5 * (b_low + b_up)
+    return alpha, float(b)

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adaffect
 from adaffect.cli import main
 from adaffect.fileio import read_feature_csv, read_predictions_csv
 from adaffect.learners import load_model, save_model
@@ -28,6 +32,15 @@ class TestDispatch:
         assert lines[0] == "setting,run,fold,f1"
         assert lines[-1].startswith("summary,")
         assert len(lines) == 1 + 3 + 1
+
+    def test_import_defers_slow_scipy_modules(self):
+        # scipy.signal and scipy.io take most of the start-up time; only the
+        # commands that filter EEG or read/write WAV files should load them.
+        src = str(Path(adaffect.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, %r); import adaffect.cli; "
+                "print(sorted(m for m in ('scipy.signal', 'scipy.io') if m in sys.modules))" % src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

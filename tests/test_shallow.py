@@ -4,10 +4,13 @@ import pytest
 from adaffect.learners.shallow import (
     DimensionMismatchError,
     SingleClassError,
+    _kernel,
+    _smo,
     shallow_fit,
     shallow_predict,
     shallow_predict_proba,
 )
+from oracles import reference_smo
 
 
 def gaussian_clouds(n=40, separation=6.0, dims=4, seed=0):
@@ -99,6 +102,18 @@ class TestSvm:
         assert np.all(alpha >= -1e-12) and np.all(alpha <= C + 1e-12)
         assert model.kkt_violation(X, y) <= 1e-3
 
+    def test_solver_diagnostics_recorded(self):
+        X, y = gaussian_clouds(n=30, separation=3.0, seed=12)
+        meta = shallow_fit(X, y, "linear_svm").train_meta
+        assert meta["converged"] is True
+        assert meta["iters"] > 0
+
+    def test_iteration_cap_reports_not_converged(self):
+        X, y = gaussian_clouds(n=30, separation=1.5, seed=13)
+        alpha, b, iters, converged = _smo(X @ X.T, y, 1.0, max_iter=1)
+        assert iters == 1
+        assert converged is False
+
     def test_single_class_rejected(self):
         X = np.zeros((4, 2))
         with pytest.raises(SingleClassError):
@@ -144,3 +159,37 @@ class TestPosteriors:
         proba = shallow_predict_proba(model, X)
         labels = shallow_predict(model, X)
         assert np.array_equal(labels > 0, proba[:, 0] > proba[:, 1])
+
+
+def quadrant_set(n, variant, seed):
+    """Weakly separated 4-quadrant items; +1 is two quadrants, or one
+    against the rest; "duplicates" repeats the first fifth of the rows,
+    two of them under the opposite label."""
+    rng = np.random.default_rng(seed)
+    quadrant = np.arange(n) % 4
+    centers = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=float)
+    X = rng.normal(size=(n, 4))
+    X[:, :2] += centers[quadrant]
+    y = np.where(quadrant == 0 if variant == "one_vs_rest" else quadrant % 2 == 0, 1.0, -1.0)
+    if variant == "duplicates":
+        k = n // 5
+        X[-k:] = X[:k]
+        y[-2:] = -y[k - 2:k]
+    return X, y
+
+
+class TestSmoMatchesReference:
+    """The optimized solver reproduces the reference loop bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["balanced", "duplicates", "one_vs_rest"])
+    @pytest.mark.parametrize("n", [20, 50, 96])
+    @pytest.mark.parametrize("kind,gamma", [("linear_svm", None), ("rbf_svm", 1.0 / 16),
+                                            ("rbf_svm", 0.01), ("rbf_svm", 0.1)])
+    def test_alpha_and_b_identical(self, variant, n, kind, gamma):
+        X, y = quadrant_set(n, variant, seed=n)
+        K = _kernel(kind, gamma)(X, X)
+        for C in (0.1, 1.0, 10.0, 100.0):
+            ref_alpha, ref_b = reference_smo(K, y, C)
+            alpha, b, _, _ = _smo(K, y, C)
+            assert np.array_equal(alpha, ref_alpha), f"C={C}"
+            assert b == ref_b, f"C={C}"
