@@ -29,10 +29,19 @@ from .core import (
 )
 from . import fileio
 from .eeg import EegEpoch, bandpass_filter, baseline_correct, pca_apply, pca_fit, vectorize
-from .evaluation import ModelSpec, ad_level_score, cross_validate, f1_score, west_fuse
+from .evaluation import (
+    MODEL_KINDS,
+    ModelSpec,
+    ad_level_score,
+    cross_validate,
+    f1_score,
+    fit_model,
+    west_fuse,
+)
 from .learners import save_model
-from .learners.cnn import CnnConfig, cnn_train
-from .learners.mtl import build_task_graph, mtl_fit
+# Unused here, but the benchmark's tracer (bench/spans.py) looks these names up on this module.
+from .learners.cnn import cnn_train
+from .learners.mtl import mtl_fit
 from .learners.shallow import shallow_fit
 from .media import (
     AudioClip,
@@ -56,7 +65,6 @@ from .synthgen import GenSpec, gen_quadrant_data, gen_rating_matrix, gen_synthet
 
 DEFAULT_SEED = 20200
 WINDOW_CHOICES = ("all", "first30", "last30", "last10")
-MODEL_CHOICES = ("lda", "linear_svm", "rbf_svm", "mtl", "cnn")
 
 
 def _parse_kv(pairs):
@@ -242,36 +250,14 @@ def cmd_preprocess_eeg(args) -> int:
 
 # ------------------------------------------------------------------ train
 
-def _fit_full(features: FeatureMatrix, kind: str, hyper: dict, seed: int):
-    y = features.y_signs()
-    if kind in ("lda", "linear_svm", "rbf_svm"):
-        return shallow_fit(features.X, y, kind, hyper, seed=seed)
-    if kind == "mtl":
-        graph = build_task_graph()
-        Xs, Ys = [], []
-        for quad in graph.tasks:
-            idx = [i for i, q in enumerate(features.quadrants) if q == quad]
-            if not idx:
-                raise ValueError(f"no items for task {quad}; mtl needs all four quadrants")
-            Xs.append(features.X[idx])
-            Ys.append(y[idx])
-        params = {"alpha": 1.0, "beta": 0.01, "gamma": 0.1, "fit_intercept": True}
-        params.update(hyper)
-        return mtl_fit(
-            Xs, Ys,
-            alpha=params["alpha"], beta=params["beta"], gamma=params["gamma"],
-            graph=graph, fit_intercept=params["fit_intercept"],
-            tol=params.get("tol", 1e-6), max_iter=int(params.get("max_iter", 10000)),
-        )
-    config_kwargs = dict(hyper)
-    config_kwargs["seed"] = seed
-    return cnn_train(features.X, y, CnnConfig(**config_kwargs))
-
-
 def cmd_train(args) -> int:
     features = fileio.read_feature_csv(args.features)
-    model = _fit_full(features, args.model, _parse_kv(args.hyper), args.seed)
+    model = fit_model(args.model, features, _parse_kv(args.hyper), args.seed)
     save_model(model, args.out)
+    meta = getattr(model, "train_meta", {})
+    if meta.get("converged") is False:
+        print(f"warning: {args.model} C={model.hyperparams['C']} stopped after {meta['iters']} "
+              "SMO iterations without meeting the KKT tolerance", file=sys.stderr)
     _write_run_metadata(args.out, "train", args)
     return 0
 
@@ -568,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit one model on a feature CSV")
     p.add_argument("--features", required=True)
-    p.add_argument("--model", choices=MODEL_CHOICES, required=True)
+    p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--hyper", action="append", default=None, metavar="KEY=VALUE")
     p.add_argument("--out", required=True)
     add_common(p)
@@ -576,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="repeated stratified cross-validation")
     p.add_argument("--features", required=True)
-    p.add_argument("--model", choices=MODEL_CHOICES, required=True)
+    p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--hyper", action="append", default=None, metavar="KEY=VALUE")

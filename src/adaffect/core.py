@@ -198,6 +198,17 @@ class FeatureMatrix:
         )
 
 
+def stratified_folds(y_signs: np.ndarray, n_folds: int, rng) -> list[np.ndarray]:
+    """Deal each class's shuffled indices round-robin into n_folds test sets."""
+    folds = [[] for _ in range(n_folds)]
+    for cls in (1.0, -1.0):
+        idx = np.flatnonzero(y_signs == cls)
+        idx = idx[rng.permutation(len(idx))]
+        for pos, item in enumerate(idx):
+            folds[pos % n_folds].append(int(item))
+    return [np.array(sorted(f), dtype=int) for f in folds]
+
+
 @dataclass
 class DatasetBundle:
     ads: list[AdRecord]

@@ -5,18 +5,14 @@ and ad-level score aggregation.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ALL_QUADRANTS, AffectLabel, FeatureMatrix
+from .core import AffectLabel, FeatureMatrix, stratified_folds
 from .learners.cnn import CnnConfig, cnn_predict_proba, cnn_train
 from .learners.mtl import build_task_graph, mtl_fit, mtl_predict_proba
 from .learners.shallow import SHALLOW_KINDS, shallow_fit, shallow_predict_proba
-
-THREADS_ENV_VAR = "ADAFFECT_THREADS"
 
 #: Default inner-search grids for the SVMs ("scale" resolves to 1/dims).
 DEFAULT_GRIDS = {
@@ -24,7 +20,8 @@ DEFAULT_GRIDS = {
     "rbf_svm": {"C": [0.1, 1.0, 10.0, 100.0], "gamma": ["scale", 0.01, 0.1]},
 }
 
-MODEL_KINDS = SHALLOW_KINDS + ("mtl", "cnn")
+#: Multi-task regularizer weights; model params override them key by key.
+MTL_DEFAULTS = {"alpha": 1.0, "beta": 0.01, "gamma": 0.1, "fit_intercept": True}
 
 
 class InsufficientClassCountError(ValueError):
@@ -62,6 +59,63 @@ def _as_signs(labels) -> np.ndarray:
     return arr.astype(float).reshape(-1)
 
 
+# ------------------------------------------------------------ model kinds
+# Each kind's learners are looked up in this module's globals at call time,
+# so a caller that replaces `evaluation.shallow_fit` (or another learner
+# name) sees every fit and prediction made here.
+
+def _fit_shallow(kind, features, params, seed):
+    return shallow_fit(features.X, features.y_signs(), kind, params, seed=seed)
+
+
+def _fit_mtl(kind, features, params, seed):
+    graph = build_task_graph()
+    y = features.y_signs()
+    Xs, Ys = [], []
+    for quad in graph.tasks:
+        # A quadrant with no items gives a (0, d) block, which mtl_fit rejects.
+        idx = [i for i, q in enumerate(features.quadrants) if q == quad]
+        Xs.append(features.X[idx])
+        Ys.append(y[idx])
+    params = dict(MTL_DEFAULTS, **params)
+    return mtl_fit(
+        Xs, Ys,
+        alpha=params["alpha"], beta=params["beta"], gamma=params["gamma"],
+        graph=graph, fit_intercept=params["fit_intercept"],
+        tol=params.get("tol", 1e-6), max_iter=int(params.get("max_iter", 10000)),
+    )
+
+
+def _fit_cnn(kind, features, params, seed):
+    return cnn_train(features.X, features.y_signs(), CnnConfig(**dict(params, seed=seed)))
+
+
+#: kind -> (fit(kind, features, params, seed), posteriors(model, features)).
+_LEARNERS = {
+    **{kind: (_fit_shallow, lambda model, f: shallow_predict_proba(model, f.X)) for kind in SHALLOW_KINDS},
+    "mtl": (_fit_mtl, lambda model, f: mtl_predict_proba(model, f.X, f.quadrants)),
+    "cnn": (_fit_cnn, lambda model, f: cnn_predict_proba(model, f.X)),
+}
+
+MODEL_KINDS = tuple(_LEARNERS)
+
+
+def fit_model(kind: str, features: FeatureMatrix, params: dict, seed: int):
+    """Fit one model of `kind` on every item of `features`.
+
+    `params` are the kind's hyperparameters (for mtl, overrides of
+    MTL_DEFAULTS; for cnn, CnnConfig fields); `seed` drives any randomness.
+    """
+    if kind not in _LEARNERS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return _LEARNERS[kind][0](kind, features, params, seed)
+
+
+def predict_proba(kind: str, model, features: FeatureMatrix) -> np.ndarray:
+    """Posterior pairs (High, Low) of a fitted `kind` model on `features`."""
+    return _LEARNERS[kind][1](model, features)
+
+
 @dataclass
 class ModelSpec:
     """What to train inside each CV fold.
@@ -92,17 +146,6 @@ class CvReport:
     @property
     def f1_values(self) -> np.ndarray:
         return np.array([f1 for _, _, f1 in self.rows])
-
-
-def stratified_folds(y_signs: np.ndarray, n_folds: int, rng) -> list[np.ndarray]:
-    """Deal each class's shuffled indices round-robin into n_folds test sets."""
-    folds = [[] for _ in range(n_folds)]
-    for cls in (1.0, -1.0):
-        idx = np.flatnonzero(y_signs == cls)
-        idx = idx[rng.permutation(len(idx))]
-        for pos, item in enumerate(idx):
-            folds[pos % n_folds].append(int(item))
-    return [np.array(sorted(f), dtype=int) for f in folds]
 
 
 def _grid_points(grid: dict) -> list[dict]:
@@ -144,42 +187,11 @@ def _inner_grid_search(X, y, kind, params, grid, seed) -> dict:
 
 def _fit_predict(train: FeatureMatrix, test: FeatureMatrix, spec: ModelSpec, seed: int):
     """Returns posterior pairs (High, Low) for the test items."""
-    X_tr, y_tr = train.X, train.y_signs()
-    if spec.kind in SHALLOW_KINDS:
-        params = dict(spec.params)
-        if spec.kind in ("linear_svm", "rbf_svm") and spec.grid:
-            params = _inner_grid_search(X_tr, y_tr, spec.kind, params, spec.grid, seed)
-        model = shallow_fit(X_tr, y_tr, spec.kind, params, seed=seed)
-        return shallow_predict_proba(model, test.X)
-    if spec.kind == "mtl":
-        graph = build_task_graph()
-        Xs, Ys = [], []
-        for quad in graph.tasks:
-            idx = [i for i, q in enumerate(train.quadrants) if q == quad]
-            if not idx:
-                raise InsufficientClassCountError(f"no training items for task {quad}")
-            Xs.append(X_tr[idx])
-            Ys.append(y_tr[idx])
-        params = {"alpha": 1.0, "beta": 0.01, "gamma": 0.1, "fit_intercept": True}
-        params.update(spec.params)
-        model = mtl_fit(
-            Xs,
-            Ys,
-            alpha=params["alpha"],
-            beta=params["beta"],
-            gamma=params["gamma"],
-            graph=graph,
-            fit_intercept=params["fit_intercept"],
-            tol=params.get("tol", 1e-6),
-            max_iter=params.get("max_iter", 10000),
-        )
-        return mtl_predict_proba(model, test.X, test.quadrants)
-    # cnn
-    config_kwargs = dict(spec.params)
-    config_kwargs["seed"] = seed
-    config = CnnConfig(**config_kwargs)
-    model = cnn_train(X_tr, y_tr, config)
-    return cnn_predict_proba(model, test.X)
+    params = dict(spec.params)
+    if spec.kind in DEFAULT_GRIDS and spec.grid:
+        params = _inner_grid_search(train.X, train.y_signs(), spec.kind, params, spec.grid, seed)
+    model = fit_model(spec.kind, train, params, seed)
+    return predict_proba(spec.kind, model, test)
 
 
 def cross_validate(
@@ -192,9 +204,7 @@ def cross_validate(
 ) -> CvReport:
     """Repeated stratified k-fold evaluation; F1 per (repetition, fold).
 
-    Reproducible for a fixed seed. Set the ADAFFECT_THREADS environment
-    variable above 1 to run folds in a thread pool (results are keyed, so
-    the report does not depend on execution order).
+    Reproducible for a fixed seed.
     """
     y = features.y_signs()
     n_pos, n_neg = int(np.sum(y > 0)), int(np.sum(y < 0))
@@ -205,41 +215,23 @@ def cross_validate(
     setting = dict(setting or {})
     setting.setdefault("model", spec.kind)
 
-    jobs = []
-    root = np.random.SeedSequence(seed)
-    rep_seqs = root.spawn(reps)
-    for rep, seq in enumerate(rep_seqs):
+    rows = []
+    # Out-of-fold posteriors from the first repetition, for downstream fusion.
+    oof = np.zeros((features.n_items, 2))
+    for rep, seq in enumerate(np.random.SeedSequence(seed).spawn(reps)):
         rng = np.random.default_rng(seq)
         fold_sets = stratified_folds(y, folds, rng)
         inner_seeds = rng.integers(0, 2**31 - 1, size=folds)
         for fold, test_idx in enumerate(fold_sets):
-            jobs.append((rep, fold, test_idx, int(inner_seeds[fold])))
-
-    def run(job):
-        rep, fold, test_idx, job_seed = job
-        mask = np.ones(features.n_items, dtype=bool)
-        mask[test_idx] = False
-        train = features.subset(np.flatnonzero(mask))
-        test = features.subset(test_idx)
-        proba = _fit_predict(train, test, spec, job_seed)
-        pred = np.where(proba[:, 0] > proba[:, 1], 1.0, -1.0)
-        return rep, fold, f1_score(pred, test.y_signs()), test_idx, proba
-
-    n_threads = int(os.environ.get(THREADS_ENV_VAR, "1") or "1")
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
-    results.sort(key=lambda r: (r[0], r[1]))
-    rows = [(rep, fold, f1) for rep, fold, f1, _, _ in results]
+            mask = np.ones(features.n_items, dtype=bool)
+            mask[test_idx] = False
+            test = features.subset(test_idx)
+            proba = _fit_predict(features.subset(np.flatnonzero(mask)), test, spec, int(inner_seeds[fold]))
+            pred = np.where(proba[:, 0] > proba[:, 1], 1.0, -1.0)
+            rows.append((rep, fold, f1_score(pred, test.y_signs())))
+            if rep == 0:
+                oof[test_idx] = proba
     values = np.array([f1 for _, _, f1 in rows])
-    # Out-of-fold posteriors from the first repetition, for downstream fusion.
-    oof = np.zeros((features.n_items, 2))
-    for rep, fold, _, test_idx, proba in results:
-        if rep == 0:
-            oof[test_idx] = proba
     return CvReport(
         setting=setting,
         rows=rows,

@@ -13,8 +13,8 @@ import numpy as np
 from ..core import Quadrant
 from ..fileio import atomic_write_text
 from .cnn import CnnConfig, CnnModel
-from .mtl import MtlModel, TaskGraph
-from .shallow import ShallowModel
+from .mtl import MtlModel, build_task_graph
+from .shallow import SHALLOW_KINDS, ShallowModel
 
 FORMAT_VERSION = 1
 
@@ -69,7 +69,7 @@ def model_from_dict(doc: dict):
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     kind = doc["kind"]
-    if kind in ("lda", "linear_svm", "rbf_svm"):
+    if kind in SHALLOW_KINDS:
         return ShallowModel(
             kind=kind,
             hyperparams=doc["hyperparams"],
@@ -84,17 +84,14 @@ def model_from_dict(doc: dict):
             calibration=tuple(doc["calibration"]),
         )
     if kind == "mtl":
-        tasks = [Quadrant.from_code(c) for c in doc["tasks"]]
-        edges = [tuple(e) for e in doc["edges"]]
-        incidence = np.zeros((len(tasks), len(edges)))
-        for e, (i, j) in enumerate(edges):
-            incidence[i, e] = 1.0
-            incidence[j, e] = -1.0
+        graph = build_task_graph([Quadrant.from_code(c) for c in doc["tasks"]])
+        if [tuple(e) for e in doc["edges"]] != graph.edges:
+            raise ValueError(f"mtl model edges {doc['edges']} differ from the task graph's {graph.edges}")
         hyper = doc["hyperparams"]
         return MtlModel(
             W=np.asarray(doc["W"], dtype=float),
             bias=np.asarray(doc["bias"], dtype=float),
-            graph=TaskGraph(tasks=tasks, edges=edges, incidence=incidence),
+            graph=graph,
             alpha=float(hyper["alpha"]),
             beta=float(hyper["beta"]),
             gamma=float(hyper["gamma"]),

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core import stratified_folds
+
 KKT_TOL = 1e-3
 SHALLOW_KINDS = ("lda", "linear_svm", "rbf_svm")
 
@@ -280,8 +282,8 @@ def _cross_fitted_scores(X, y, fit_one, n_folds: int, seed: int):
     """Out-of-fold decision values for calibration."""
     rng = np.random.default_rng(seed)
     scores = np.zeros(len(y))
-    folds = _stratified_fold_indices(y, min(n_folds, int(min(np.sum(y > 0), np.sum(y < 0)))), rng)
-    for test_idx in folds:
+    n_folds = max(2, min(n_folds, int(min(np.sum(y > 0), np.sum(y < 0)))))
+    for test_idx in stratified_folds(y, n_folds, rng):
         train_mask = np.ones(len(y), dtype=bool)
         train_mask[test_idx] = False
         if len(np.unique(y[train_mask])) < 2:
@@ -290,17 +292,6 @@ def _cross_fitted_scores(X, y, fit_one, n_folds: int, seed: int):
         model = fit_one(X[train_mask], y[train_mask])
         scores[test_idx] = model.decision_values(X[test_idx])
     return scores
-
-
-def _stratified_fold_indices(y, n_folds: int, rng) -> list[np.ndarray]:
-    n_folds = max(2, n_folds)
-    folds = [[] for _ in range(n_folds)]
-    for cls in (1.0, -1.0):
-        idx = np.flatnonzero(y == cls)
-        idx = idx[rng.permutation(len(idx))]
-        for pos, item in enumerate(idx):
-            folds[pos % n_folds].append(item)
-    return [np.array(sorted(f), dtype=int) for f in folds]
 
 
 def _fit_uncalibrated(X, y, kind, hyper) -> ShallowModel:

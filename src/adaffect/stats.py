@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .core import RatingMatrix
 
@@ -160,6 +159,8 @@ def krippendorff_alpha(m: RatingMatrix | np.ndarray, metric: str = "ordinal") ->
 
 def pearson_r(x, y) -> TestResult:
     """Sample Pearson correlation with a t-distribution p-value (n-2 dof)."""
+    from scipy.special import stdtr  # imported here so CLI start-up skips scipy
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:

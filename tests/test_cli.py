@@ -8,7 +8,7 @@ import pytest
 
 import adaffect
 from adaffect.cli import main
-from adaffect.fileio import read_feature_csv, read_predictions_csv
+from adaffect.fileio import read_feature_csv, read_predictions_csv, write_feature_csv
 from adaffect.learners import load_model, save_model
 from adaffect.learners.cnn import CnnConfig, cnn_predict_proba, cnn_train
 from adaffect.learners.mtl import build_task_graph, mtl_fit, mtl_scores
@@ -34,13 +34,26 @@ class TestDispatch:
         assert len(lines) == 1 + 3 + 1
 
     def test_import_defers_slow_scipy_modules(self):
-        # scipy.signal and scipy.io take most of the start-up time; only the
-        # commands that filter EEG or read/write WAV files should load them.
+        # scipy.signal, scipy.io and scipy.special take most of the start-up
+        # time; only the commands that filter EEG, read/write WAV files or
+        # compute a Pearson p-value should load them.
         src = str(Path(adaffect.__file__).resolve().parents[1])
         code = ("import sys; sys.path.insert(0, %r); import adaffect.cli; "
-                "print(sorted(m for m in ('scipy.signal', 'scipy.io') if m in sys.modules))" % src)
+                "print(sorted(m for m in ('scipy.signal', 'scipy.io', 'scipy.special') "
+                "if m in sys.modules))" % src)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_benchmark_layer_hooks_resolve(self, monkeypatch):
+        # The benchmark's tracer wraps these (module, attribute) pairs in every
+        # traced run, including learner names that adaffect.cli only re-exports.
+        import importlib
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        spans = importlib.import_module("spans")
+        missing = [(module, attr) for module, attr, *_ in spans.LAYER_HOOKS
+                   if not hasattr(importlib.import_module(module), attr)]
+        assert missing == []
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -156,6 +169,11 @@ class TestModelSerialization:
 
         return gen_quadrant_data(GenSpec(seed=6, n_per_task=8, dims=9, class_separation=5.0))
 
+    def write_features(self, tmp_path, features):
+        path = tmp_path / "f.csv"
+        write_feature_csv(path, features)
+        return path
+
     @pytest.mark.parametrize("kind", ["lda", "linear_svm", "rbf_svm"])
     def test_shallow_roundtrip(self, tmp_path, kind):
         data = self.features()
@@ -191,6 +209,44 @@ class TestModelSerialization:
         assert np.allclose(
             cnn_predict_proba(model, data.features.X), cnn_predict_proba(loaded, data.features.X)
         )
+
+    def test_edited_mtl_edges_rejected(self, tmp_path):
+        data = self.features()
+        path = tmp_path / "m.json"
+        assert run("train", "--features", self.write_features(tmp_path, data.features),
+                   "--model", "mtl", "--out", path) == 0
+        doc = json.loads(path.read_text())
+        doc["edges"] = doc["edges"][1:]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="edges"):
+            load_model(path)
+
+    def test_train_mtl_missing_quadrant_exits_1(self, tmp_path, capsys):
+        features = self.features().features
+        keep = [i for i, q in enumerate(features.quadrants) if q.code != "LH"]
+        feats = self.write_features(tmp_path, features.subset(keep))
+        assert run("train", "--features", feats, "--model", "mtl",
+                   "--out", tmp_path / "m.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("has no training items\n")
+        assert err.count("\n") == 1
+
+    def test_train_warns_on_unconverged_smo(self, tmp_path, capsys, monkeypatch):
+        from adaffect.learners import shallow
+
+        feats = self.write_features(tmp_path, self.features().features)
+        converged = tmp_path / "converged.json"
+        assert run("train", "--features", feats, "--model", "linear_svm", "--out", converged) == 0
+        assert capsys.readouterr().err == ""
+
+        smo = shallow._smo
+        monkeypatch.setattr(shallow, "_smo", lambda K, y, C: smo(K, y, C, max_iter=1))
+        out = tmp_path / "capped.json"
+        assert run("train", "--features", feats, "--model", "linear_svm", "--out", out) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: linear_svm C=1.0 stopped after 1 SMO iterations")
+        assert err.count("\n") == 1
+        assert load_model(out).kind == "linear_svm"
 
     def test_train_subcommand_writes_loadable_model(self, tmp_path):
         feats = tmp_path / "f.csv"
