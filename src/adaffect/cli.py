@@ -3,9 +3,10 @@
 Subcommands cover the whole pipeline: agreement statistics, audiovisual
 feature extraction, EEG preprocessing, model training, cross-validated
 evaluation, decision fusion, ad-level scoring, ad-insertion scheduling,
-and synthetic-data generation. Every invocation writes a run-metadata
-sidecar (config + seed + version) next to its primary output, outputs are
-written atomically, and a fixed seed yields byte-identical output files.
+and synthetic-data generation. Each `cmd_*` returns the primary paths it
+wrote, and `main` writes a run-metadata sidecar (config + seed + version)
+next to each once the command has succeeded. Outputs are written
+atomically, and a fixed seed yields byte-identical output files.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def _coerce(raw: str):
     return raw
 
 
-def _write_run_metadata(out_path, subcommand: str, args: argparse.Namespace):
+def _write_run_metadata(out_path, args: argparse.Namespace):
     config = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in sorted(vars(args).items())
@@ -107,8 +108,8 @@ def _write_run_metadata(out_path, subcommand: str, args: argparse.Namespace):
     }
     meta = {
         "version": __version__,
-        "subcommand": subcommand,
-        "seed": getattr(args, "seed", None),
+        "subcommand": args.subcommand,
+        "seed": args.seed,
         "config": config,
     }
     out_path = Path(out_path)
@@ -118,7 +119,7 @@ def _write_run_metadata(out_path, subcommand: str, args: argparse.Namespace):
 
 # ------------------------------------------------------------- agreement
 
-def cmd_agreement(args) -> int:
+def cmd_agreement(args) -> list:
     matrices = load_ratings_csv(args.ratings)
     if not matrices:
         raise ValueError(f"{args.ratings}: no ratings found")
@@ -165,15 +166,15 @@ def cmd_agreement(args) -> int:
                 lines.append(f"cohen_kappa_mean_vs_expert,{attr},{fileio.fmt(float(np.mean(kappas)))}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if args.out:
-        fileio.atomic_write_text(args.out, text)
-        _write_run_metadata(args.out, "agreement", args)
-    return 0
+    if not args.out:
+        return []
+    fileio.atomic_write_text(args.out, text)
+    return [args.out]
 
 
 # ------------------------------------------------------------- extract-av
 
-def cmd_extract_av(args) -> int:
+def cmd_extract_av(args) -> list:
     if not args.audio and not args.frames:
         raise ValueError("need --audio and/or --frames")
     wrote = []
@@ -195,14 +196,12 @@ def cmd_extract_av(args) -> int:
             wrote.append(args.out_video)
     if not wrote:
         raise ValueError("no outputs requested; pass --out-audio/--out-video/--spectrogram")
-    for path in wrote:
-        _write_run_metadata(path, "extract-av", args)
-    return 0
+    return wrote
 
 
 # ---------------------------------------------------------- preprocess-eeg
 
-def cmd_preprocess_eeg(args) -> int:
+def cmd_preprocess_eeg(args) -> list:
     paths = fileio.list_eeg_epochs(args.epochs)
     if not paths:
         raise ValueError(f"{args.epochs}: no epoch files (*.f32) found")
@@ -244,13 +243,12 @@ def cmd_preprocess_eeg(args) -> int:
         print(f"pca: {model.k} components, retained {model.retained_fraction:.4f} of variance")
     features = FeatureMatrix(X, labels, quads, ids)
     fileio.write_feature_csv(args.out, features)
-    _write_run_metadata(args.out, "preprocess-eeg", args)
-    return 0
+    return [args.out]
 
 
 # ------------------------------------------------------------------ train
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> list:
     features = fileio.read_feature_csv(args.features)
     model = fit_model(args.model, features, _parse_kv(args.hyper), args.seed)
     save_model(model, args.out)
@@ -258,13 +256,12 @@ def cmd_train(args) -> int:
     if meta.get("converged") is False:
         print(f"warning: {args.model} C={model.hyperparams['C']} stopped after {meta['iters']} "
               "SMO iterations without meeting the KKT tolerance", file=sys.stderr)
-    _write_run_metadata(args.out, "train", args)
-    return 0
+    return [args.out]
 
 
 # --------------------------------------------------------------- evaluate
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> list:
     features = fileio.read_feature_csv(args.features)
     spec = ModelSpec(args.model, params=_parse_kv(args.hyper), grid=_parse_grid(args.grid) or None)
     setting = {
@@ -281,14 +278,11 @@ def cmd_evaluate(args) -> int:
         lines.append(f"{setting_str},{run},{fold},{fileio.fmt(f1)}")
     lines.append(f"summary,{fileio.fmt(report.mean)},{fileio.fmt(report.std)}")
     fileio.atomic_write_text(args.out, "\n".join(lines) + "\n")
-    _write_run_metadata(args.out, "evaluate", args)
     print(f"{setting_str}: F1 = {report.mean:.4f} +/- {report.std:.4f} over {len(report.rows)} runs")
-    if args.predictions:
-        fileio.write_predictions_csv(
-            args.predictions, features.item_ids, features.labels, report.oof_posteriors
-        )
-        _write_run_metadata(args.predictions, "evaluate", args)
-    return 0
+    if not args.predictions:
+        return [args.out]
+    fileio.write_predictions_csv(args.predictions, features.item_ids, features.labels, report.oof_posteriors)
+    return [args.out, args.predictions]
 
 
 # ------------------------------------------------------------------- fuse
@@ -303,7 +297,7 @@ def _fusion_tuning_split(truths) -> tuple[list[int], list[int]]:
     return sorted(tune), sorted(hold)
 
 
-def cmd_fuse(args) -> int:
+def cmd_fuse(args) -> list:
     ids_a, truth_a, post_a = fileio.read_predictions_csv(args.a)
     ids_b, truth_b, post_b = fileio.read_predictions_csv(args.b)
     if ids_a != ids_b:
@@ -335,14 +329,13 @@ def cmd_fuse(args) -> int:
         code = "H" if label > 0 else "L"
         lines.append(f"{iid},{truth.value},{fileio.fmt(post[0])},{fileio.fmt(post[1])},{code}")
     fileio.atomic_write_text(args.out, "\n".join(lines) + "\n")
-    _write_run_metadata(args.out, "fuse", args)
     print(f"alpha = {tuned.alpha}, tuning F1 = {tuned.tuning_f1:.4f}, eval F1 = {eval_f1:.4f}")
-    return 0
+    return [args.out]
 
 
 # -------------------------------------------------------------- score-ads
 
-def cmd_score_ads(args) -> int:
+def cmd_score_ads(args) -> list:
     groups = fileio.read_segment_posteriors_csv(args.predictions)
     if not groups:
         raise ValueError(f"{args.predictions}: no segment rows found")
@@ -354,13 +347,12 @@ def cmd_score_ads(args) -> int:
     for ad_id, score in zip(ad_ids, scores):
         lines.append(f"{ad_id},{fileio.fmt(float(score))}")
     fileio.atomic_write_text(args.out, "\n".join(lines) + "\n")
-    _write_run_metadata(args.out, "score-ads", args)
-    return 0
+    return [args.out]
 
 
 # --------------------------------------------------------------- schedule
 
-def cmd_schedule(args) -> int:
+def cmd_schedule(args) -> list:
     problem = ScheduleProblem(
         scenes=load_scenes(args.scenes),
         ads=load_ads(args.ads),
@@ -382,15 +374,15 @@ def cmd_schedule(args) -> int:
         result = ga_optimize(problem, config)
         schedule, fitness = result.schedule, result.fitness
     fileio.atomic_write_text(args.out, schedule_to_csv(problem, schedule, fitness))
-    _write_run_metadata(args.out, "schedule", args)
     print(f"{args.method} schedule fitness = {fitness:.6f}")
-    return 0
+    return [args.out]
 
 
 # ------------------------------------------------------------------ synth
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> list:
     seed = args.seed
+    out = Path(args.out)
     if args.kind == "quadrant":
         spec = GenSpec(
             seed=seed,
@@ -401,10 +393,8 @@ def cmd_synth(args) -> int:
             noise_std=args.noise_std,
         )
         data = gen_quadrant_data(spec)
-        fileio.write_feature_csv(args.out, data.features)
-        _write_run_metadata(args.out, "synth", args)
-        return 0
-    if args.kind == "eeg":
+        fileio.write_feature_csv(out, data.features)
+    elif args.kind == "eeg":
         spec = GenSpec(
             seed=seed,
             n_per_task=args.n_per_class,
@@ -412,7 +402,6 @@ def cmd_synth(args) -> int:
             noise_std=args.noise_std,
         )
         epochs, labels = gen_synthetic_eeg(spec, tuple(args.band), duration_s=args.duration)
-        out = Path(args.out)
         quad_cycle = {"H": ("HH", "HL"), "L": ("LH", "LL")}
         counters = {"H": 0, "L": 0}
         for epoch, label in zip(epochs, labels):
@@ -432,17 +421,14 @@ def cmd_synth(args) -> int:
                     "quadrant": quad,
                 },
             )
-        _write_run_metadata(out, "synth", args)
-        return 0
-    if args.kind == "ratings":
+    elif args.kind == "ratings":
         matrices = {}
         attrs = ("valence", "arousal") if args.attribute == "both" else (args.attribute,)
         for offset, attr in enumerate(attrs):
             matrices[attr] = gen_rating_matrix(
                 args.raters, args.items, args.agreement, seed=seed + offset, attribute=attr
             )
-        fileio.write_ratings_csv(args.out, matrices)
-        _write_run_metadata(args.out, "synth", args)
+        fileio.write_ratings_csv(out, matrices)
         if args.with_manifest:
             # Matching ad manifest: expert labels from group-mean binarization
             # of the generated ratings, deterministic durations.
@@ -465,9 +451,7 @@ def cmd_synth(args) -> int:
                     "expert_valence": labels["valence"],
                 }))
             fileio.atomic_write_text(args.with_manifest, "\n".join(lines) + "\n")
-        return 0
-    if args.kind == "media":
-        out = Path(args.out)
+    elif args.kind == "media":
         tone = gen_test_media("tone", freq_hz=1000.0, sample_rate=16000, duration_s=12.0)
         fileio.write_wav(out / "tone.wav", tone.samples.astype(np.float32), tone.sample_rate)
         stereo = np.column_stack([tone.samples, 0.5 * tone.samples]).astype(np.float32)
@@ -476,9 +460,7 @@ def cmd_synth(args) -> int:
         fileio.write_wav(out / "sweep.wav", sweep.samples.astype(np.float32), sweep.sample_rate)
         cut = gen_test_media("cut_sequence", n_frames=100, fps=25.0, cut_at=50)
         fileio.write_frame_dir(out / "frames", cut.frames, cut.frame_rate)
-        _write_run_metadata(out, "synth", args)
-        return 0
-    if args.kind == "schedule-instance":
+    elif args.kind == "schedule-instance":
         rng = np.random.default_rng(seed)
         scenes = [
             {"id": f"scene{i:02d}", "asl": round(float(rng.random()), 6), "val": round(float(rng.random()), 6)}
@@ -488,28 +470,28 @@ def cmd_synth(args) -> int:
             {"id": f"ad{i:02d}", "asl": round(float(rng.random()), 6), "val": round(float(rng.random()), 6)}
             for i in range(args.ads)
         ]
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         fileio.atomic_write_text(out / "scenes.json", json.dumps(scenes, indent=2) + "\n")
         fileio.atomic_write_text(out / "ads.json", json.dumps(ads, indent=2) + "\n")
-        _write_run_metadata(out, "synth", args)
-        return 0
-    if args.kind == "posteriors":
+    elif args.kind == "posteriors":
         rng = np.random.default_rng(seed)
         lines = ["ad_id,segment_id,p_high,p_low"]
         for a in range(args.ads):
             for s in range(args.segments):
                 p_high = float(np.round(rng.random(), 6))
                 lines.append(f"ad{a:02d},seg{s:02d},{fileio.fmt(p_high)},{fileio.fmt(1.0 - p_high)}")
-        fileio.atomic_write_text(args.out, "\n".join(lines) + "\n")
-        _write_run_metadata(args.out, "synth", args)
-        return 0
-    raise ValueError(f"unknown synth kind {args.kind!r}")
+        fileio.atomic_write_text(out, "\n".join(lines) + "\n")
+    else:
+        raise ValueError(f"unknown synth kind {args.kind!r}")
+    # The ratings manifest is a by-product and gets no sidecar.
+    return [out]
 
 
 # ----------------------------------------------------------------- parser
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The `adaffect` parser; `defaults` (option dest -> value, as read
+    from --config) replace every subcommand's built-in option defaults."""
     parser = argparse.ArgumentParser(
         prog="adaffect",
         description="Ad affect recognition toolkit: statistics, features, learners, fusion, scheduling.",
@@ -517,20 +499,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"adaffect {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help=f"deterministic seed (default {DEFAULT_SEED})")
         p.add_argument("--config", type=str, default=None,
                        help="JSON file of option defaults (CLI flags win)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("agreement", help="inter-rater agreement statistics from a ratings CSV")
+    p = command("agreement", cmd_agreement, "inter-rater agreement statistics from a ratings CSV")
     p.add_argument("--ratings", required=True)
     p.add_argument("--manifest", default=None, help="ad manifest for expert-vs-rater Cohen kappa")
     p.add_argument("--out", default=None, help="also write the method,attribute,value lines here")
-    add_common(p)
-    p.set_defaults(func=cmd_agreement)
 
-    p = sub.add_parser("extract-av", help="audio/video descriptor extraction")
+    p = command("extract-av", cmd_extract_av, "audio/video descriptor extraction")
     p.add_argument("--audio", default=None, help="PCM WAV input")
     p.add_argument("--frames", default=None, help="directory of frame_%%06d.ppm + fps.txt")
     p.add_argument("--window", choices=WINDOW_CHOICES, default="all")
@@ -538,10 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-audio", default=None)
     p.add_argument("--out-video", default=None)
     p.add_argument("--spectrogram", default=None, help="write the clip spectrogram CSV here")
-    add_common(p)
-    p.set_defaults(func=cmd_extract_av)
 
-    p = sub.add_parser("preprocess-eeg", help="filter, window, vectorize and PCA-reduce EEG epochs")
+    p = command("preprocess-eeg", cmd_preprocess_eeg, "filter, window, vectorize and PCA-reduce EEG epochs")
     p.add_argument("--epochs", required=True, help="directory of *.f32 + *.json epochs")
     p.add_argument("--window", choices=WINDOW_CHOICES, default="first30")
     p.add_argument("--low", type=float, default=0.1)
@@ -549,35 +530,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retain", type=float, default=0.9, help="PCA variance target; 0 disables PCA")
     p.add_argument("--subset", choices=("all", "clean"), default="all")
     p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_preprocess_eeg)
 
-    p = sub.add_parser("train", help="fit one model on a feature CSV")
+    p = command("train", cmd_train, "fit one model on a feature CSV")
     p.add_argument("--features", required=True)
     p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--hyper", action="append", default=None, metavar="KEY=VALUE")
     p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="repeated stratified cross-validation")
+    p = command("evaluate", cmd_evaluate, "repeated stratified cross-validation")
     p.add_argument("--features", required=True)
     p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--hyper", action="append", default=None, metavar="KEY=VALUE")
     p.add_argument("--grid", action="append", default=None, metavar="KEY=V1,V2",
-                   help="SVM hyperparameter grid for the inner 5-fold search")
+                   help="hyperparameter grid for the inner 5-fold search")
     p.add_argument("--attribute", default="na")
     p.add_argument("--window", default="na")
     p.add_argument("--modality", default="na")
     p.add_argument("--out", required=True)
     p.add_argument("--predictions", default=None,
                    help="write first-repetition out-of-fold predictions here")
-    add_common(p)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("fuse", help="weighted decision fusion of two prediction files")
+    p = command("fuse", cmd_fuse, "weighted decision fusion of two prediction files")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--f1a", type=float, required=True, help="training F1 of modality A")
@@ -587,17 +562,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tune-on-eval", action="store_true",
                    help="leaky research mode: tune the mixing weights on the evaluation items")
     p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("score-ads", help="aggregate segment posteriors into ad-level scores")
+    p = command("score-ads", cmd_score_ads, "aggregate segment posteriors into ad-level scores")
     p.add_argument("--predictions", required=True, help="CSV with ad_id and p_high columns")
     p.add_argument("--normalize", action="store_true", help="min-max rescale scores to [0,1]")
     p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_score_ads)
 
-    p = sub.add_parser("schedule", help="insert k ads at scene transitions")
+    p = command("schedule", cmd_schedule, "insert k ads at scene transitions")
     p.add_argument("--scenes", required=True)
     p.add_argument("--ads", required=True)
     p.add_argument("--k", type=int, required=True)
@@ -611,10 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crossover", type=float, default=0.8)
     p.add_argument("--mutation", type=float, default=0.1)
     p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_schedule)
 
-    p = sub.add_parser("synth", help="seeded synthetic datasets in the pipeline's own formats")
+    p = command("synth", cmd_synth, "seeded synthetic datasets in the pipeline's own formats")
     p.add_argument("kind", choices=("quadrant", "eeg", "ratings", "media", "schedule-instance", "posteriors"))
     p.add_argument("--out", required=True)
     p.add_argument("--n-per-task", type=int, default=30)
@@ -635,37 +604,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", type=int, default=8)
     p.add_argument("--ads", type=int, default=6)
     p.add_argument("--segments", type=int, default=8, help="posteriors: segments per ad")
-    add_common(p)
-    p.set_defaults(func=cmd_synth)
 
+    for p in sub.choices.values():
+        p.set_defaults(**(defaults or {}))
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args, remaining = parser.parse_known_args(argv)
-    if remaining:
-        parser.error(f"unrecognized arguments: {' '.join(remaining)}")
-    if getattr(args, "config", None):
-        defaults = json.loads(Path(args.config).read_text())
+    args = parser.parse_args(argv)
+    if args.config:
+        # Parse again with the config's values as option defaults, so flags
+        # win by argparse's own rules and strings pass through each type.
+        try:
+            defaults = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            parser.error(f"{args.config}: {exc}")
         if not isinstance(defaults, dict):
             parser.error(f"{args.config}: config must be a JSON object")
-        # Re-parse with config values as defaults so explicit flags still win.
-        sub_argv = list(argv) if argv is not None else sys.argv[1:]
-        for key, value in defaults.items():
-            dest = key.replace("-", "_")
-            if hasattr(args, dest):
-                flag = "--" + key.replace("_", "-")
-                present = any(tok == flag or tok.startswith(flag + "=") for tok in sub_argv)
-                if not present:
-                    setattr(args, dest, value)
+        defaults = {key.replace("-", "_"): value for key, value in defaults.items()}
+        options = set(vars(args)) - {"func", "subcommand"}
+        unknown = sorted(set(defaults) - options)
+        if unknown:
+            parser.error(f"{args.config}: not options of {args.subcommand}: {', '.join(unknown)}")
+        try:
+            args = build_parser(defaults).parse_args(argv)
+        except AttributeError:  # a repeated flag cannot append to a non-list default
+            parser.error(f"{args.config}: a repeatable option needs a JSON list")
     try:
-        return args.func(args)
+        for path in args.func(args):
+            _write_run_metadata(path, args)
     except BrokenPipeError:
         return 1
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

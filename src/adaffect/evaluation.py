@@ -5,14 +5,14 @@ and ad-level score aggregation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .core import AffectLabel, FeatureMatrix, stratified_folds
 from .learners.cnn import CnnConfig, cnn_predict_proba, cnn_train
 from .learners.mtl import build_task_graph, mtl_fit, mtl_predict_proba
-from .learners.shallow import SHALLOW_KINDS, shallow_fit, shallow_predict_proba
+from .learners.shallow import DEFAULT_HYPERPARAMS, SHALLOW_KINDS, shallow_fit, shallow_predict_proba
 
 #: Default inner-search grids for the SVMs ("scale" resolves to 1/dims).
 DEFAULT_GRIDS = {
@@ -20,8 +20,8 @@ DEFAULT_GRIDS = {
     "rbf_svm": {"C": [0.1, 1.0, 10.0, 100.0], "gamma": ["scale", 0.01, 0.1]},
 }
 
-#: Multi-task regularizer weights; model params override them key by key.
-MTL_DEFAULTS = {"alpha": 1.0, "beta": 0.01, "gamma": 0.1, "fit_intercept": True}
+#: mtl_fit's regularizer weights and solver limits; model params override them key by key.
+MTL_DEFAULTS = {"alpha": 1.0, "beta": 0.01, "gamma": 0.1, "fit_intercept": True, "tol": 1e-6, "max_iter": 10000}
 
 
 class InsufficientClassCountError(ValueError):
@@ -78,23 +78,22 @@ def _fit_mtl(kind, features, params, seed):
         Xs.append(features.X[idx])
         Ys.append(y[idx])
     params = dict(MTL_DEFAULTS, **params)
-    return mtl_fit(
-        Xs, Ys,
-        alpha=params["alpha"], beta=params["beta"], gamma=params["gamma"],
-        graph=graph, fit_intercept=params["fit_intercept"],
-        tol=params.get("tol", 1e-6), max_iter=int(params.get("max_iter", 10000)),
-    )
+    params["max_iter"] = int(params["max_iter"])
+    return mtl_fit(Xs, Ys, graph=graph, **params)
 
 
 def _fit_cnn(kind, features, params, seed):
     return cnn_train(features.X, features.y_signs(), CnnConfig(**dict(params, seed=seed)))
 
 
-#: kind -> (fit(kind, features, params, seed), posteriors(model, features)).
+#: kind -> (fit(kind, features, params, seed), posteriors(model, features),
+#: names of the kind's hyperparameters).
 _LEARNERS = {
-    **{kind: (_fit_shallow, lambda model, f: shallow_predict_proba(model, f.X)) for kind in SHALLOW_KINDS},
-    "mtl": (_fit_mtl, lambda model, f: mtl_predict_proba(model, f.X, f.quadrants)),
-    "cnn": (_fit_cnn, lambda model, f: cnn_predict_proba(model, f.X)),
+    **{kind: (_fit_shallow, lambda model, f: shallow_predict_proba(model, f.X), tuple(DEFAULT_HYPERPARAMS[kind]))
+       for kind in SHALLOW_KINDS},
+    "mtl": (_fit_mtl, lambda model, f: mtl_predict_proba(model, f.X, f.quadrants), tuple(MTL_DEFAULTS)),
+    "cnn": (_fit_cnn, lambda model, f: cnn_predict_proba(model, f.X),
+            tuple(c.name for c in fields(CnnConfig) if c.name != "seed")),
 }
 
 MODEL_KINDS = tuple(_LEARNERS)
@@ -104,11 +103,16 @@ def fit_model(kind: str, features: FeatureMatrix, params: dict, seed: int):
     """Fit one model of `kind` on every item of `features`.
 
     `params` are the kind's hyperparameters (for mtl, overrides of
-    MTL_DEFAULTS; for cnn, CnnConfig fields); `seed` drives any randomness.
+    MTL_DEFAULTS; for cnn, CnnConfig fields other than seed); `seed` drives
+    any randomness. A name that is not a hyperparameter of `kind` is an error.
     """
     if kind not in _LEARNERS:
         raise ValueError(f"unknown model kind {kind!r}")
-    return _LEARNERS[kind][0](kind, features, params, seed)
+    fit, _, names = _LEARNERS[kind]
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise ValueError(f"{kind} has no hyperparameter {', '.join(unknown)} (known: {', '.join(names)})")
+    return fit(kind, features, params, seed)
 
 
 def predict_proba(kind: str, model, features: FeatureMatrix) -> np.ndarray:
@@ -120,8 +124,9 @@ def predict_proba(kind: str, model, features: FeatureMatrix) -> np.ndarray:
 class ModelSpec:
     """What to train inside each CV fold.
 
-    `params` are fixed hyperparameters; `grid` (SVMs only) maps a
-    hyperparameter name to candidate values searched by inner 5-fold CV.
+    `params` are fixed hyperparameters; `grid` maps a hyperparameter name
+    to candidate values searched by inner 5-fold CV (the SVMs default to
+    DEFAULT_GRIDS).
     """
 
     kind: str
@@ -156,40 +161,35 @@ def _grid_points(grid: dict) -> list[dict]:
     return points
 
 
-def _inner_grid_search(X, y, kind, params, grid, seed) -> dict:
-    """Pick SVM hyperparameters by mean F1 over an inner 5-fold split."""
-    points = _grid_points(grid)
-    if len(points) == 1:
-        return dict(params, **points[0])
-    rng = np.random.default_rng(seed)
+def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict:
+    """Pick the spec's params plus the grid point with the best mean F1
+    over an inner 5-fold split of `train` (the first point wins ties)."""
+    candidates = [dict(spec.params, **point) for point in _grid_points(spec.grid)]
+    y = train.y_signs()
     n_folds = int(min(5, np.sum(y > 0), np.sum(y < 0)))
-    if n_folds < 2:
-        return dict(params, **points[0])
-    folds = stratified_folds(y, n_folds, rng)
-    best_f1, best_point = -1.0, points[0]
-    for point in points:
-        candidate = dict(params, **point)
+    if len(candidates) == 1 or n_folds < 2:
+        return candidates[0]
+    splits = []
+    for test_idx in stratified_folds(y, n_folds, np.random.default_rng(seed)):
+        fit_idx = np.setdiff1d(np.arange(len(y)), test_idx)
+        if len(test_idx) and len(np.unique(y[fit_idx])) == 2:
+            splits.append((train.subset(fit_idx), train.subset(test_idx)))
+    best_f1, best = -1.0, candidates[0]
+    for candidate in candidates:
         scores = []
-        for test_idx in folds:
-            mask = np.ones(len(y), dtype=bool)
-            mask[test_idx] = False
-            if len(np.unique(y[mask])) < 2 or len(test_idx) == 0:
-                continue
-            model = shallow_fit(X[mask], y[mask], kind, candidate, seed=seed)
-            proba = shallow_predict_proba(model, X[test_idx])
+        for fit_set, test_set in splits:
+            proba = predict_proba(spec.kind, fit_model(spec.kind, fit_set, candidate, seed), test_set)
             pred = np.where(proba[:, 0] > proba[:, 1], 1.0, -1.0)
-            scores.append(f1_score(pred, y[test_idx]))
+            scores.append(f1_score(pred, test_set.y_signs()))
         mean = float(np.mean(scores)) if scores else -1.0
         if mean > best_f1 + 1e-12:
-            best_f1, best_point = mean, candidate
-    return dict(params, **best_point) if best_point else dict(params)
+            best_f1, best = mean, candidate
+    return best
 
 
 def _fit_predict(train: FeatureMatrix, test: FeatureMatrix, spec: ModelSpec, seed: int):
     """Returns posterior pairs (High, Low) for the test items."""
-    params = dict(spec.params)
-    if spec.kind in DEFAULT_GRIDS and spec.grid:
-        params = _inner_grid_search(train.X, train.y_signs(), spec.kind, params, spec.grid, seed)
+    params = _inner_grid_search(train, spec, seed) if spec.grid else dict(spec.params)
     model = fit_model(spec.kind, train, params, seed)
     return predict_proba(spec.kind, model, test)
 
@@ -206,6 +206,8 @@ def cross_validate(
 
     Reproducible for a fixed seed.
     """
+    if reps < 1 or folds < 2:
+        raise ValueError(f"need reps >= 1 and folds >= 2, got reps={reps}, folds={folds}")
     y = features.y_signs()
     n_pos, n_neg = int(np.sum(y > 0)), int(np.sum(y < 0))
     if min(n_pos, n_neg) < folds:

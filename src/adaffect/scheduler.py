@@ -163,6 +163,14 @@ class GaConfig:
     tournament_size: int = 3
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("population", "tournament_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"GA {name} must be at least 1, got {getattr(self, name)}")
+        for name in ("crossover_rate", "mutation_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"GA {name} must lie in [0, 1], got {getattr(self, name)}")
+
 
 @dataclass
 class GaResult:

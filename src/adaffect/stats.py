@@ -198,12 +198,27 @@ def _rank_with_midranks(pooled: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _rank_sum_counts(doubled_ranks, k: int) -> dict:
+    """{s: number of k-subsets of `doubled_ranks` whose sum is s}, in Python
+    ints. ways[j] counts the j-subsets of the items seen so far by sum; j
+    runs downward so each item is used once, and stops where k is out of reach."""
+    n = len(doubled_ranks)
+    ways = [{0: 1}] + [{} for _ in range(k)]
+    for i, r in enumerate(doubled_ranks):
+        for j in range(min(i + 1, k), max(0, k - n + i), -1):
+            row = ways[j]
+            for s, c in ways[j - 1].items():
+                row[s + r] = row.get(s + r, 0) + c
+    return ways[k]
+
+
 def wilcoxon_rank_sum(x, y, method: str = "auto") -> TestResult:
     """Two-sided Wilcoxon rank-sum test with midrank tie handling.
 
     The statistic is the rank sum of x in the pooled sample. p-values are
-    exact (full enumeration of rank assignments) when n_x + n_y <= 12 or
-    method="exact", otherwise a normal approximation with tie correction.
+    exact (the count of n_x-subsets of the pooled midranks at or beyond
+    the observed sum) when n_x + n_y <= 12 or method="exact", otherwise a
+    normal approximation with tie correction.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -217,18 +232,13 @@ def wilcoxon_rank_sum(x, y, method: str = "auto") -> TestResult:
     ranks = _rank_with_midranks(pooled)
     w = float(ranks[:nx].sum())
 
-    use_exact = method == "exact" or (method == "auto" and n <= 12)
-    if use_exact and n > 24:
-        raise ValueError(f"exact enumeration infeasible for n_x + n_y = {n} > 24")
-    if use_exact:
-        sums = np.fromiter(
-            (sum(c) for c in itertools.combinations(ranks, nx)),
-            dtype=float,
-        )
-        total = len(sums)
-        eps = 1e-9
-        p_low = np.count_nonzero(sums <= w + eps) / total
-        p_high = np.count_nonzero(sums >= w - eps) / total
+    if method == "exact" or (method == "auto" and n <= 12):
+        # Midranks are multiples of 1/2, so doubled ranks and sums are exact ints.
+        counts = _rank_sum_counts([int(2.0 * r) for r in ranks], nx)
+        w2 = int(2.0 * w)
+        total = sum(counts.values())
+        p_low = sum(c for s, c in counts.items() if s <= w2) / total
+        p_high = sum(c for s, c in counts.items() if s >= w2) / total
         p = min(1.0, 2.0 * min(p_low, p_high))
     else:
         mean_w = nx * (n + 1) / 2.0

@@ -99,6 +99,20 @@ def f1_bruteforce(pred, truth, positive):
     return 2 * precision * recall / (precision + recall)
 
 
+def wilcoxon_exact_p_bruteforce(x, y):
+    """Two-sided exact rank-sum p-value: enumerate every n_x-subset of the
+    pooled midranks and count the sums at or beyond the observed one."""
+    pooled = list(x) + list(y)
+    ranks = [sum(1 for v in pooled if v < p) + (sum(1 for v in pooled if v == p) + 1) / 2 for p in pooled]
+    nx = len(x)
+    w = sum(ranks[:nx])
+    sums = [sum(c) for c in itertools.combinations(ranks, nx)]
+    eps = 1e-9
+    p_low = sum(1 for s in sums if s <= w + eps) / len(sums)
+    p_high = sum(1 for s in sums if s >= w - eps) / len(sums)
+    return min(1.0, 2.0 * min(p_low, p_high))
+
+
 def reference_smo(K, y, C, tol=1e-3, max_iter=400000):
     """The original, plain-numpy SMO loop that `shallow._smo` must match
     bit for bit (same alpha array, same b) on every input.

@@ -98,6 +98,95 @@ class TestDispatch:
         meta = json.loads((tmp_path / "f.csv.meta.json").read_text())
         assert meta["seed"] == 11
 
+    def test_config_loses_to_positional_and_abbreviated_flag(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"kind": "ratings", "dims": 12, "n_per_task": 4}))
+        feats = tmp_path / "f.csv"
+        assert run("synth", "quadrant", "--config", config, "--dim", 10, "--out", feats) == 0
+        loaded = read_feature_csv(feats)
+        assert (loaded.n_items, loaded.n_dims) == (16, 10)
+
+    @pytest.mark.parametrize("key", ["dimz", "reps", "func"])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: 12}))
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "quadrant", "--config", config, "--out", tmp_path / "f.csv")
+        assert exc.value.code == 2
+        assert f"not options of synth: {key}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_config_strings_go_through_option_types(self, tmp_path):
+        feats = tmp_path / "f.csv"
+        run("synth", "quadrant", "--seed", 2, "--n-per-task", 6, "--dims", 9, "--out", feats)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"reps": "2", "folds": "3"}))
+        report = tmp_path / "r.csv"
+        assert run("evaluate", "--config", config, "--features", feats, "--model", "lda",
+                   "--out", report) == 0
+        assert len(report.read_text().splitlines()) == 1 + 2 * 3 + 1
+        meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+        assert (meta["config"]["reps"], meta["config"]["folds"]) == (2, 3)
+
+    def test_config_hyper_then_flags_append(self, tmp_path):
+        feats = tmp_path / "f.csv"
+        run("synth", "quadrant", "--seed", 2, "--n-per-task", 6, "--dims", 9, "--out", feats)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"hyper": ["C=5"]}))
+        for extra, expect in (((), 5), (("--hyper", "C=10"), 10)):
+            out = tmp_path / f"m{expect}.json"
+            assert run("train", "--config", config, "--features", feats, "--model", "linear_svm",
+                       *extra, "--out", out) == 0
+            assert json.loads(out.read_text())["hyperparams"]["C"] == expect
+        meta = json.loads((tmp_path / "m10.json.meta.json").read_text())
+        assert meta["config"]["hyper"] == ["C=5", "C=10"]
+        config.write_text(json.dumps({"hyper": "C=5"}))
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--config", config, "--features", feats, "--model", "linear_svm",
+                "--hyper", "C=10", "--out", tmp_path / "m.json")
+        assert exc.value.code == 2
+
+    def test_each_subcommand_writes_its_sidecar_set(self, tmp_path):
+        t = tmp_path
+
+        def sidecars(*argv, code=0):
+            before = set(t.rglob("*.meta.json"))
+            assert run(*argv) == code
+            return sorted(p.relative_to(t).as_posix() for p in set(t.rglob("*.meta.json")) - before)
+
+        assert sidecars("synth", "ratings", "--raters", 4, "--items", 8, "--out", t / "ratings.csv",
+                        "--with-manifest", t / "ads.jsonl") == ["ratings.csv.meta.json"]
+        assert sidecars("synth", "quadrant", "--n-per-task", 6, "--dims", 9,
+                        "--out", t / "f.csv") == ["f.csv.meta.json"]
+        assert sidecars("synth", "eeg", "--n-per-class", 2, "--out", t / "eeg") == ["eeg/run.meta.json"]
+        assert sidecars("synth", "media", "--out", t / "media") == ["media/run.meta.json"]
+        assert sidecars("synth", "schedule-instance", "--out", t / "inst") == ["inst/run.meta.json"]
+        assert sidecars("synth", "posteriors", "--ads", 3, "--segments", 2,
+                        "--out", t / "segs.csv") == ["segs.csv.meta.json"]
+        assert sidecars("agreement", "--ratings", t / "ratings.csv") == []
+        assert sidecars("agreement", "--ratings", t / "ratings.csv",
+                        "--out", t / "agree.csv") == ["agree.csv.meta.json"]
+        assert sidecars("extract-av", "--audio", t / "media" / "tone.wav", "--frames", t / "media" / "frames",
+                        "--out-audio", t / "a.csv", "--out-video", t / "v.csv",
+                        "--spectrogram", t / "s.csv") == ["a.csv.meta.json", "s.csv.meta.json", "v.csv.meta.json"]
+        assert sidecars("preprocess-eeg", "--epochs", t / "eeg", "--out", t / "e.csv") == ["e.csv.meta.json"]
+        assert sidecars("train", "--features", t / "f.csv", "--model", "lda",
+                        "--out", t / "m.json") == ["m.json.meta.json"]
+        assert sidecars("evaluate", "--features", t / "f.csv", "--model", "lda", "--reps", 1, "--folds", 3,
+                        "--out", t / "r.csv") == ["r.csv.meta.json"]
+        assert sidecars("evaluate", "--features", t / "f.csv", "--model", "lda", "--reps", 1, "--folds", 3,
+                        "--out", t / "r2.csv", "--predictions", t / "p.csv") == ["p.csv.meta.json", "r2.csv.meta.json"]
+        assert sidecars("evaluate", "--features", t / "f.csv", "--model", "lda", "--reps", 0,
+                        "--out", t / "r3.csv", code=1) == []
+        assert sidecars("fuse", "--a", t / "p.csv", "--b", t / "p.csv", "--f1a", 0.9, "--f1b", 0.8,
+                        "--out", t / "fused.csv") == ["fused.csv.meta.json"]
+        assert sidecars("score-ads", "--predictions", t / "segs.csv",
+                        "--out", t / "scores.csv") == ["scores.csv.meta.json"]
+        assert sidecars("schedule", "--scenes", t / "inst" / "scenes.json", "--ads", t / "inst" / "ads.json",
+                        "--k", 3, "--generations", 5, "--out", t / "sched.csv") == ["sched.csv.meta.json"]
+        assert sidecars("schedule", "--scenes", t / "inst" / "scenes.json", "--ads", t / "inst" / "ads.json",
+                        "--k", 3, "--population", 0, "--out", t / "sched0.csv", code=1) == []
+
 
 class TestByteDeterminism:
     def test_predictions_and_fusion_deterministic(self, tmp_path):
@@ -247,6 +336,14 @@ class TestModelSerialization:
         assert err.startswith("warning: linear_svm C=1.0 stopped after 1 SMO iterations")
         assert err.count("\n") == 1
         assert load_model(out).kind == "linear_svm"
+
+    @pytest.mark.parametrize("kind, hyper", [("mtl", "alpah=0.5"), ("linear_svm", "Cc=5")])
+    def test_train_unknown_hyper_exits_1(self, tmp_path, capsys, kind, hyper):
+        feats = self.write_features(tmp_path, self.features().features)
+        out = tmp_path / "m.json"
+        assert run("train", "--features", feats, "--model", kind, "--hyper", hyper, "--out", out) == 1
+        assert f"has no hyperparameter {hyper.split('=')[0]} " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_subcommand_writes_loadable_model(self, tmp_path):
         feats = tmp_path / "f.csv"

@@ -10,6 +10,7 @@ from adaffect.evaluation import (
     ad_level_score,
     cross_validate,
     f1_score,
+    fit_model,
     west_fuse,
 )
 from adaffect.synthgen import GenSpec, gen_quadrant_data
@@ -123,6 +124,40 @@ class TestCrossValidate:
         report = cross_validate(feats, ModelSpec("mtl"), reps=1, folds=3, seed=10)
         assert report.mean >= 0.9
 
+    @pytest.mark.parametrize("reps, folds", [(0, 5), (1, 1)])
+    def test_rejects_degenerate_reps_and_folds(self, reps, folds):
+        with pytest.raises(ValueError, match="reps >= 1 and folds >= 2"):
+            cross_validate(small_features(), ModelSpec("lda"), reps=reps, folds=folds)
+
+    @pytest.mark.parametrize("kind, point", [("lda", {"shrinkage": 0.9}), ("mtl", {"alpha": 0.2})])
+    def test_one_point_grid_equals_fixed_params(self, kind, point):
+        # A one-point grid skips the search and trains with that point; the
+        # default lda shrinkage (0.1) and mtl alpha (1.0) give other posteriors.
+        feats = small_features(seed=3)
+        grid = {key: [value] for key, value in point.items()}
+        searched = cross_validate(feats, ModelSpec(kind, grid=grid), reps=1, folds=3, seed=4)
+        fixed = cross_validate(feats, ModelSpec(kind, params=point), reps=1, folds=3, seed=4)
+        default = cross_validate(feats, ModelSpec(kind), reps=1, folds=3, seed=4)
+        assert np.array_equal(searched.oof_posteriors, fixed.oof_posteriors)
+        assert not np.array_equal(searched.oof_posteriors, default.oof_posteriors)
+
+    def test_lda_grid_runs_inner_search(self, monkeypatch):
+        from adaffect import evaluation
+
+        shrinkages = []
+        original = evaluation.shallow_fit
+
+        def spy(X, y, kind, params, seed):
+            shrinkages.append(params["shrinkage"])
+            return original(X, y, kind, params, seed=seed)
+
+        monkeypatch.setattr(evaluation, "shallow_fit", spy)
+        spec = ModelSpec("lda", grid={"shrinkage": [0.2, 0.7]})
+        cross_validate(small_features(), spec, reps=1, folds=3, seed=6)
+        # Per outer fold: 2 grid points x 5 inner folds, then the final fit.
+        assert len(shrinkages) == 3 * (2 * 5 + 1)
+        assert shrinkages[:10] == [0.2] * 5 + [0.7] * 5
+
     def test_thread_pool_matches_serial(self, monkeypatch):
         feats = small_features()
         spec = ModelSpec("lda")
@@ -211,3 +246,17 @@ class TestAdLevelScore:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ad_level_score([])
+
+
+class TestFitModel:
+    @pytest.mark.parametrize("kind, name", [
+        ("lda", "C"), ("linear_svm", "Cc"), ("rbf_svm", "shrinkage"),
+        ("mtl", "alpah"), ("cnn", "seed"),
+    ])
+    def test_unknown_hyperparameter_rejected(self, kind, name):
+        with pytest.raises(ValueError, match=f"{kind} has no hyperparameter {name} "):
+            fit_model(kind, small_features(), {name: 1}, seed=0)
+
+    def test_mtl_solver_limits_are_hyperparameters(self):
+        model = fit_model("mtl", small_features(), {"max_iter": 3, "tol": 0.0}, seed=0)
+        assert len(model.objective_history) == 1 + 3

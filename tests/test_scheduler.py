@@ -152,6 +152,14 @@ class TestGa:
         # cannot drop; and the returned best is never below its history.
         assert result.fitness == pytest.approx(max(result.best_history))
 
+    @pytest.mark.parametrize("field, value", [
+        ("population", 0), ("tournament_size", 0),
+        ("crossover_rate", -0.1), ("crossover_rate", 1.5), ("mutation_rate", 2.0),
+    ])
+    def test_config_rejects_degenerate_sizes_and_rates(self, field, value):
+        with pytest.raises(ValueError, match=f"GA {field} must"):
+            GaConfig(**{field: value})
+
     def test_returned_schedule_is_feasible_and_scored(self):
         problem = make_problem(seed=10)
         result = ga_optimize(problem, GaConfig(seed=4))

@@ -20,6 +20,7 @@ from oracles import (
     cohen_kappa_bruteforce,
     fleiss_kappa_bruteforce,
     krippendorff_alpha_bruteforce,
+    wilcoxon_exact_p_bruteforce,
 )
 
 
@@ -204,6 +205,25 @@ class TestWilcoxon:
         res = wilcoxon_rank_sum([1, 2], [1, 2])
         assert res.statistic == pytest.approx(5.0)
         assert res.p_value == 1.0
+
+    def test_exact_equals_enumeration_with_ties(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            nx, ny = (int(v) for v in rng.integers(1, 9, size=2))
+            x = rng.integers(0, 5, size=nx).astype(float)
+            y = rng.integers(0, 5, size=ny).astype(float)
+            assert wilcoxon_rank_sum(x, y, method="exact").p_value == wilcoxon_exact_p_bruteforce(x, y)
+
+    def test_exact_matches_scipy_beyond_enumeration(self):
+        from scipy.stats import mannwhitneyu
+
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=13)
+        y = rng.normal(0.7, 1.0, size=17)
+        ref = mannwhitneyu(x, y, alternative="two-sided", method="exact")
+        res = wilcoxon_rank_sum(x, y, method="exact")
+        assert res.statistic == float(ref.statistic) + 13 * 14 / 2
+        assert res.p_value == pytest.approx(float(ref.pvalue), rel=1e-12, abs=0)
 
 
 class TestBhFdr:
