@@ -45,6 +45,7 @@ from .learners.cnn import cnn_train
 from .learners.mtl import mtl_fit
 from .learners.shallow import shallow_fit
 from .media import (
+    WINDOW_MODES,
     AudioClip,
     FrameSequence,
     hanjalic_audio,
@@ -65,7 +66,6 @@ from .stats import cohen_kappa, fleiss_kappa, krippendorff_alpha
 from .synthgen import GenSpec, gen_quadrant_data, gen_rating_matrix, gen_synthetic_eeg, gen_test_media
 
 DEFAULT_SEED = 20200
-WINDOW_CHOICES = ("all", "first30", "last30", "last10")
 
 
 def _parse_kv(pairs):
@@ -270,8 +270,7 @@ def cmd_evaluate(args) -> list:
         "model": args.model,
         "modality": args.modality,
     }
-    report = cross_validate(features, spec, reps=args.reps, folds=args.folds,
-                            seed=args.seed, setting=setting)
+    report = cross_validate(features, spec, reps=args.reps, folds=args.folds, seed=args.seed)
     setting_str = ":".join(str(setting[k]) for k in ("attribute", "window", "model", "modality"))
     lines = ["setting,run,fold,f1"]
     for run, fold, f1 in report.rows:
@@ -489,10 +488,34 @@ def cmd_synth(args) -> list:
 
 # ----------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """argparse checks `choices` only for values given on the command line;
+    this parser also checks the option defaults that --config sets."""
+
+    def __init__(self, *args, **kwargs):
+        self.choice_actions = []
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.choices is not None:
+            self.choice_actions.append(action)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action in self.choice_actions:
+            value = self.get_default(action.dest)
+            if value is not None and value not in action.choices:
+                self.error(f"argument {'/'.join(action.option_strings) or action.dest}: invalid choice "
+                           f"{value!r} from --config (choose from {', '.join(map(repr, action.choices))})")
+        return namespace, extras
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The `adaffect` parser; `defaults` (option dest -> value, as read
     from --config) replace every subcommand's built-in option defaults."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adaffect",
         description="Ad affect recognition toolkit: statistics, features, learners, fusion, scheduling.",
     )
@@ -516,7 +539,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = command("extract-av", cmd_extract_av, "audio/video descriptor extraction")
     p.add_argument("--audio", default=None, help="PCM WAV input")
     p.add_argument("--frames", default=None, help="directory of frame_%%06d.ppm + fps.txt")
-    p.add_argument("--window", choices=WINDOW_CHOICES, default="all")
+    p.add_argument("--window", choices=WINDOW_MODES, default="all")
     p.add_argument("--smooth", action="store_true", help="Kaiser-smooth frame series before aggregation")
     p.add_argument("--out-audio", default=None)
     p.add_argument("--out-video", default=None)
@@ -524,7 +547,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p = command("preprocess-eeg", cmd_preprocess_eeg, "filter, window, vectorize and PCA-reduce EEG epochs")
     p.add_argument("--epochs", required=True, help="directory of *.f32 + *.json epochs")
-    p.add_argument("--window", choices=WINDOW_CHOICES, default="first30")
+    p.add_argument("--window", choices=WINDOW_MODES, default="first30")
     p.add_argument("--low", type=float, default=0.1)
     p.add_argument("--high", type=float, default=45.0)
     p.add_argument("--retain", type=float, default=0.9, help="PCA variance target; 0 disables PCA")

@@ -42,14 +42,19 @@ def f1_score(pred, truth, positive=AffectLabel.HIGH) -> float:
     if pred.shape != truth.shape:
         raise ValueError("pred and truth must have equal length")
     pos = 1.0 if positive is AffectLabel.HIGH else -1.0
-    tp = float(np.sum((pred == pos) & (truth == pos)))
-    fp = float(np.sum((pred == pos) & (truth != pos)))
-    fn = float(np.sum((pred != pos) & (truth == pos)))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return float(_f1_rows(pred == pos, truth == pos))
+
+
+def _f1_rows(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """F1 of each row of boolean positive-class predictions (..., items)
+    against boolean truth (items,)."""
+    tp = np.count_nonzero(pred & truth, axis=-1)
+    fp = np.count_nonzero(pred & ~truth, axis=-1)
+    fn = np.count_nonzero(truth) - tp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+        return np.where(precision + recall > 0, 2.0 * precision * recall / (precision + recall), 0.0)
 
 
 def _as_signs(labels) -> np.ndarray:
@@ -142,7 +147,6 @@ class ModelSpec:
 
 @dataclass
 class CvReport:
-    setting: dict
     rows: list[tuple[int, int, float]]  # (run/repetition, fold, f1)
     mean: float
     std: float
@@ -200,7 +204,6 @@ def cross_validate(
     reps: int = 10,
     folds: int = 5,
     seed: int = 0,
-    setting: dict | None = None,
 ) -> CvReport:
     """Repeated stratified k-fold evaluation; F1 per (repetition, fold).
 
@@ -214,9 +217,6 @@ def cross_validate(
         raise InsufficientClassCountError(
             f"need at least {folds} items per class, have {n_pos} positive / {n_neg} negative"
         )
-    setting = dict(setting or {})
-    setting.setdefault("model", spec.kind)
-
     rows = []
     # Out-of-fold posteriors from the first repetition, for downstream fusion.
     oof = np.zeros((features.n_items, 2))
@@ -234,13 +234,7 @@ def cross_validate(
             if rep == 0:
                 oof[test_idx] = proba
     values = np.array([f1 for _, _, f1 in rows])
-    return CvReport(
-        setting=setting,
-        rows=rows,
-        mean=float(values.mean()),
-        std=float(values.std()),
-        oof_posteriors=oof,
-    )
+    return CvReport(rows=rows, mean=float(values.mean()), std=float(values.std()), oof_posteriors=oof)
 
 
 # ------------------------------------------------------------------ fusion
@@ -252,16 +246,6 @@ class FusionResult:
     posteriors: np.ndarray        # combined scores per class (not renormalized)
     labels: np.ndarray            # +1/-1
     tuning_f1: float
-
-
-def _fused_labels_for_grid(alphas, d1, d2, f1_train, f2_train):
-    """Sign of the fused High-minus-Low score for every grid point."""
-    a1 = alphas[:, 0]
-    a2 = alphas[:, 1]
-    denom = a1 * f1_train + a2 * f2_train
-    c1 = a1 * (a1 * f1_train) / denom
-    c2 = a2 * (a2 * f2_train) / denom
-    return c1[:, None] * d1[None, :] + c2[:, None] * d2[None, :]
 
 
 def west_fuse(
@@ -281,7 +265,8 @@ def west_fuse(
     alpha in [0,1]^2 (or alpha2 = 1 - alpha1 when mode="convex") picks the
     pair maximizing F1 against `truth`, breaking ties toward the smallest
     (alpha1, alpha2) lexicographically. Grid points where both effective
-    weights vanish are skipped.
+    weights vanish are skipped. The labels are the sign of the fused
+    High-minus-Low score that the grid scores, so `tuning_f1` is their F1.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
@@ -292,52 +277,33 @@ def west_fuse(
     if mode not in ("joint", "convex"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    def fuse_at(a1, a2):
-        denom = a1 * f1_train + a2 * f2_train
-        if denom <= 0.0:
-            raise ValueError("sum of alpha_i * F_i must be positive")
-        t1 = a1 * f1_train / denom
-        t2 = a2 * f2_train / denom
-        posts = a1 * t1 * p1 + a2 * t2 * p2
-        labels = np.where(posts[:, 0] > posts[:, 1], 1.0, -1.0)
-        return (t1, t2), posts, labels
-
     if alphas is not None:
-        weights, posts, labels = fuse_at(*alphas)
-        tuning = f1_score(labels, truth) if truth is not None else float("nan")
-        return FusionResult(tuple(alphas), weights, posts, labels, tuning)
-
-    if truth is None:
+        grid = np.array([alphas], dtype=float)
+    elif truth is None:
         raise ValueError("grid search needs tuning-set truth labels")
-    truth_signs = _as_signs(truth)
-
-    n_steps = int(round(1.0 / grid_step))
-    values = np.arange(n_steps + 1) * grid_step
-    if mode == "joint":
-        grid = np.array([(a1, a2) for a1 in values for a2 in values])
     else:
-        grid = np.column_stack([values, 1.0 - values])
-    keep = grid[:, 0] * f1_train + grid[:, 1] * f2_train > 0.0
-    grid = grid[keep]
-    if not len(grid):
-        raise ValueError("every grid point zeroes the fusion weights")
-
-    d1 = p1[:, 0] - p1[:, 1]
-    d2 = p2[:, 0] - p2[:, 1]
-    scores = _fused_labels_for_grid(grid, d1, d2, f1_train, f2_train)
-    labels_grid = np.where(scores > 0.0, 1.0, -1.0)
-    pos_truth = truth_signs == 1.0
-    tp = (labels_grid[:, pos_truth] == 1.0).sum(axis=1).astype(float)
-    fp = (labels_grid[:, ~pos_truth] == 1.0).sum(axis=1).astype(float)
-    fn = float(pos_truth.sum()) - tp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
-        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
-        f1s = np.where(precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0)
-    best = int(np.argmax(f1s))  # grid is lexicographically ordered; first wins ties
-    a1, a2 = grid[best]
-    weights, posts, labels = fuse_at(float(a1), float(a2))
-    return FusionResult((float(a1), float(a2)), weights, posts, labels, float(f1s[best]))
+        values = np.arange(int(round(1.0 / grid_step)) + 1) * grid_step
+        if mode == "joint":
+            grid = np.array([(a1, a2) for a1 in values for a2 in values])
+        else:
+            grid = np.column_stack([values, 1.0 - values])
+    weighted = grid * np.array([f1_train, f2_train])  # alpha_i F_i
+    denom = weighted[:, 0] + weighted[:, 1]
+    keep = denom > 0.0
+    if not keep.any():
+        raise ValueError("sum of alpha_i * F_i must be positive" if alphas is not None
+                         else "every grid point zeroes the fusion weights")
+    grid, weights = grid[keep], weighted[keep] / denom[keep, None]
+    coef = grid * weights  # alpha_i t_i
+    high = coef[:, :1] * (p1[:, 0] - p1[:, 1]) + coef[:, 1:] * (p2[:, 0] - p2[:, 1]) > 0.0
+    best, tuning = 0, float("nan")
+    if truth is not None:
+        f1s = _f1_rows(high, _as_signs(truth) == 1.0)
+        best = int(np.argmax(f1s))  # grid is lexicographically ordered; first wins ties
+        tuning = float(f1s[best])
+    c1, c2 = coef[best]
+    return FusionResult(tuple(map(float, grid[best])), tuple(map(float, weights[best])),
+                        c1 * p1 + c2 * p2, np.where(high[best], 1.0, -1.0), tuning)
 
 
 def ad_level_score(segment_posteriors) -> float:

@@ -199,21 +199,51 @@ def write_feature_csv(path, features: FeatureMatrix, names: list[str] | None = N
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_feature_csv(path) -> FeatureMatrix:
+def _read_rows(path, row_parser):
+    """Each non-empty data row of CSV `path`, parsed by the function that
+    `row_parser(header)` returns after checking the header. A row with the
+    wrong field count, or that the parser rejects, fails as `path:line: why`."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["item_id", "label", "quadrant"]:
-            raise ValueError(f"{path}: expected header item_id,label,quadrant,...")
-        ids, labels, quads, rows = [], [], [], []
+        header = next(reader, [])
+        parse = row_parser(header)
+        out = []
         for row in reader:
             if not row:
                 continue
-            ids.append(row[0])
-            labels.append(AffectLabel.from_code(row[1]))
-            quads.append(Quadrant.from_code(row[2]))
-            rows.append([float(v) for v in row[3:]])
-    return FeatureMatrix(np.asarray(rows, dtype=float), labels, quads, ids)
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, found {len(row)}")
+                out.append(parse(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return out
+
+
+def _posterior(text: str) -> float:
+    p = float(text)
+    if not 0.0 <= p <= 1.0:  # also rejects nan
+        raise ValueError(f"posterior {text!r} is not a number in [0, 1]")
+    return p
+
+
+def read_feature_csv(path) -> FeatureMatrix:
+    seen = set()
+
+    def row_parser(header):
+        if header[:3] != ["item_id", "label", "quadrant"]:
+            raise ValueError(f"{path}: expected header item_id,label,quadrant,...")
+        return parse
+
+    def parse(row):
+        if row[0] in seen:
+            raise ValueError(f"duplicate item id {row[0]!r}")
+        seen.add(row[0])
+        return row[0], AffectLabel.from_code(row[1]), Quadrant.from_code(row[2]), [float(v) for v in row[3:]]
+
+    rows = _read_rows(path, row_parser)
+    ids, labels, quads, X = zip(*rows) if rows else ((), (), (), ())
+    return FeatureMatrix(np.asarray(X, dtype=float), list(labels), list(quads), list(ids))
 
 
 def write_descriptor_csv(path, series):
@@ -252,17 +282,15 @@ def write_ratings_csv(path, matrices):
 
 def read_segment_posteriors_csv(path):
     """ad_id,(anything...),p_high[,p_low] rows -> ordered {ad_id: [p_high...]}."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    def row_parser(header):
         cols = {name.strip(): k for k, name in enumerate(header)}
         if "ad_id" not in cols or "p_high" not in cols:
             raise ValueError(f"{path}: need ad_id and p_high columns")
-        out: dict[str, list[float]] = {}
-        for row in reader:
-            if not row:
-                continue
-            out.setdefault(row[cols["ad_id"]], []).append(float(row[cols["p_high"]]))
+        return lambda row: (row[cols["ad_id"]], _posterior(row[cols["p_high"]]))
+
+    out: dict[str, list[float]] = {}
+    for ad_id, p_high in _read_rows(path, row_parser):
+        out.setdefault(ad_id, []).append(p_high)
     return out
 
 
@@ -276,16 +304,10 @@ def write_predictions_csv(path, item_ids, truths, posteriors):
 
 
 def read_predictions_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    def row_parser(header):
         if header != ["item_id", "truth", "p_high", "p_low"]:
             raise ValueError(f"{path}: expected header item_id,truth,p_high,p_low")
-        ids, truths, post = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            ids.append(row[0])
-            truths.append(AffectLabel.from_code(row[1]))
-            post.append((float(row[2]), float(row[3])))
-    return ids, truths, np.asarray(post, dtype=float)
+        return lambda row: (row[0], AffectLabel.from_code(row[1]), (_posterior(row[2]), _posterior(row[3])))
+
+    rows = _read_rows(path, row_parser)
+    return [r[0] for r in rows], [r[1] for r in rows], np.asarray([r[2] for r in rows], dtype=float)

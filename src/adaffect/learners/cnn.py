@@ -222,7 +222,6 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
     model = CnnModel(config=config, input_dim=k, params=params)
 
     val_history: list[float] = []
-    train_history: list[float] = []
     streak = 0
     stopped_epoch = config.max_epochs
     n_tr = len(y_tr)
@@ -241,8 +240,6 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
             for key in params:
                 velocity[key] = config.momentum * velocity[key] - config.learning_rate * grads[key]
                 params[key] += velocity[key]
-        train_history.append(_loss_from_probs(_forward(params, X_tr)[0], t_tr, params,
-                                              config.weight_decay))
         val_loss = _loss_from_probs(_forward(params, X_val)[0], t_val, params,
                                     config.weight_decay)
         if val_history and val_loss > val_history[-1]:
@@ -254,11 +251,7 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
             stopped_epoch = epoch
             break
 
-    model.history = {
-        "train_loss": train_history,
-        "val_loss": val_history,
-        "stopped_epoch": stopped_epoch,
-    }
+    model.history = {"val_loss": val_history, "stopped_epoch": stopped_epoch}
     return model
 
 

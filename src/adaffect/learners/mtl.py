@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import ALL_QUADRANTS, Quadrant
+from .shallow import logistic
 
 
 class EmptyTaskError(ValueError):
@@ -211,11 +212,6 @@ def mtl_fit(
     )
 
 
-def _logistic(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-
-
 def mtl_scores(model: MtlModel, X) -> np.ndarray:
     """Per-task decision scores, items x T."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -238,7 +234,7 @@ def mtl_predict(model: MtlModel, x, task: Quadrant | None = None):
     else:
         s = float(scores[int(np.argmax(np.abs(scores)))])
     label = 1.0 if s > 0 else -1.0
-    p_high = float(_logistic(s))
+    p_high = float(logistic(s))
     confidence = p_high if label > 0 else 1.0 - p_high
     return label, confidence
 
@@ -248,5 +244,5 @@ def mtl_predict_proba(model: MtlModel, X, tasks) -> np.ndarray:
     scores = mtl_scores(model, X)
     idx = [model.graph.task_index(t) for t in tasks]
     s = scores[np.arange(len(idx)), idx]
-    p_high = _logistic(s)
+    p_high = logistic(s)
     return np.column_stack([p_high, 1.0 - p_high])

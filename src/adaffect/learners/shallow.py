@@ -14,6 +14,7 @@ import numpy as np
 from ..core import stratified_folds
 
 KKT_TOL = 1e-3
+CALIBRATION_FOLDS = 3  # folds of the out-of-fold decision values that Platt scaling fits
 SHALLOW_KINDS = ("lda", "linear_svm", "rbf_svm")
 
 
@@ -154,6 +155,12 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = KKT_TOL, max_iter:
 
 # --------------------------------------------------------- Platt scaling
 
+def logistic(x):
+    """1 / (1 + exp(-x)), evaluated without overflow on either tail."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+
+
 def fit_platt(scores: np.ndarray, y: np.ndarray, max_iter: int = 100):
     """Fit P(High|f) = 1/(1 + exp(A f + B)) by Newton descent on the
     regularized log-loss with the usual prior-smoothed targets."""
@@ -165,9 +172,7 @@ def fit_platt(scores: np.ndarray, y: np.ndarray, max_iter: int = 100):
     eps = 1e-12
 
     def apply(a, b):
-        z = a * scores + b
-        p = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
-        return np.clip(p, eps, 1.0 - eps)
+        return np.clip(platt_posterior(scores, a, b), eps, 1.0 - eps)
 
     def loss(a, b):
         p = apply(a, b)
@@ -206,8 +211,7 @@ def fit_platt(scores: np.ndarray, y: np.ndarray, max_iter: int = 100):
 
 
 def platt_posterior(scores, A, B):
-    z = A * np.asarray(scores, dtype=float) + B
-    return np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+    return logistic(-(A * np.asarray(scores, dtype=float) + B))
 
 
 # ---------------------------------------------------------------- models
@@ -307,16 +311,9 @@ def _fit_uncalibrated(X, y, kind, hyper) -> ShallowModel:
     K = _kernel(kind, gamma)(X, X)
     alpha, b, iters, converged = _smo(K, y, hyper["C"])
     coef = alpha * y
-    model = ShallowModel(kind, dict(hyper), X.shape[1], b=b, gamma=gamma,
-                         train_meta={"alpha": alpha, "iters": iters, "converged": converged})
-    if kind == "linear_svm":
-        model.w = X.T @ coef
-        model.support_vectors = X
-        model.dual_coef = coef
-    else:
-        model.support_vectors = X
-        model.dual_coef = coef
-    return model
+    return ShallowModel(kind, dict(hyper), X.shape[1], w=X.T @ coef if kind == "linear_svm" else None, b=b,
+                        support_vectors=X, dual_coef=coef, gamma=gamma,
+                        train_meta={"alpha": alpha, "iters": iters, "converged": converged})
 
 
 DEFAULT_HYPERPARAMS = {
@@ -326,8 +323,7 @@ DEFAULT_HYPERPARAMS = {
 }
 
 
-def shallow_fit(X, y, kind: str, hyperparams: dict | None = None, seed: int = 0,
-                calibration_folds: int = 3) -> ShallowModel:
+def shallow_fit(X, y, kind: str, hyperparams: dict | None = None, seed: int = 0) -> ShallowModel:
     """Fit one shallow classifier and calibrate its posterior output.
 
     `y` holds +1/-1 labels. Calibration fits a logistic map on out-of-fold
@@ -343,7 +339,7 @@ def shallow_fit(X, y, kind: str, hyperparams: dict | None = None, seed: int = 0,
 
     model = _fit_uncalibrated(X, y, kind, hyper)
     fit_one = lambda Xi, yi: _fit_uncalibrated(Xi, yi, kind, hyper)
-    scores = _cross_fitted_scores(X, y, fit_one, calibration_folds, seed)
+    scores = _cross_fitted_scores(X, y, fit_one, CALIBRATION_FOLDS, seed)
     model.calibration = fit_platt(scores, y)
     return model
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ALL_QUADRANTS, AffectLabel, FeatureMatrix, RatingMatrix
+from .core import ALL_QUADRANTS, AROUSAL_SCALE, VALENCE_SCALE, AffectLabel, FeatureMatrix, RatingMatrix
 from .eeg import EEG_CHANNELS, EEG_SAMPLE_RATE, EegEpoch
 from .media import AudioClip, FrameSequence
 
@@ -183,7 +183,7 @@ def gen_rating_matrix(
     if not 0.0 <= agreement_level <= 1.0:
         raise ValueError("agreement_level must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    lo, hi = (-2.0, 2.0) if attribute == "valence" else (0.0, 4.0)
+    lo, hi = VALENCE_SCALE if attribute == "valence" else AROUSAL_SCALE
     latent = rng.uniform(lo, hi, size=items)
     noise = rng.uniform(lo, hi, size=(raters, items))
     mixed = agreement_level * latent[None, :] + (1.0 - agreement_level) * noise

@@ -116,6 +116,18 @@ class TestDispatch:
         assert f"not options of synth: {key}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("extra", [(), ("--method", "exact")])
+    def test_config_value_outside_choices_exits_2(self, tmp_path, capsys, extra):
+        run("synth", "schedule-instance", "--scenes", 4, "--ads", 3, "--out", tmp_path / "inst")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"method": "exaxt"}))
+        with pytest.raises(SystemExit) as exc:
+            run("schedule", "--config", config, "--scenes", tmp_path / "inst" / "scenes.json",
+                "--ads", tmp_path / "inst" / "ads.json", "--k", 2, *extra, "--out", tmp_path / "s.csv")
+        assert exc.value.code == 2
+        assert "argument --method: invalid choice 'exaxt' from --config" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_config_strings_go_through_option_types(self, tmp_path):
         feats = tmp_path / "f.csv"
         run("synth", "quadrant", "--seed", 2, "--n-per-task", 6, "--dims", 9, "--out", feats)
@@ -250,6 +262,44 @@ class TestFusePath:
         assert lines[1] == "item_id,truth,p_high,p_low,label"
         ids, truths, posts = read_predictions_csv(pa)
         assert len(lines) == 2 + len(ids)
+
+
+PREDICTIONS = "item_id,truth,p_high,p_low\na,H,0.9,0.1\nb,L,0.2,0.8\nc,H,0.7,0.3\nd,L,0.4,0.6\n"
+SEGMENTS = "ad_id,segment_id,p_high,p_low\nad00,seg00,0.3,0.7\nad00,seg01,0.6,0.4\nad01,seg00,0.5,0.5\n"
+FEATURES = "item_id,label,quadrant,f0,f1\nx0,H,HH,0.1,0.2\nx1,L,LL,0.3,0.4\nx2,H,HL,0.5,0.6\nx3,L,LH,0.7,0.8\n"
+
+
+class TestReaderBoundaries:
+    """A bad row in a CSV input fails the command with one `path:line:` line."""
+
+    @pytest.mark.parametrize("command, text, old, new, line", [
+        ("fuse", PREDICTIONS, "c,H,0.7,0.3", "c,H,nan,0.3", 4),
+        ("fuse", PREDICTIONS, "c,H,0.7,0.3", "c,H,1.7,-0.7", 4),
+        ("fuse", PREDICTIONS, "b,L,0.2,0.8", "b,L,0.2", 3),
+        ("score-ads", SEGMENTS, "seg01,0.6", "seg01,1.7", 3),
+        ("score-ads", SEGMENTS, "seg01,0.6", "seg01,-3", 3),
+        ("score-ads", SEGMENTS, "seg01,0.6", "seg01,nan", 3),
+        ("score-ads", SEGMENTS, "ad01,seg00,0.5,0.5", "ad01", 4),
+        ("train", FEATURES, "x2,H,HL,0.5,0.6", "x2,H,HL,0.5", 4),
+        ("train", FEATURES, "x2,H,HL,0.5,0.6", "x2,H,HL,0.5,high", 4),
+        ("train", FEATURES, "x3,L,LH", "x1,L,LH", 5),
+    ], ids=["fuse-nan", "fuse-above-one", "predictions-short-row", "score-ads-above-one",
+            "score-ads-negative", "score-ads-nan", "segments-short-row", "features-ragged",
+            "features-non-numeric", "features-duplicate-id"])
+    def test_bad_row_exits_1_with_path_line(self, tmp_path, capsys, command, text, old, new, line):
+        good, bad, out = tmp_path / "good.csv", tmp_path / "bad.csv", tmp_path / "out.csv"
+        assert old in text
+        good.write_text(text)
+        bad.write_text(text.replace(old, new))
+        argv = {
+            "fuse": ("--a", bad, "--b", good, "--f1a", 0.8, "--f1b", 0.7),
+            "score-ads": ("--predictions", bad),
+            "train": ("--features", bad, "--model", "lda"),
+        }[command]
+        assert run(command, *argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestModelSerialization:

@@ -9,6 +9,7 @@ from adaffect.learners.cnn import (
     CnnModel,
     TooShortInputError,
     _init_params,
+    cnn_loss,
     cnn_predict,
     cnn_predict_proba,
     cnn_train,
@@ -69,7 +70,8 @@ class TestTraining:
         y = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
         config = CnnConfig(dropout=0.0, weight_decay=0.0, seed=2)
         model = cnn_train(X, y, config, val_data=(X, y))
-        assert model.history["train_loss"][-1] == pytest.approx(math.log(2.0), abs=0.05)
+        targets = np.where(y > 0, 0, 1)  # class index 0 is High
+        assert cnn_loss(model, X, targets) == pytest.approx(math.log(2.0), abs=0.05)
 
     def test_fixed_seed_bit_reproducible(self):
         X, y = separable_features(n=24, k=10, seed=5)

@@ -208,6 +208,22 @@ class TestWestFuse:
             best_single = max(f1_score(lab1, truth), f1_score(lab2, truth))
             assert res.tuning_f1 >= best_single - 1e-12
 
+    @pytest.mark.parametrize("mode", ["joint", "convex"])
+    def test_tuning_f1_is_the_f1_of_the_returned_labels(self, mode):
+        # Quarter-step posteriors and training F1s make fused scores that
+        # sit exactly on zero, where rounding decides the label.
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 25))
+            p1 = rng.integers(0, 5, (n, 2)) / 4
+            p2 = rng.integers(0, 5, (n, 2)) / 4
+            truth = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            f1t, f2t = rng.integers(1, 5, 2) / 4
+            res = west_fuse(p1, p2, f1t, f2t, truth=truth, mode=mode)
+            assert res.tuning_f1 == f1_score(res.labels, truth), seed
+            fixed = west_fuse(p1, p2, f1t, f2t, truth=truth, alphas=res.alpha)
+            assert np.array_equal(fixed.labels, res.labels) and fixed.tuning_f1 == res.tuning_f1
+
     def test_weights_sum_to_one(self):
         res = west_fuse(
             np.array([[0.6, 0.4]]), np.array([[0.2, 0.8]]), 0.9, 0.3, alphas=(0.7, 0.4)
