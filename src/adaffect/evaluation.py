@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core import AffectLabel, FeatureMatrix, stratified_folds
+from .learners import shallow
 from .learners.cnn import CnnConfig, cnn_predict_proba, cnn_train
 from .learners.mtl import build_task_graph, mtl_fit, mtl_predict_proba
 from .learners.shallow import DEFAULT_HYPERPARAMS, SHALLOW_KINDS, shallow_fit, shallow_predict_proba
@@ -67,7 +68,8 @@ def _as_signs(labels) -> np.ndarray:
 # ------------------------------------------------------------ model kinds
 # Each kind's learners are looked up in this module's globals at call time,
 # so a caller that replaces `evaluation.shallow_fit` (or another learner
-# name) sees every fit and prediction made here.
+# name) sees every fit and prediction made here. The inner search's
+# uncalibrated shallow fits are looked up on `learners.shallow` likewise.
 
 def _fit_shallow(kind, features, params, seed):
     return shallow_fit(features.X, features.y_signs(), kind, params, seed=seed)
@@ -178,17 +180,51 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
         fit_idx = np.setdiff1d(np.arange(len(y)), test_idx)
         if len(test_idx) and len(np.unique(y[fit_idx])) == 2:
             splits.append((train.subset(fit_idx), train.subset(test_idx)))
+    if not splits:
+        return candidates[0]
+    if spec.kind in SHALLOW_KINDS:
+        scores = _shallow_scores(spec.kind, candidates, splits)
+    else:
+        scores = np.array([
+            [f1_score(_argmax_signs(predict_proba(spec.kind, fit_model(spec.kind, fit_set, candidate, seed), test_set)),
+                      test_set.y_signs()) for fit_set, test_set in splits]
+            for candidate in candidates])
     best_f1, best = -1.0, candidates[0]
-    for candidate in candidates:
-        scores = []
-        for fit_set, test_set in splits:
-            proba = predict_proba(spec.kind, fit_model(spec.kind, fit_set, candidate, seed), test_set)
-            pred = np.where(proba[:, 0] > proba[:, 1], 1.0, -1.0)
-            scores.append(f1_score(pred, test_set.y_signs()))
-        mean = float(np.mean(scores)) if scores else -1.0
+    for candidate, mean in zip(candidates, scores.mean(axis=1)):
         if mean > best_f1 + 1e-12:
-            best_f1, best = mean, candidate
+            best_f1, best = float(mean), candidate
     return best
+
+
+def _shallow_scores(kind: str, candidates: list[dict], splits) -> np.ndarray:
+    """F1 of each candidate (rows) on each split (columns), predicting High
+    where the uncalibrated decision value is positive: the search only
+    ranks these models, so none of them is Platt-calibrated.
+
+    On each split, the SVM candidates that share a kernel are solved in
+    ascending C, each starting from the previous solution: alpha from a
+    smaller C lies in the larger box and keeps sum alpha y = 0.
+    """
+    hypers = [shallow._hyperparams(kind, c) for c in candidates]
+    kernels: dict[str, list[int]] = {}
+    for i, hyper in enumerate(hypers):
+        kernels.setdefault(repr(sorted((k, v) for k, v in hyper.items() if k != "C")), []).append(i)
+    data = [(fit_set.X, fit_set.y_signs(), test_set.X, test_set.y_signs()) for fit_set, test_set in splits]
+    scores = np.zeros((len(candidates), len(splits)))
+    for members in kernels.values():
+        members.sort(key=lambda i: hypers[i].get("C", 0.0))
+        for s, (X, y, X_test, y_test) in enumerate(data):
+            alpha = None
+            for i in members:
+                model = shallow._fit_uncalibrated(X, y, kind, hypers[i], alpha)
+                alpha = model.train_meta.get("alpha")
+                scores[i, s] = f1_score(np.where(model.decision_values(X_test) > 0.0, 1.0, -1.0), y_test)
+    return scores
+
+
+def _argmax_signs(proba: np.ndarray) -> np.ndarray:
+    """+1 where the High posterior beats the Low one, else -1."""
+    return np.where(proba[:, 0] > proba[:, 1], 1.0, -1.0)
 
 
 def _fit_predict(train: FeatureMatrix, test: FeatureMatrix, spec: ModelSpec, seed: int):
@@ -229,8 +265,7 @@ def cross_validate(
             mask[test_idx] = False
             test = features.subset(test_idx)
             proba = _fit_predict(features.subset(np.flatnonzero(mask)), test, spec, int(inner_seeds[fold]))
-            pred = np.where(proba[:, 0] > proba[:, 1], 1.0, -1.0)
-            rows.append((rep, fold, f1_score(pred, test.y_signs())))
+            rows.append((rep, fold, f1_score(_argmax_signs(proba), test.y_signs())))
             if rep == 0:
                 oof[test_idx] = proba
     values = np.array([f1 for _, _, f1 in rows])

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -239,7 +240,11 @@ def read_feature_csv(path) -> FeatureMatrix:
         if row[0] in seen:
             raise ValueError(f"duplicate item id {row[0]!r}")
         seen.add(row[0])
-        return row[0], AffectLabel.from_code(row[1]), Quadrant.from_code(row[2]), [float(v) for v in row[3:]]
+        values = [float(v) for v in row[3:]]
+        if not all(map(math.isfinite, values)):
+            bad = next(text for text, v in zip(row[3:], values) if not math.isfinite(v))
+            raise ValueError(f"feature value {bad!r} is not finite")
+        return row[0], AffectLabel.from_code(row[1]), Quadrant.from_code(row[2]), values
 
     rows = _read_rows(path, row_parser)
     ids, labels, quads, X = zip(*rows) if rows else ((), (), (), ())

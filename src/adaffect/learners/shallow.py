@@ -57,7 +57,8 @@ def _kernel(kind: str, gamma: float):
 
 # ------------------------------------------------------------------ SMO
 
-def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = KKT_TOL, max_iter: int = 400000):
+def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = KKT_TOL, max_iter: int = 400000,
+         alpha: np.ndarray | None = None):
     """SMO with second-order working-pair selection on a precomputed kernel.
 
     Returns (alpha, b, iters, converged). Optimality: there is a b
@@ -66,7 +67,9 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = KKT_TOL, max_iter:
     updates made. State (t = y - G and the bound-set eligibility penalties)
     is maintained incrementally, in preallocated buffers, and the
     two-variable subproblem is solved on Python floats, to keep iterations
-    cheap.
+    cheap. The solve starts from alpha = 0, or from a given feasible
+    `alpha` (0 <= alpha <= C, sum alpha y = 0), such as the solution at a
+    smaller C on the same kernel.
     """
     n = len(y)
     C = float(C)
@@ -99,6 +102,12 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = KKT_TOL, max_iter:
             lb_pen[k] = 0.0 if ak > eps else -inf
             ub_pen[k] = 0.0 if ak < C - eps else inf
 
+    if alpha is not None:
+        alpha = np.asarray(alpha, dtype=float)
+        t -= K @ (alpha * y)
+        a = alpha.tolist()
+        for k in range(n):
+            refresh(k)
     iters = 0
     converged = False
     while iters < max_iter:
@@ -298,7 +307,9 @@ def _cross_fitted_scores(X, y, fit_one, n_folds: int, seed: int):
     return scores
 
 
-def _fit_uncalibrated(X, y, kind, hyper) -> ShallowModel:
+def _fit_uncalibrated(X, y, kind, hyper, alpha=None) -> ShallowModel:
+    """The model without its posterior calibration; an SVM solve starts
+    from `alpha` when given (see `_smo`)."""
     if kind == "lda":
         w, b = _fit_lda(X, y, hyper["shrinkage"])
         return ShallowModel(kind, dict(hyper), X.shape[1], w=w, b=b)
@@ -309,7 +320,10 @@ def _fit_uncalibrated(X, y, kind, hyper) -> ShallowModel:
             gamma = 1.0 / X.shape[1]
         gamma = float(gamma)
     K = _kernel(kind, gamma)(X, X)
-    alpha, b, iters, converged = _smo(K, y, hyper["C"])
+    if alpha is None:
+        alpha, b, iters, converged = _smo(K, y, hyper["C"])
+    else:
+        alpha, b, iters, converged = _smo(K, y, hyper["C"], alpha=alpha)
     coef = alpha * y
     return ShallowModel(kind, dict(hyper), X.shape[1], w=X.T @ coef if kind == "linear_svm" else None, b=b,
                         support_vectors=X, dual_coef=coef, gamma=gamma,
@@ -323,20 +337,25 @@ DEFAULT_HYPERPARAMS = {
 }
 
 
+def _hyperparams(kind: str, hyperparams: dict | None) -> dict:
+    """The kind's defaults, overridden by `hyperparams`."""
+    if kind not in SHALLOW_KINDS:
+        raise ValueError(f"unknown shallow kind {kind!r}")
+    hyper = dict(DEFAULT_HYPERPARAMS[kind])
+    hyper.update(hyperparams or {})
+    if kind != "lda" and hyper["C"] <= 0:
+        raise ValueError("C must be positive")
+    return hyper
+
+
 def shallow_fit(X, y, kind: str, hyperparams: dict | None = None, seed: int = 0) -> ShallowModel:
     """Fit one shallow classifier and calibrate its posterior output.
 
     `y` holds +1/-1 labels. Calibration fits a logistic map on out-of-fold
     decision values so posteriors are honest on the training scale.
     """
-    if kind not in SHALLOW_KINDS:
-        raise ValueError(f"unknown shallow kind {kind!r}")
+    hyper = _hyperparams(kind, hyperparams)
     X, y = _check_training_inputs(X, y)
-    hyper = dict(DEFAULT_HYPERPARAMS[kind])
-    hyper.update(hyperparams or {})
-    if kind != "lda" and hyper["C"] <= 0:
-        raise ValueError("C must be positive")
-
     model = _fit_uncalibrated(X, y, kind, hyper)
     fit_one = lambda Xi, yi: _fit_uncalibrated(Xi, yi, kind, hyper)
     scores = _cross_fitted_scores(X, y, fit_one, CALIBRATION_FOLDS, seed)

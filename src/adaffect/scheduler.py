@@ -219,11 +219,12 @@ def _population_fitness(pop: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _population_feasible(pop: np.ndarray, k: int) -> bool:
+    """Every row assigns exactly k slots, and no ad twice: after sorting a
+    row, no assigned ad equals its right-hand neighbour."""
     if not np.all((pop >= 0).sum(axis=1) == k):
         return False
-    return all(
-        len(np.unique(row[row >= 0])) == k for row in pop
-    )
+    ordered = np.sort(pop, axis=1)
+    return not np.any((ordered[:, :-1] >= 0) & (ordered[:, :-1] == ordered[:, 1:]))
 
 
 def ga_optimize(problem: ScheduleProblem, config: GaConfig = GaConfig(),

@@ -283,9 +283,11 @@ class TestReaderBoundaries:
         ("train", FEATURES, "x2,H,HL,0.5,0.6", "x2,H,HL,0.5", 4),
         ("train", FEATURES, "x2,H,HL,0.5,0.6", "x2,H,HL,0.5,high", 4),
         ("train", FEATURES, "x3,L,LH", "x1,L,LH", 5),
+        ("train", FEATURES, "x2,H,HL,0.5,0.6", "x2,H,HL,nan,0.6", 4),
+        ("train", FEATURES, "x3,L,LH,0.7,0.8", "x3,L,LH,0.7,-inf", 5),
     ], ids=["fuse-nan", "fuse-above-one", "predictions-short-row", "score-ads-above-one",
             "score-ads-negative", "score-ads-nan", "segments-short-row", "features-ragged",
-            "features-non-numeric", "features-duplicate-id"])
+            "features-non-numeric", "features-duplicate-id", "features-nan", "features-inf"])
     def test_bad_row_exits_1_with_path_line(self, tmp_path, capsys, command, text, old, new, line):
         good, bad, out = tmp_path / "good.csv", tmp_path / "bad.csv", tmp_path / "out.csv"
         assert old in text

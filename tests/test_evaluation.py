@@ -143,20 +143,72 @@ class TestCrossValidate:
 
     def test_lda_grid_runs_inner_search(self, monkeypatch):
         from adaffect import evaluation
+        from adaffect.learners import shallow
 
         shrinkages = []
-        original = evaluation.shallow_fit
+        final = []  # non-empty while the final, calibrated fit runs
+        rank, fit = shallow._fit_uncalibrated, evaluation.shallow_fit
 
-        def spy(X, y, kind, params, seed):
+        def rank_spy(X, y, kind, hyper, *args):
+            if not final:
+                shrinkages.append(hyper["shrinkage"])
+            return rank(X, y, kind, hyper, *args)
+
+        def fit_spy(X, y, kind, params, seed):
             shrinkages.append(params["shrinkage"])
-            return original(X, y, kind, params, seed=seed)
+            final.append(kind)
+            try:
+                return fit(X, y, kind, params, seed=seed)
+            finally:
+                final.pop()
 
-        monkeypatch.setattr(evaluation, "shallow_fit", spy)
+        monkeypatch.setattr(shallow, "_fit_uncalibrated", rank_spy)
+        monkeypatch.setattr(evaluation, "shallow_fit", fit_spy)
         spec = ModelSpec("lda", grid={"shrinkage": [0.2, 0.7]})
         cross_validate(small_features(), spec, reps=1, folds=3, seed=6)
         # Per outer fold: 2 grid points x 5 inner folds, then the final fit.
         assert len(shrinkages) == 3 * (2 * 5 + 1)
         assert shrinkages[:10] == [0.2] * 5 + [0.7] * 5
+
+    @pytest.mark.parametrize("kind, per_fold", [("linear_svm", 4 * 5 + 1 + 3), ("rbf_svm", 12 * 5 + 4)])
+    def test_inner_search_calibrates_only_the_final_model(self, monkeypatch, kind, per_fold):
+        # Each default grid point is solved once per inner fold, uncalibrated;
+        # the final model adds one solve plus its 3 calibration solves.
+        from adaffect.learners import shallow
+
+        calls = []
+        original = shallow._fit_uncalibrated
+
+        def spy(*args, **kwargs):
+            calls.append(args[3]["C"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shallow, "_fit_uncalibrated", spy)
+        cross_validate(small_features(), ModelSpec(kind), reps=1, folds=3, seed=6)
+        assert len(calls) == 3 * per_fold
+
+    @pytest.mark.parametrize("grid_C", [[10.0, 1.0], [1.0, 10.0]])
+    def test_equal_scoring_grid_points_pick_the_first(self, monkeypatch, grid_C):
+        from adaffect import evaluation
+
+        means, finals = [], []
+        scores, fit = evaluation._shallow_scores, evaluation.shallow_fit
+
+        def scores_spy(*args):
+            out = scores(*args)
+            means.append(out.mean(axis=1))
+            return out
+
+        def fit_spy(X, y, kind, params, seed):
+            finals.append(params["C"])
+            return fit(X, y, kind, params, seed=seed)
+
+        monkeypatch.setattr(evaluation, "_shallow_scores", scores_spy)
+        monkeypatch.setattr(evaluation, "shallow_fit", fit_spy)
+        spec = ModelSpec("linear_svm", grid={"C": grid_C})
+        cross_validate(small_features(), spec, reps=1, folds=3, seed=6)
+        assert len(means) == 3 and all(m[0] == m[1] for m in means)
+        assert finals == [grid_C[0]] * 3
 
     def test_thread_pool_matches_serial(self, monkeypatch):
         feats = small_features()

@@ -13,6 +13,7 @@ from adaffect.scheduler import (
     ScheduleProblem,
     brute_force_schedule,
     fitness_contributions,
+    _population_feasible,
     ga_optimize,
     schedule_fitness,
 )
@@ -143,6 +144,24 @@ class TestGa:
 
         ga_optimize(problem, GaConfig(generations=30, seed=2), on_generation=check)
         assert len(seen) == 30
+
+    def test_feasibility_check_matches_per_row_definition(self):
+        # Feasible populations, half of them with one cell overwritten (which
+        # may repeat an ad, or add or drop an assigned slot).
+        rng = np.random.default_rng(12)
+        verdicts = set()
+        for _ in range(400):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(2, 8))
+            k = int(rng.integers(1, min(n, m) + 1))
+            pop = np.full((int(rng.integers(1, 6)), n), -1)
+            for row in pop:
+                row[rng.choice(n, size=k, replace=False)] = rng.choice(m, size=k, replace=False)
+            if rng.random() < 0.5:
+                pop[rng.integers(len(pop)), rng.integers(n)] = rng.integers(-1, m)
+            expected = all((row >= 0).sum() == k and len(np.unique(row[row >= 0])) == k for row in pop)
+            assert _population_feasible(pop, k) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
     def test_initial_optimum_never_lost(self):
         problem = make_problem(seed=9)

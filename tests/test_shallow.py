@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adaffect.learners.shallow import (
+    KKT_TOL,
     DimensionMismatchError,
     SingleClassError,
     _kernel,
@@ -193,3 +194,39 @@ class TestSmoMatchesReference:
             alpha, b, _, _ = _smo(K, y, C)
             assert np.array_equal(alpha, ref_alpha), f"C={C}"
             assert b == ref_b, f"C={C}"
+
+
+class TestSmoWarmStart:
+    """A solve seeded with the solution at a smaller C is a solution at the
+    larger C: alpha(C_small) lies in the larger box and keeps sum alpha y = 0."""
+
+    @staticmethod
+    def dual(alpha, y, K):
+        coef = alpha * y
+        return float(alpha.sum() - 0.5 * coef @ K @ coef)
+
+    @pytest.mark.parametrize("data", ["balanced", "weak"])
+    @pytest.mark.parametrize("kind,gamma", [("linear_svm", None), ("rbf_svm", 1.0 / 16)])
+    @pytest.mark.parametrize("C_small,C_large", [(0.1, 1.0), (1.0, 10.0), (10.0, 100.0)])
+    def test_seeded_solve_is_optimal(self, data, kind, gamma, C_small, C_large):
+        if data == "balanced":
+            X, y = quadrant_set(64, "balanced", seed=64)
+        else:
+            X, y = gaussian_clouds(n=32, separation=0.5, dims=4, seed=5)
+        K = _kernel(kind, gamma)(X, X)
+        seed_alpha, _, _, seed_converged = _smo(K, y, C_small)
+        assert seed_converged
+        alpha, b, _, converged = _smo(K, y, C_large, alpha=seed_alpha)
+        cold_alpha, _, _, _ = _smo(K, y, C_large)
+        assert converged
+        # In the box up to the rounding of the pair updates, as in a cold solve.
+        assert np.all(alpha >= -1e-12 * C_large) and np.all(alpha <= C_large * (1.0 + 1e-12))
+        assert abs(float(alpha @ y)) <= 1e-8 * C_large * len(y)
+        margins = y * (K @ (alpha * y) + b)
+        at_zero, at_c = alpha <= 1e-9 * C_large, alpha >= C_large * (1.0 - 1e-9)
+        interior = ~(at_zero | at_c)
+        viol = np.concatenate([np.maximum(0.0, 1.0 - margins[at_zero]),
+                               np.maximum(0.0, margins[at_c] - 1.0),
+                               np.abs(1.0 - margins[interior])])
+        assert viol.max() <= KKT_TOL + 1e-9
+        assert self.dual(alpha, y, K) == pytest.approx(self.dual(cold_alpha, y, K), rel=1e-5)
