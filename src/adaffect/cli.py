@@ -139,11 +139,7 @@ def cmd_agreement(args) -> list:
             lines.append(f"krippendorff_alpha_{metric},{attr},{fileio.fmt(res.statistic)}")
         for reference in ("per_rater_mean", "group_mean"):
             grid = binarize_ratings(m, reference)
-            tallies = np.zeros((m.n_items, 2))
-            for i in range(m.n_items):
-                col = grid[:, i]
-                tallies[i, 0] = sum(1 for v in col if v is AffectLabel.HIGH)
-                tallies[i, 1] = sum(1 for v in col if v is AffectLabel.LOW)
+            tallies = np.column_stack([(grid == AffectLabel.HIGH).sum(axis=0), (grid == AffectLabel.LOW).sum(axis=0)])
             keep = tallies.sum(axis=1) == m.n_raters
             res = fleiss_kappa(tallies[keep])
             lines.append(f"fleiss_kappa_{reference},{attr},{fileio.fmt(res.statistic)}")

@@ -72,16 +72,25 @@ def baseline_correct(e: EegEpoch) -> EegEpoch:
     return e.with_data(e.data - means)
 
 
+# Sample counts of the EEG windows: ~30 s (3667 samples at 128 Hz) and
+# 10 s (1280 samples).
+EEG_WINDOW_SAMPLES = {"first30": 3667, "last30": 3667, "last10": 1280}
+
+
 def vectorize(e: EegEpoch, window: str = "all") -> np.ndarray:
     """Channel-major concatenation of the windowed epoch.
 
     A full-length epoch yields 14 x 3667 = 51338 values for first30/last30
     and 14 x 1280 = 17920 for last10; shorter epochs clamp to what exists.
     """
-    from .media import temporal_window
-
-    windowed = temporal_window(e, window)
-    return windowed.data.reshape(-1).copy()
+    if window == "all":
+        data = e.data
+    elif window in EEG_WINDOW_SAMPLES:
+        n = EEG_WINDOW_SAMPLES[window]
+        data = e.data[:, :n] if window == "first30" else e.data[:, -n:]
+    else:
+        raise ValueError(f"unknown window mode {window!r}")
+    return data.reshape(-1).copy()
 
 
 def unvectorize(vec: np.ndarray, channels: int = EEG_CHANNELS) -> np.ndarray:

@@ -154,10 +154,6 @@ class CvReport:
     std: float
     oof_posteriors: np.ndarray | None = None  # first-repetition out-of-fold (High, Low)
 
-    @property
-    def f1_values(self) -> np.ndarray:
-        return np.array([f1 for _, _, f1 in self.rows])
-
 
 def _grid_points(grid: dict) -> list[dict]:
     items = sorted(grid.items())

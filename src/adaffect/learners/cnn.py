@@ -43,10 +43,6 @@ class CnnModel:
     params: dict = field(default_factory=dict)
     history: dict = field(default_factory=dict)
 
-    @property
-    def conv_out_len(self) -> int:
-        return self.input_dim - 2 * (self.config.filter_width - 1)
-
     def n_params(self) -> int:
         return sum(int(np.prod(p.shape)) for p in self.params.values())
 

@@ -291,8 +291,8 @@ def _fit_lda(X, y, shrinkage: float):
     return w, b
 
 
-def _cross_fitted_scores(X, y, fit_one, n_folds: int, seed: int):
-    """Out-of-fold decision values for calibration."""
+def _cross_fitted_scores(X, y, kind, hyper, n_folds: int, seed: int):
+    """Out-of-fold decision values of uncalibrated `kind` models, for calibration."""
     rng = np.random.default_rng(seed)
     scores = np.zeros(len(y))
     n_folds = max(2, min(n_folds, int(min(np.sum(y > 0), np.sum(y < 0)))))
@@ -302,7 +302,7 @@ def _cross_fitted_scores(X, y, fit_one, n_folds: int, seed: int):
         if len(np.unique(y[train_mask])) < 2:
             scores[test_idx] = 0.0
             continue
-        model = fit_one(X[train_mask], y[train_mask])
+        model = _fit_uncalibrated(X[train_mask], y[train_mask], kind, hyper)
         scores[test_idx] = model.decision_values(X[test_idx])
     return scores
 
@@ -320,10 +320,7 @@ def _fit_uncalibrated(X, y, kind, hyper, alpha=None) -> ShallowModel:
             gamma = 1.0 / X.shape[1]
         gamma = float(gamma)
     K = _kernel(kind, gamma)(X, X)
-    if alpha is None:
-        alpha, b, iters, converged = _smo(K, y, hyper["C"])
-    else:
-        alpha, b, iters, converged = _smo(K, y, hyper["C"], alpha=alpha)
+    alpha, b, iters, converged = _smo(K, y, hyper["C"], alpha=alpha)
     coef = alpha * y
     return ShallowModel(kind, dict(hyper), X.shape[1], w=X.T @ coef if kind == "linear_svm" else None, b=b,
                         support_vectors=X, dual_coef=coef, gamma=gamma,
@@ -357,8 +354,7 @@ def shallow_fit(X, y, kind: str, hyperparams: dict | None = None, seed: int = 0)
     hyper = _hyperparams(kind, hyperparams)
     X, y = _check_training_inputs(X, y)
     model = _fit_uncalibrated(X, y, kind, hyper)
-    fit_one = lambda Xi, yi: _fit_uncalibrated(Xi, yi, kind, hyper)
-    scores = _cross_fitted_scores(X, y, fit_one, CALIBRATION_FOLDS, seed)
+    scores = _cross_fitted_scores(X, y, kind, hyper, CALIBRATION_FOLDS, seed)
     model.calibration = fit_platt(scores, y)
     return model
 

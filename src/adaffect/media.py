@@ -304,34 +304,20 @@ def hanjalic_video(v: FrameSequence, smooth_frames: bool = False) -> DescriptorS
     return DescriptorSeries(np.asarray(rows), list(VIDEO_DESCRIPTORS))
 
 
-# Sample counts used for EEG epochs: the standard windows used downstream
-# are ~30 s (3667 samples at 128 Hz) and 10 s (1280 samples).
-EEG_WINDOW_SAMPLES = {"first30": 3667, "last30": 3667, "last10": 1280}
 WINDOW_MODES = ("all", "first30", "last30", "last10")
 
 
-def temporal_window(obj, mode: str):
-    """Return the selected temporal span of a DescriptorSeries or EegEpoch.
-
-    Descriptor series slice whole seconds (30/30/10 rows); EEG epochs slice
-    the fixed sample counts (3667/3667/1280). Spans longer than the input
-    return the input unchanged.
+def temporal_window(series: DescriptorSeries, mode: str) -> DescriptorSeries:
+    """Return the selected span of whole seconds (30/30/10 rows) of a
+    descriptor series. Spans longer than the series return it unchanged.
     """
     if mode not in WINDOW_MODES:
         raise ValueError(f"unknown window mode {mode!r}")
-    from .eeg import EegEpoch  # local import to avoid a module cycle
-
-    if isinstance(obj, DescriptorSeries):
-        if obj.n_seconds < 1:
-            raise ValueError("series must span at least one second")
-        if mode == "all":
-            return obj
-        rows = {"first30": obj.values[:30], "last30": obj.values[-30:], "last10": obj.values[-10:]}[mode]
-        return DescriptorSeries(rows.copy(), list(obj.names))
-    if isinstance(obj, EegEpoch):
-        if mode == "all":
-            return obj
-        n = EEG_WINDOW_SAMPLES[mode]
-        data = obj.data[:, :n] if mode == "first30" else obj.data[:, -n:]
-        return obj.with_data(data.copy())
-    raise TypeError(f"cannot window a {type(obj).__name__}")
+    if not isinstance(series, DescriptorSeries):
+        raise TypeError(f"cannot window a {type(series).__name__}")
+    if series.n_seconds < 1:
+        raise ValueError("series must span at least one second")
+    if mode == "all":
+        return series
+    rows = {"first30": series.values[:30], "last30": series.values[-30:], "last10": series.values[-10:]}[mode]
+    return DescriptorSeries(rows.copy(), list(series.names))

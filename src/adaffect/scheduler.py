@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import fmt
+
 BRUTE_FORCE_BUDGET = 10_000_000
 
 
@@ -303,19 +305,36 @@ def ga_optimize(problem: ScheduleProblem, config: GaConfig = GaConfig(),
 
 # ------------------------------------------------------------- file formats
 
+def _load_records(path, record) -> list:
+    """Each entry of the JSON list at `path` as `record(id, asl, val)`. A
+    syntax error fails as `path:line: why`, a bad entry as `path: entry N: why`
+    (N counts from 1)."""
+    try:
+        docs = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    if not isinstance(docs, list):
+        raise ValueError(f"{path}: expected a JSON list of {{id, asl, val}} entries")
+    out = []
+    for n, d in enumerate(docs, start=1):
+        try:
+            out.append(record(str(d["id"]), float(d["asl"]), float(d["val"])))
+        except KeyError as exc:
+            raise ValueError(f"{path}: entry {n}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: entry {n}: {exc}") from None
+    return out
+
+
 def load_scenes(path) -> list[SceneRecord]:
-    docs = json.loads(Path(path).read_text())
-    return [SceneRecord(str(d["id"]), float(d["asl"]), float(d["val"])) for d in docs]
+    return _load_records(path, SceneRecord)
 
 
 def load_ads(path) -> list[AdItem]:
-    docs = json.loads(Path(path).read_text())
-    return [AdItem(str(d["id"]), float(d["asl"]), float(d["val"])) for d in docs]
+    return _load_records(path, AdItem)
 
 
 def schedule_to_csv(problem: ScheduleProblem, schedule: AdSchedule, fitness: float) -> str:
-    from .fileio import fmt
-
     lines = ["slot_index,ad_id,fitness_contribution"]
     for slot, ad_id, contribution in fitness_contributions(problem, schedule):
         lines.append(f"{slot},{ad_id},{fmt(contribution)}")

@@ -6,7 +6,6 @@ Benjamini-Hochberg FDR control.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,22 +93,6 @@ def fleiss_kappa(tallies) -> AgreementResult:
     return AgreementResult((p_bar - p_e) / (1.0 - p_e), "fleiss_kappa")
 
 
-def _ordinal_delta_sq(marginals: np.ndarray) -> np.ndarray:
-    """Squared ordinal distances between value ranks from coincidence marginals.
-
-    delta(c,k) = sum of marginal counts from rank c through rank k minus
-    half the two endpoint counts.
-    """
-    v = len(marginals)
-    cum = np.concatenate(([0.0], np.cumsum(marginals)))
-    d = np.zeros((v, v))
-    for c in range(v):
-        for k in range(c + 1, v):
-            span = cum[k + 1] - cum[c]
-            d[c, k] = d[k, c] = span - (marginals[c] + marginals[k]) / 2.0
-    return d**2
-
-
 def krippendorff_alpha(m: RatingMatrix | np.ndarray, metric: str = "ordinal") -> AgreementResult:
     """Krippendorff's alpha via the coincidence-matrix formulation.
 
@@ -124,31 +107,29 @@ def krippendorff_alpha(m: RatingMatrix | np.ndarray, metric: str = "ordinal") ->
     if values.ndim != 2 or values.shape[0] < 2:
         raise NoPairableValuesError("need at least 2 raters")
 
+    # counts[u, c]: raters who gave unit u the c-th domain value; only
+    # units with m_u >= 2 values are pairable.
     finite = np.isfinite(values)
-    domain = np.unique(values[finite])
-    v = len(domain)
-    pos = {val: k for k, val in enumerate(domain)}
+    domain, code = np.unique(values[finite], return_inverse=True)
+    counts = np.zeros((values.shape[1], len(domain)))
+    np.add.at(counts, (np.nonzero(finite)[1], code), 1.0)
+    m_u = counts.sum(axis=1)
+    counts, m_u = counts[m_u >= 2], m_u[m_u >= 2]
 
-    # Coincidence matrix: each ordered pair within a unit contributes
-    # 1/(m_u - 1) so every unit has total weight m_u.
-    coincidence = np.zeros((v, v))
-    for i in range(values.shape[1]):
-        col = values[finite[:, i], i]
-        m_u = len(col)
-        if m_u < 2:
-            continue
-        idx = [pos[val] for val in col]
-        for a, b in itertools.permutations(idx, 2):
-            coincidence[a, b] += 1.0 / (m_u - 1)
-    n_c = coincidence.sum(axis=1)
+    # Coincidence matrix (Krippendorff 2011): each unit pairs every value
+    # with its m_u - 1 partners at weight 1/(m_u - 1), so it adds m_u in
+    # total. Its marginals n_c are the pairable value counts.
+    weighted = counts / (m_u - 1.0)[:, None]
+    coincidence = weighted.T @ counts - np.diag(weighted.sum(axis=0))
+    n_c = counts.sum(axis=0)
     n_total = n_c.sum()
     if n_total <= 1:
         raise NoPairableValuesError("fewer than two pairable values")
 
-    if metric == "interval":
-        delta_sq = (domain[None, :] - domain[:, None]) ** 2
-    else:
-        delta_sq = _ordinal_delta_sq(n_c)
+    # Ordinal delta(c, k) is the marginal mass from c through k less half
+    # of each end: the distance between the values' midranks.
+    scale = domain if metric == "interval" else np.cumsum(n_c) - n_c / 2.0
+    delta_sq = (scale[:, None] - scale[None, :]) ** 2
 
     d_o = float(np.sum(coincidence * delta_sq)) / n_total
     d_e = float(n_c @ delta_sq @ n_c) / (n_total * (n_total - 1.0))

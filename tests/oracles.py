@@ -7,6 +7,8 @@ exception is `reference_smo`, a frozen copy of the solver the optimized
 
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -86,6 +88,52 @@ def krippendorff_alpha_bruteforce(values, metric):
     if d_e == 0.0:
         raise ValueError("expected disagreement is zero")
     return 1.0 - d_o / d_e
+
+
+def krippendorff_alpha_exact(values, metric):
+    """Alpha as a `Fraction`, from per-unit value counts in exact rational
+    arithmetic; values is a raters x items grid with None/NaN for missing.
+    Raises ValueError when at most one value is pairable or the expected
+    disagreement is zero."""
+
+    def present(v):
+        return v is not None and not (isinstance(v, float) and math.isnan(v))
+
+    units = []
+    for i in range(len(values[0])):
+        col = [Fraction(row[i]) for row in values if present(row[i])]
+        if len(col) >= 2:
+            units.append(Counter(col))
+    marginals = Counter()
+    for unit in units:
+        marginals.update(unit)
+    domain = sorted(marginals)
+    n = sum(marginals.values())
+    if n <= 1:
+        raise ValueError("no pairable values")
+
+    def delta_sq(a, b):
+        if metric == "interval":
+            return (a - b) ** 2
+        lo, hi = min(a, b), max(a, b)
+        span = sum(marginals[v] for v in domain if lo <= v <= hi)
+        return (span - Fraction(marginals[lo] + marginals[hi], 2)) ** 2
+
+    d_o = Fraction(0)
+    for unit in units:
+        m_u = sum(unit.values())
+        for a, n_a in unit.items():
+            for b, n_b in unit.items():
+                d_o += Fraction(n_a * n_b, m_u - 1) * delta_sq(a, b)
+    d_o /= n
+    d_e = Fraction(0)
+    for a in domain:
+        for b in domain:
+            d_e += marginals[a] * marginals[b] * delta_sq(a, b)
+    d_e /= n * (n - 1)
+    if d_e == 0:
+        raise ValueError("expected disagreement is zero")
+    return 1 - d_o / d_e
 
 
 def f1_bruteforce(pred, truth, positive):

@@ -304,6 +304,44 @@ class TestReaderBoundaries:
         assert not out.exists()
 
 
+def schedule_entries(prefix):
+    return [{"id": f"{prefix}{i:02d}", "asl": 0.2 * i + 0.1, "val": 0.5} for i in range(4)]
+
+
+def drop_val(entries):
+    del entries[1]["val"]
+    return json.dumps(entries, indent=2)
+
+
+def out_of_range(entries):
+    entries[1]["asl"] = 1.5
+    return json.dumps(entries, indent=2)
+
+
+class TestScheduleInputBoundaries:
+    """A bad scenes or ads JSON file fails `schedule` with one line that names it."""
+
+    @pytest.mark.parametrize("which", ["scenes", "ads"])
+    @pytest.mark.parametrize("make_bad, where", [
+        (drop_val, ": entry 2: missing key 'val'"),
+        (lambda entries: json.dumps(entries, indent=2).split('"asl"')[0], ":4: Expecting"),
+        (lambda entries: json.dumps({"entries": entries}), ": expected a JSON list"),
+        (out_of_range, ": entry 2: "),
+    ], ids=["missing-key", "truncated", "top-level-object", "out-of-range"])
+    def test_bad_file_exits_1_naming_it(self, tmp_path, capsys, which, make_bad, where):
+        paths = {}
+        for name, prefix in (("scenes", "scene"), ("ads", "ad")):
+            paths[name] = tmp_path / f"{name}.json"
+            entries = schedule_entries(prefix)
+            paths[name].write_text(make_bad(entries) if name == which else json.dumps(entries))
+        out = tmp_path / "sched.csv"
+        assert run("schedule", "--scenes", paths["scenes"], "--ads", paths["ads"], "--k", 2,
+                   "--method", "exact", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[which]}{where}") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestModelSerialization:
     def features(self):
         from adaffect.synthgen import GenSpec, gen_quadrant_data
@@ -381,7 +419,7 @@ class TestModelSerialization:
         assert capsys.readouterr().err == ""
 
         smo = shallow._smo
-        monkeypatch.setattr(shallow, "_smo", lambda K, y, C: smo(K, y, C, max_iter=1))
+        monkeypatch.setattr(shallow, "_smo", lambda K, y, C, alpha=None: smo(K, y, C, max_iter=1, alpha=alpha))
         out = tmp_path / "capped.json"
         assert run("train", "--features", feats, "--model", "linear_svm", "--out", out) == 0
         err = capsys.readouterr().err

@@ -94,6 +94,16 @@ class TestVectorize:
         epoch = EegEpoch(np.zeros((14, 3840)))
         assert vectorize(epoch, "last10").size == 14 * 1280 == 17920
 
+    def test_window_sample_counts(self):
+        epoch = EegEpoch(np.arange(14 * 4000, dtype=float).reshape(14, 4000))
+        for window, samples in (("first30", epoch.data[:, :3667]), ("last30", epoch.data[:, -3667:]),
+                                ("last10", epoch.data[:, -1280:])):
+            assert np.array_equal(unvectorize(vectorize(epoch, window)), samples)
+
+    def test_unknown_window_mode(self):
+        with pytest.raises(ValueError, match="unknown window mode"):
+            vectorize(EegEpoch(np.zeros((14, 10))), "middle")
+
     def test_single_sample(self):
         epoch = EegEpoch(np.zeros((14, 1)))
         assert vectorize(epoch, "all").size == 14

@@ -182,13 +182,3 @@ class TestTemporalWindow:
     def test_all_mode_identity(self):
         s = self.series(12)
         assert temporal_window(s, "all") is s
-
-    def test_eeg_window_sample_counts(self):
-        from adaffect.eeg import EegEpoch
-
-        epoch = EegEpoch(np.arange(14 * 4000, dtype=float).reshape(14, 4000))
-        assert temporal_window(epoch, "first30").n_samples == 3667
-        assert temporal_window(epoch, "last30").n_samples == 3667
-        assert temporal_window(epoch, "last10").n_samples == 1280
-        first = temporal_window(epoch, "first30")
-        assert np.array_equal(first.data, epoch.data[:, :3667])

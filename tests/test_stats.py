@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from adaffect.stats import (
     pearson_r,
     wilcoxon_rank_sum,
 )
+from adaffect.synthgen import gen_rating_matrix
 from oracles import (
     cohen_kappa_bruteforce,
     fleiss_kappa_bruteforce,
     krippendorff_alpha_bruteforce,
+    krippendorff_alpha_exact,
     wilcoxon_exact_p_bruteforce,
 )
 
@@ -148,6 +151,42 @@ class TestKrippendorffAlpha:
         base = krippendorff_alpha(grid, "ordinal").statistic
         perm = rng.permutation(8)
         assert krippendorff_alpha(grid[:, perm], "ordinal").statistic == pytest.approx(base, abs=1e-12)
+
+
+@st.composite
+def rating_grids(draw):
+    """A raters x items grid over 1-5 distinct half-integer values, with
+    a random NaN mask."""
+    raters, items = draw(st.integers(2, 6)), draw(st.integers(2, 12))
+    domain = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=5, unique=True))
+    cells = draw(st.lists(st.sampled_from(domain), min_size=raters * items, max_size=raters * items))
+    mask = draw(st.lists(st.booleans(), min_size=raters * items, max_size=raters * items))
+    grid = np.array(cells, dtype=float).reshape(raters, items) / 2.0
+    grid[np.array(mask).reshape(raters, items)] = np.nan
+    return grid
+
+
+class TestKrippendorffAlphaExact:
+    """alpha against the same statistic in exact rational arithmetic."""
+
+    @pytest.mark.parametrize("metric", ["ordinal", "interval"])
+    def test_rating_grid_within_1e14_of_exact(self, metric):
+        m = gen_rating_matrix(20, 1000, 0.6, seed=0)
+        got = krippendorff_alpha(m, metric).statistic
+        exact = krippendorff_alpha_exact(m.values.tolist(), metric)
+        assert abs(Fraction(got) - exact) <= 1e-14
+
+    @given(rating_grids(), st.sampled_from(["ordinal", "interval"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_and_raises_exactly_when_undefined(self, grid, metric):
+        try:
+            exact = krippendorff_alpha_exact(grid.tolist(), metric)
+        except ValueError:
+            with pytest.raises(NoPairableValuesError):
+                krippendorff_alpha(grid, metric)
+            return
+        got = krippendorff_alpha(grid, metric).statistic
+        assert abs(Fraction(got) - exact) <= 1e-12
 
 
 class TestPearson:
