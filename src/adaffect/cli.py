@@ -274,6 +274,9 @@ def cmd_evaluate(args) -> list:
     lines.append(f"summary,{fileio.fmt(report.mean)},{fileio.fmt(report.std)}")
     fileio.atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"{setting_str}: F1 = {report.mean:.4f} +/- {report.std:.4f} over {len(report.rows)} runs")
+    if report.unconverged_fits:
+        print(f"warning: {args.model}: {report.unconverged_fits} of {len(report.rows)} final fold fits stopped "
+              "without meeting the SMO KKT tolerance", file=sys.stderr)
     if not args.predictions:
         return [args.out]
     fileio.write_predictions_csv(args.predictions, features.item_ids, features.labels, report.oof_posteriors)

@@ -153,6 +153,7 @@ class CvReport:
     mean: float
     std: float
     oof_posteriors: np.ndarray | None = None  # first-repetition out-of-fold (High, Low)
+    unconverged_fits: int = 0  # final fold models whose SMO solve stopped short of the KKT tolerance
 
 
 def _grid_points(grid: dict) -> list[dict]:
@@ -224,10 +225,11 @@ def _argmax_signs(proba: np.ndarray) -> np.ndarray:
 
 
 def _fit_predict(train: FeatureMatrix, test: FeatureMatrix, spec: ModelSpec, seed: int):
-    """Returns posterior pairs (High, Low) for the test items."""
+    """Returns the fold's final model and its posterior pairs (High, Low)
+    for the test items."""
     params = _inner_grid_search(train, spec, seed) if spec.grid else dict(spec.params)
     model = fit_model(spec.kind, train, params, seed)
-    return predict_proba(spec.kind, model, test)
+    return model, predict_proba(spec.kind, model, test)
 
 
 def cross_validate(
@@ -250,6 +252,7 @@ def cross_validate(
             f"need at least {folds} items per class, have {n_pos} positive / {n_neg} negative"
         )
     rows = []
+    unconverged = 0
     # Out-of-fold posteriors from the first repetition, for downstream fusion.
     oof = np.zeros((features.n_items, 2))
     for rep, seq in enumerate(np.random.SeedSequence(seed).spawn(reps)):
@@ -260,12 +263,14 @@ def cross_validate(
             mask = np.ones(features.n_items, dtype=bool)
             mask[test_idx] = False
             test = features.subset(test_idx)
-            proba = _fit_predict(features.subset(np.flatnonzero(mask)), test, spec, int(inner_seeds[fold]))
+            model, proba = _fit_predict(features.subset(np.flatnonzero(mask)), test, spec, int(inner_seeds[fold]))
+            unconverged += getattr(model, "train_meta", {}).get("converged") is False
             rows.append((rep, fold, f1_score(_argmax_signs(proba), test.y_signs())))
             if rep == 0:
                 oof[test_idx] = proba
     values = np.array([f1 for _, _, f1 in rows])
-    return CvReport(rows=rows, mean=float(values.mean()), std=float(values.std()), oof_posteriors=oof)
+    return CvReport(rows=rows, mean=float(values.mean()), std=float(values.std()), oof_posteriors=oof,
+                    unconverged_fits=unconverged)
 
 
 # ------------------------------------------------------------------ fusion

@@ -5,10 +5,22 @@ rectifier activations), one 128-unit fully connected layer with dropout,
 and a 2-way softmax readout. Training is minibatch SGD with momentum,
 L2 weight decay on the weight matrices, and early stopping once the
 validation loss has increased over five successive epochs.
+
+Each convolution multiplies a window matrix (one row per output
+position, columns ordered (channel, tap)) by the reshaped kernel: the
+unrolled convolution of Chellapilla, Puri & Simard (2006). Training
+keeps the parameters in one flat float64 vector, weights first (W1..W4,
+then b1..b4), with the gradient and the momentum velocity in two more
+vectors of the same layout; the `params` dict holds views into it. The
+window matrices, activations and gradient scratch are allocated once per
+training run, so an SGD step allocates no array larger than
+batch x fc_units.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +30,16 @@ from .shallow import DimensionMismatchError
 
 class TooShortInputError(ValueError):
     """Input feature length below the minimum the architecture supports."""
+
+
+#: Allowed values of CnnConfig's real-valued fields: (test, description).
+_REAL_BOUNDS = {
+    "learning_rate": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    "momentum": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "weight_decay": (lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
+    "dropout": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "val_fraction": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+}
 
 
 @dataclass(frozen=True)
@@ -34,6 +56,16 @@ class CnnConfig:
     batch_size: int = 32
     val_fraction: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_filters", "filter_width", "fc_units", "max_epochs", "patience", "batch_size", "seed"):
+            value, low = getattr(self, name), 0 if name == "seed" else 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"CnnConfig {name} must be an integer >= {low}, got {value!r}")
+        for name, (ok, bound) in _REAL_BOUNDS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+                raise ValueError(f"CnnConfig {name} must be {bound}, got {value!r}")
 
 
 @dataclass
@@ -52,6 +84,19 @@ def expected_param_count(k: int, config: CnnConfig = CnnConfig()) -> int:
     f, w, h = config.n_filters, config.filter_width, config.fc_units
     k2 = k - 2 * (w - 1)
     return (f * w + f) + (f * f * w + f) + (f * k2 * h + h) + (h * 2 + 2)
+
+
+_WEIGHTS = ("W1", "W2", "W3", "W4")
+
+
+def _flat_views(flat: np.ndarray, shapes: dict) -> dict:
+    """Views into `flat`, weights first, then biases, in the key order of `shapes`."""
+    views, start = {}, 0
+    for key in sorted(shapes, key=lambda key: key not in _WEIGHTS):
+        size = math.prod(shapes[key])
+        views[key] = flat[start : start + size].reshape(shapes[key])
+        start += size
+    return {key: views[key] for key in shapes}
 
 
 def _init_params(k: int, config: CnnConfig, rng) -> dict:
@@ -73,106 +118,148 @@ def _init_params(k: int, config: CnnConfig, rng) -> dict:
     }
 
 
-def _window_matrix(x: np.ndarray, w: int) -> np.ndarray:
-    """x: (B, C, L) -> contiguous (B, L - w + 1, C * w) sliding windows."""
-    L_out = x.shape[2] - w + 1
-    view = np.lib.stride_tricks.sliding_window_view(x, w, axis=2)[:, :, :L_out]
-    return np.ascontiguousarray(view.transpose(0, 2, 1, 3)).reshape(x.shape[0], L_out, -1)
+class _Scratch:
+    """Activation and gradient buffers for the network `params` and batches
+    of up to `n` items of length k: one flat array per name, viewed at each
+    batch's own size, so every step of a training run reuses the same memory.
+
+    Conv activations are channels-last, (items, positions, channels). The
+    masks, dz1 and dz2 are (items, channels, positions), the layout the
+    bias gradients are summed over; a2 is too, because W3's rows are
+    ordered (channel, position).
+    """
+
+    def __init__(self, params: dict, n: int, k: int):
+        f, _, w = params["W1"].shape
+        self.dims = (k, f, w, params["W3"].shape[1])
+        self.flat = {name: np.empty(math.prod(shape)) for name, shape in self._shapes(n).items()}
+        self.views: dict[int, dict] = {}
+
+    def _shapes(self, B: int) -> dict:
+        k, f, w, h = self.dims
+        L1, L2 = k - w + 1, k - 2 * (w - 1)
+        return {
+            "cols1": (B, L1, w), "z1": (B, L1, f), "a1": (B, L1, f),
+            "cols2": (B, L2, f * w), "z2": (B, L2, f), "a2": (B, f, L2),
+            "z3": (B, h), "h": (B, h), "mask": (B, h),
+            "dz2": (B, f, L2), "mask2": (B, f, L2), "g2": (B, L2, f), "taps": (B, L2, f * w),
+            "gx": (B, L1, f), "mask1": (B, f, L1), "dz1": (B, f, L1), "g1": (f, B, L1),
+        }
+
+    def batch(self, B: int) -> dict:
+        if B not in self.views:
+            self.views[B] = {name: self.flat[name][: math.prod(shape)].reshape(shape)
+                             for name, shape in self._shapes(B).items()}
+        return self.views[B]
 
 
-def _conv1d_valid(x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """x: (B, C_in, L); W: (C_out, C_in, w) -> (B, C_out, L - w + 1)."""
-    flat = _window_matrix(x, W.shape[2])
-    out = flat @ W.reshape(W.shape[0], -1).T
-    return out.transpose(0, 2, 1)
+def _buffers_for(params: dict, X: np.ndarray) -> dict:
+    """Buffers for one pass over all the items of X."""
+    return _Scratch(params, len(X), X.shape[1]).batch(len(X))
 
 
-def _conv1d_grad_w(x: np.ndarray, grad_out: np.ndarray, shape) -> np.ndarray:
-    """Gradient of a valid conv w.r.t. its kernel; shape = (C_out, C_in, w)."""
-    flat = _window_matrix(x, shape[2])  # (B, L_out, C_in * w)
-    g = grad_out.transpose(0, 2, 1)     # (B, L_out, C_out)
-    grad = np.tensordot(g, flat, axes=([0, 1], [0, 1]))  # (C_out, C_in * w)
-    return grad.reshape(shape)
+def _windows(x: np.ndarray, w: int, out: np.ndarray) -> np.ndarray:
+    """Window matrix of channels-last x (B, L, C) into out (B, L - w + 1, C * w):
+    out[b, l, c * w + tau] = x[b, l + tau, c]. A valid convolution with
+    W (C_out, C, w) is then out @ W.reshape(C_out, -1).T."""
+    B, L, C = x.shape
+    L_out = L - w + 1
+    taps = out.reshape(B, L_out, C, w)
+    for tau in range(w):  # w copies with C-long rows beat one copy with w-long rows
+        taps[..., tau] = x[:, tau : tau + L_out]
+    return out
 
 
-def _conv1d_grad_x(grad_out: np.ndarray, W: np.ndarray, L_in: int) -> np.ndarray:
-    """Gradient of a valid conv w.r.t. its input (full correlation)."""
-    B, _, L_out = grad_out.shape
-    C_in, w = W.shape[1], W.shape[2]
-    g = np.ascontiguousarray(grad_out.transpose(0, 2, 1))  # (B, L_out, C_out)
-    gx = np.zeros((B, C_in, L_in))
-    for tau in range(w):
-        gx[:, :, tau : tau + L_out] += (g @ W[:, :, tau]).transpose(0, 2, 1)
-    return gx
+def _forward(params, X, s: dict, dropout_mask=None) -> np.ndarray:
+    """Softmax probabilities of the items X (B, k). The activations that the
+    backward pass reads stay in the batch buffers `s`.
 
-
-def _forward(params, X, dropout_mask=None):
-    """X: (B, k). Returns (probabilities, cache)."""
-    x = X[:, None, :]
-    z1 = _conv1d_valid(x, params["W1"]) + params["b1"][None, :, None]
-    a1 = np.maximum(z1, 0.0)
-    z2 = _conv1d_valid(a1, params["W2"]) + params["b2"][None, :, None]
-    a2 = np.maximum(z2, 0.0)
-    flat = a2.reshape(a2.shape[0], -1)
-    z3 = flat @ params["W3"] + params["b3"]
-    a3 = np.maximum(z3, 0.0)
-    h = a3 * dropout_mask if dropout_mask is not None else a3
+    Each conv is one (L, C * w) @ (C * w, C_out) product per item; a single
+    (B * L)-row product rounds differently.
+    """
+    f, _, w = params["W1"].shape
+    z1 = np.matmul(_windows(X[:, :, None], w, s["cols1"]), params["W1"].reshape(f, -1).T, out=s["z1"])
+    z1 += params["b1"]
+    a1 = np.maximum(z1, 0.0, out=s["a1"])
+    z2 = np.matmul(_windows(a1, w, s["cols2"]), params["W2"].reshape(f, -1).T, out=s["z2"])
+    z2 += params["b2"]
+    flat = np.maximum(z2.transpose(0, 2, 1), 0.0, out=s["a2"]).reshape(len(X), -1)
+    z3 = np.matmul(flat, params["W3"], out=s["z3"])
+    z3 += params["b3"]
+    h = np.maximum(z3, 0.0, out=s["h"])
+    if dropout_mask is not None:
+        h *= dropout_mask
     logits = h @ params["W4"] + params["b4"]
     shifted = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
-    probs = expd / expd.sum(axis=1, keepdims=True)
-    cache = (x, z1, a1, z2, a2, flat, z3, a3, h)
-    return probs, cache
+    return expd / expd.sum(axis=1, keepdims=True)
 
 
 def _loss_from_probs(probs, targets, params, weight_decay):
     ce = -np.mean(np.log(np.clip(probs[np.arange(len(targets)), targets], 1e-300, None)))
-    reg = 0.5 * weight_decay * sum(
-        float(np.sum(params[k] ** 2)) for k in ("W1", "W2", "W3", "W4")
-    )
+    reg = 0.5 * weight_decay * sum(float(np.sum(params[k] ** 2)) for k in _WEIGHTS)
     return float(ce + reg)
 
 
 def cnn_loss(model: CnnModel, X, targets) -> float:
     """Regularized cross-entropy with dropout disabled."""
-    probs, _ = _forward(model.params, np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
+    probs = _forward(model.params, X, _buffers_for(model.params, X))
     return _loss_from_probs(probs, np.asarray(targets), model.params,
                             model.config.weight_decay)
 
 
-def _backward(params, cache, probs, targets, weight_decay, dropout_mask=None):
-    x, z1, a1, z2, a2, flat, z3, a3, h = cache
-    B = probs.shape[0]
+def _backward(params, s: dict, probs, targets, grads: dict, dropout_mask=None) -> None:
+    """Write the cross-entropy gradient of the batch that `_forward` just ran
+    on into the arrays of `grads`; weight decay is left to the caller."""
+    f, _, w = params["W1"].shape
+    B, L2 = len(probs), s["z2"].shape[1]
     delta = probs.copy()
     delta[np.arange(B), targets] -= 1.0
     delta /= B
 
-    grads = {}
-    grads["W4"] = h.T @ delta + weight_decay * params["W4"]
-    grads["b4"] = delta.sum(axis=0)
+    np.matmul(s["h"].T, delta, out=grads["W4"])
+    np.sum(delta, axis=0, out=grads["b4"])
     dh = delta @ params["W4"].T
-    da3 = dh * dropout_mask if dropout_mask is not None else dh
-    dz3 = da3 * (z3 > 0)
-    grads["W3"] = flat.T @ dz3 + weight_decay * params["W3"]
-    grads["b3"] = dz3.sum(axis=0)
-    dflat = dz3 @ params["W3"].T
-    da2 = dflat.reshape(a2.shape)
-    dz2 = da2 * (z2 > 0)
-    grads["W2"] = _conv1d_grad_w(a1, dz2, params["W2"].shape) + weight_decay * params["W2"]
-    grads["b2"] = dz2.sum(axis=(0, 2))
-    da1 = _conv1d_grad_x(dz2, params["W2"], a1.shape[2])
-    dz1 = da1 * (z1 > 0)
-    grads["W1"] = _conv1d_grad_w(x, dz1, params["W1"].shape) + weight_decay * params["W1"]
-    grads["b1"] = dz1.sum(axis=(0, 2))
-    return grads
+    if dropout_mask is not None:
+        dh *= dropout_mask
+    dz3 = dh * (s["z3"] > 0)
+    np.matmul(s["a2"].reshape(B, -1).T, dz3, out=grads["W3"])
+    np.sum(dz3, axis=0, out=grads["b3"])
+    dz2 = np.matmul(dz3, params["W3"].T, out=s["dz2"].reshape(B, -1)).reshape(B, f, L2)
+    dz2 *= np.greater(s["z2"].transpose(0, 2, 1), 0.0, out=s["mask2"])
+    np.sum(dz2, axis=(0, 2), out=grads["b2"])
+    g2 = s["g2"]
+    g2[...] = dz2.transpose(0, 2, 1)
+    np.matmul(g2.reshape(-1, f).T, s["cols2"].reshape(-1, f * w), out=grads["W2"].reshape(f, -1))
+    # Input gradient of conv 2: one product for all taps, added tap by tap.
+    # It rounds like one product per tap unless conv 2 has a single output
+    # position (k = 2w - 1), where numpy multiplies one-row matrices another way.
+    taps = np.matmul(g2.reshape(-1, f), params["W2"].reshape(f, -1), out=s["taps"].reshape(B * L2, -1))
+    taps = taps.reshape(B, L2, f, w)
+    gx = s["gx"]
+    gx.fill(0.0)
+    for tau in range(w):
+        gx[:, tau : tau + L2] += taps[..., tau]
+    dz1 = np.multiply(gx.transpose(0, 2, 1), np.greater(s["z1"].transpose(0, 2, 1), 0.0, out=s["mask1"]),
+                      out=s["dz1"])
+    np.sum(dz1, axis=(0, 2), out=grads["b1"])
+    g1 = s["g1"]
+    g1[...] = dz1.transpose(1, 0, 2)
+    np.matmul(g1.reshape(f, -1), s["cols1"].reshape(-1, w), out=grads["W1"].reshape(f, -1))
 
 
 def cnn_gradients(model: CnnModel, X, targets) -> dict:
     """Analytic gradients of cnn_loss (dropout disabled)."""
     X = np.asarray(X, dtype=float)
-    targets = np.asarray(targets)
-    probs, cache = _forward(model.params, X)
-    return _backward(model.params, cache, probs, targets, model.config.weight_decay)
+    params = model.params
+    grads = _flat_views(np.empty(sum(p.size for p in params.values())),
+                        {key: p.shape for key, p in params.items()})
+    s = _buffers_for(params, X)
+    _backward(params, s, _forward(params, X, s), np.asarray(targets), grads)
+    for key in _WEIGHTS:
+        grads[key] += model.config.weight_decay * params[key]
+    return grads
 
 
 def _targets_from_signs(y: np.ndarray) -> np.ndarray:
@@ -192,8 +279,9 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be items x dims aligned with y")
     k = X.shape[1]
-    if k < 8:
-        raise TooShortInputError(f"need at least 8 input features, got {k}")
+    k_min = max(8, 2 * config.filter_width - 1)  # conv 2 keeps >= 1 position
+    if k < k_min:
+        raise TooShortInputError(f"need at least {k_min} input features, got {k}")
     if len(np.unique(y)) < 2:
         raise ValueError("both classes must be present")
     rng = np.random.default_rng(config.seed)
@@ -213,10 +301,22 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
         X_val, t_val = X[val_idx], _targets_from_signs(y[val_idx])
     t_tr = _targets_from_signs(y_tr)
 
-    params = _init_params(k, config, rng)
-    velocity = {key: np.zeros_like(val) for key, val in params.items()}
+    init = _init_params(k, config, rng)
+    shapes = {key: p.shape for key, p in init.items()}
+    theta = np.empty(sum(p.size for p in init.values()))
+    params = _flat_views(theta, shapes)
+    for key, value in init.items():
+        params[key][...] = value
+    grad = np.empty_like(theta)
+    grads = _flat_views(grad, shapes)
+    velocity = np.zeros_like(theta)
+    n_w = sum(params[key].size for key in _WEIGHTS)
+    decay = np.empty(n_w)
     model = CnnModel(config=config, input_dim=k, params=params)
 
+    scratch = _Scratch(params, min(config.batch_size, len(y_tr)), k)
+    val_s = _buffers_for(params, X_val)
+    keep = 1.0 - config.dropout
     val_history: list[float] = []
     streak = 0
     stopped_epoch = config.max_epochs
@@ -225,18 +325,21 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
         order = rng.permutation(n_tr)
         for start in range(0, n_tr, config.batch_size):
             batch = order[start : start + config.batch_size]
-            Xb, tb = X_tr[batch], t_tr[batch]
+            s = scratch.batch(len(batch))
             if config.dropout > 0.0:
-                keep = 1.0 - config.dropout
-                mask = (rng.random((len(batch), config.fc_units)) < keep) / keep
+                mask = rng.random(out=s["mask"])
+                np.less(mask, keep, out=mask)
+                mask /= keep
             else:
                 mask = None
-            probs, cache = _forward(params, Xb, mask)
-            grads = _backward(params, cache, probs, tb, config.weight_decay, mask)
-            for key in params:
-                velocity[key] = config.momentum * velocity[key] - config.learning_rate * grads[key]
-                params[key] += velocity[key]
-        val_loss = _loss_from_probs(_forward(params, X_val)[0], t_val, params,
+            probs = _forward(params, X_tr[batch], s, mask)
+            _backward(params, s, probs, t_tr[batch], grads, mask)
+            grad[:n_w] += np.multiply(theta[:n_w], config.weight_decay, out=decay)
+            velocity *= config.momentum
+            grad *= config.learning_rate
+            velocity -= grad
+            theta += velocity
+        val_loss = _loss_from_probs(_forward(params, X_val, val_s), t_val, params,
                                     config.weight_decay)
         if val_history and val_loss > val_history[-1]:
             streak += 1
@@ -256,8 +359,7 @@ def cnn_predict_proba(model: CnnModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.input_dim:
         raise DimensionMismatchError(f"expected {model.input_dim} dims, got {X.shape[1]}")
-    probs, _ = _forward(model.params, X)
-    return probs
+    return _forward(model.params, X, _buffers_for(model.params, X))
 
 
 def cnn_predict(model: CnnModel, X) -> np.ndarray:

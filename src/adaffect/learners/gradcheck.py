@@ -57,7 +57,7 @@ def grad_check_mtl_smooth(W, bias, Xs, Ys, alpha, gamma, graph: TaskGraph,
     Xs = [np.asarray(X, dtype=float) for X in Xs]
     Ys = [np.asarray(Y, dtype=float).reshape(-1) for Y in Ys]
     R = graph.incidence
-    gW, gb = _smooth_grad(W, bias, Xs, Ys, alpha, gamma, R, R @ R.T, fit_intercept=True)
+    gW, gb, _ = _smooth_grad(W, bias, Xs, Ys, alpha, gamma, R, R @ R.T, fit_intercept=True)
     analytic = np.concatenate([gW.reshape(-1), gb])
     rng = np.random.default_rng(seed)
     n_total = analytic.size

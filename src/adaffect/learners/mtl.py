@@ -83,18 +83,25 @@ def _smooth_value(W, bias, Xs, Ys, alpha, gamma, R):
 
 
 def _smooth_grad(W, bias, Xs, Ys, alpha, gamma, R, RRt, fit_intercept):
+    """Gradient of the smooth part, plus its value (`_smooth_value`) from the
+    same residuals: (gW, gb, value)."""
     gW = np.zeros_like(W)
     gb = np.zeros_like(bias)
+    val = 0.0
     for t, (X, Y) in enumerate(zip(Xs, Ys)):
         r = X @ W[:, t] + bias[t] - Y
+        val += float(r @ r)
         gW[:, t] = 2.0 * (X.T @ r)
         if fit_intercept:
             gb[t] = 2.0 * float(r.sum())
     if alpha > 0.0:
+        WR = W @ R
+        val += alpha * float(np.sum(WR * WR))
         gW += 2.0 * alpha * (W @ RRt)
     if gamma > 0.0:
+        val += gamma * float(np.sum(W * W))
         gW += 2.0 * gamma * W
-    return gW, gb
+    return gW, gb, val
 
 
 def _soft_threshold(W, thresh):
@@ -146,24 +153,18 @@ def mtl_fit(
     W = np.zeros((d, T))
     bias = np.zeros(T)
 
-    def smooth(Wm, bm):
-        return _smooth_value(Wm, bm, Xs, Ys, alpha, gamma, R)
-
-    def full(Wm, bm):
-        return smooth(Wm, bm) + beta * float(np.sum(np.abs(Wm)))
-
     # Monotone FISTA: accelerate through a search point but never accept an
-    # iterate whose objective exceeds the previous one.
+    # iterate whose objective exceeds the previous one. Each iteration forms
+    # the residuals once at the search point and once per backtracking trial.
     x_W, x_b = W.copy(), bias.copy()
     x_W_old, x_b_old = W.copy(), bias.copy()
     y_W, y_b = W.copy(), bias.copy()
     t_momentum = 1.0
     L = 1.0
-    history = [full(x_W, x_b)]
+    history = [mtl_objective(x_W, x_b, Xs, Ys, alpha, beta, gamma, graph)]
 
     for _ in range(max_iter):
-        gW, gb = _smooth_grad(y_W, y_b, Xs, Ys, alpha, gamma, R, RRt, fit_intercept)
-        f_y = smooth(y_W, y_b)
+        gW, gb, f_y = _smooth_grad(y_W, y_b, Xs, Ys, alpha, gamma, R, RRt, fit_intercept)
         while True:
             z_W = _soft_threshold(y_W - gW / L, beta / L)
             z_b = y_b - gb / L if fit_intercept else y_b
@@ -175,10 +176,11 @@ def mtl_fit(
                 + float(d_b @ gb)
                 + 0.5 * L * (float(np.sum(d_W * d_W)) + float(d_b @ d_b))
             )
-            if smooth(z_W, z_b) <= quad + 1e-12 * max(1.0, abs(quad)):
+            f_z = _smooth_value(z_W, z_b, Xs, Ys, alpha, gamma, R)
+            if f_z <= quad + 1e-12 * max(1.0, abs(quad)):
                 break
             L *= 2.0
-        f_z = full(z_W, z_b)
+        f_z += beta * float(np.sum(np.abs(z_W)))
         x_W_old, x_b_old = x_W, x_b
         accepted = f_z <= history[-1]
         if accepted:

@@ -1,8 +1,10 @@
 """Independent brute-force reference implementations used to check the
 library's closed-form/vectorized routines. These deliberately stay naive:
-explicit pair enumeration, dictionaries and Python loops only. The one
-exception is `reference_smo`, a frozen copy of the solver the optimized
-`shallow._smo` must reproduce exactly.
+explicit pair enumeration, dictionaries and Python loops only. The
+exceptions are frozen copies of earlier implementations that the optimized
+ones must reproduce bit for bit: `reference_smo` (`shallow._smo`),
+`reference_cnn_train` and `reference_cnn_gradients` (`cnn.cnn_train` and
+`cnn.cnn_gradients`), and `reference_mtl_fit` (`mtl.mtl_fit`).
 """
 
 import itertools
@@ -233,3 +235,290 @@ def reference_smo(K, y, C, tol=1e-3, max_iter=400000):
     else:
         b = 0.5 * (b_low + b_up)
     return alpha, float(b)
+
+
+# --------------------------------------------------------------------- cnn
+# The per-array CNN step that `cnn.cnn_train` replaced: every activation,
+# window matrix and gradient is a fresh array, and SGD updates each
+# parameter array on its own.
+
+def _ref_init_params(k, config, rng):
+    f, w, h = config.n_filters, config.filter_width, config.fc_units
+    k2 = k - 2 * (w - 1)
+
+    def he(shape, fan_in):
+        return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
+
+    return {
+        "W1": he((f, 1, w), w),
+        "b1": np.zeros(f),
+        "W2": he((f, f, w), f * w),
+        "b2": np.zeros(f),
+        "W3": he((f * k2, h), f * k2),
+        "b3": np.zeros(h),
+        "W4": he((h, 2), h),
+        "b4": np.zeros(2),
+    }
+
+
+def _ref_window_matrix(x, w):
+    """x: (B, C, L) -> contiguous (B, L - w + 1, C * w) sliding windows."""
+    L_out = x.shape[2] - w + 1
+    view = np.lib.stride_tricks.sliding_window_view(x, w, axis=2)[:, :, :L_out]
+    return np.ascontiguousarray(view.transpose(0, 2, 1, 3)).reshape(x.shape[0], L_out, -1)
+
+
+def _ref_conv1d_valid(x, W):
+    """x: (B, C_in, L); W: (C_out, C_in, w) -> (B, C_out, L - w + 1)."""
+    flat = _ref_window_matrix(x, W.shape[2])
+    out = flat @ W.reshape(W.shape[0], -1).T
+    return out.transpose(0, 2, 1)
+
+
+def _ref_conv1d_grad_w(x, grad_out, shape):
+    """Gradient of a valid conv w.r.t. its kernel; shape = (C_out, C_in, w)."""
+    flat = _ref_window_matrix(x, shape[2])  # (B, L_out, C_in * w)
+    g = grad_out.transpose(0, 2, 1)     # (B, L_out, C_out)
+    grad = np.tensordot(g, flat, axes=([0, 1], [0, 1]))  # (C_out, C_in * w)
+    return grad.reshape(shape)
+
+
+def _ref_conv1d_grad_x(grad_out, W, L_in):
+    """Gradient of a valid conv w.r.t. its input (full correlation)."""
+    B, _, L_out = grad_out.shape
+    C_in, w = W.shape[1], W.shape[2]
+    g = np.ascontiguousarray(grad_out.transpose(0, 2, 1))  # (B, L_out, C_out)
+    gx = np.zeros((B, C_in, L_in))
+    for tau in range(w):
+        gx[:, :, tau : tau + L_out] += (g @ W[:, :, tau]).transpose(0, 2, 1)
+    return gx
+
+
+def _ref_forward(params, X, dropout_mask=None):
+    """X: (B, k). Returns (probabilities, cache)."""
+    x = X[:, None, :]
+    z1 = _ref_conv1d_valid(x, params["W1"]) + params["b1"][None, :, None]
+    a1 = np.maximum(z1, 0.0)
+    z2 = _ref_conv1d_valid(a1, params["W2"]) + params["b2"][None, :, None]
+    a2 = np.maximum(z2, 0.0)
+    flat = a2.reshape(a2.shape[0], -1)
+    z3 = flat @ params["W3"] + params["b3"]
+    a3 = np.maximum(z3, 0.0)
+    h = a3 * dropout_mask if dropout_mask is not None else a3
+    logits = h @ params["W4"] + params["b4"]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    probs = expd / expd.sum(axis=1, keepdims=True)
+    cache = (x, z1, a1, z2, a2, flat, z3, a3, h)
+    return probs, cache
+
+
+def _ref_loss_from_probs(probs, targets, params, weight_decay):
+    ce = -np.mean(np.log(np.clip(probs[np.arange(len(targets)), targets], 1e-300, None)))
+    reg = 0.5 * weight_decay * sum(
+        float(np.sum(params[k] ** 2)) for k in ("W1", "W2", "W3", "W4")
+    )
+    return float(ce + reg)
+
+
+def _ref_backward(params, cache, probs, targets, weight_decay, dropout_mask=None):
+    x, z1, a1, z2, a2, flat, z3, a3, h = cache
+    B = probs.shape[0]
+    delta = probs.copy()
+    delta[np.arange(B), targets] -= 1.0
+    delta /= B
+
+    grads = {}
+    grads["W4"] = h.T @ delta + weight_decay * params["W4"]
+    grads["b4"] = delta.sum(axis=0)
+    dh = delta @ params["W4"].T
+    da3 = dh * dropout_mask if dropout_mask is not None else dh
+    dz3 = da3 * (z3 > 0)
+    grads["W3"] = flat.T @ dz3 + weight_decay * params["W3"]
+    grads["b3"] = dz3.sum(axis=0)
+    dflat = dz3 @ params["W3"].T
+    da2 = dflat.reshape(a2.shape)
+    dz2 = da2 * (z2 > 0)
+    grads["W2"] = _ref_conv1d_grad_w(a1, dz2, params["W2"].shape) + weight_decay * params["W2"]
+    grads["b2"] = dz2.sum(axis=(0, 2))
+    da1 = _ref_conv1d_grad_x(dz2, params["W2"], a1.shape[2])
+    dz1 = da1 * (z1 > 0)
+    grads["W1"] = _ref_conv1d_grad_w(x, dz1, params["W1"].shape) + weight_decay * params["W1"]
+    grads["b1"] = dz1.sum(axis=(0, 2))
+    return grads
+
+
+def reference_cnn_gradients(params, X, targets, weight_decay):
+    """Gradients of the regularized cross-entropy (dropout disabled) that
+    `cnn.cnn_gradients` must match bit for bit."""
+    X = np.asarray(X, dtype=float)
+    probs, cache = _ref_forward(params, X)
+    return _ref_backward(params, cache, probs, np.asarray(targets), weight_decay)
+
+
+def _ref_targets_from_signs(y):
+    return np.where(np.asarray(y, dtype=float) > 0, 0, 1).astype(int)
+
+
+def reference_cnn_train(X, y, config, val_data=None):
+    """The training loop that `cnn.cnn_train` must match bit for bit.
+
+    Returns (params, history) with history = {"val_loss", "stopped_epoch"}.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    k = X.shape[1]
+    rng = np.random.default_rng(config.seed)
+
+    if val_data is not None:
+        X_tr, y_tr = X, y
+        X_val = np.asarray(val_data[0], dtype=float)
+        t_val = _ref_targets_from_signs(np.asarray(val_data[1]))
+    else:
+        n = len(y)
+        n_val = max(1, int(round(config.val_fraction * n)))
+        perm = rng.permutation(n)
+        val_idx, tr_idx = perm[:n_val], perm[n_val:]
+        if len(np.unique(y[tr_idx])) < 2:  # tiny sets: keep everything
+            tr_idx = perm
+        X_tr, y_tr = X[tr_idx], y[tr_idx]
+        X_val, t_val = X[val_idx], _ref_targets_from_signs(y[val_idx])
+    t_tr = _ref_targets_from_signs(y_tr)
+
+    params = _ref_init_params(k, config, rng)
+    velocity = {key: np.zeros_like(val) for key, val in params.items()}
+
+    val_history = []
+    streak = 0
+    stopped_epoch = config.max_epochs
+    n_tr = len(y_tr)
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(n_tr)
+        for start in range(0, n_tr, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            Xb, tb = X_tr[batch], t_tr[batch]
+            if config.dropout > 0.0:
+                keep = 1.0 - config.dropout
+                mask = (rng.random((len(batch), config.fc_units)) < keep) / keep
+            else:
+                mask = None
+            probs, cache = _ref_forward(params, Xb, mask)
+            grads = _ref_backward(params, cache, probs, tb, config.weight_decay, mask)
+            for key in params:
+                velocity[key] = config.momentum * velocity[key] - config.learning_rate * grads[key]
+                params[key] += velocity[key]
+        val_loss = _ref_loss_from_probs(_ref_forward(params, X_val)[0], t_val, params,
+                                        config.weight_decay)
+        if val_history and val_loss > val_history[-1]:
+            streak += 1
+        else:
+            streak = 0
+        val_history.append(val_loss)
+        if streak >= config.patience:
+            stopped_epoch = epoch
+            break
+
+    return params, {"val_loss": val_history, "stopped_epoch": stopped_epoch}
+
+
+# --------------------------------------------------------------------- mtl
+# The monotone FISTA loop that `mtl.mtl_fit` replaced, which forms the
+# residuals four times per iteration.
+
+def _ref_smooth_value(W, bias, Xs, Ys, alpha, gamma, R):
+    val = 0.0
+    for t, (X, Y) in enumerate(zip(Xs, Ys)):
+        r = X @ W[:, t] + bias[t] - Y
+        val += float(r @ r)
+    if alpha > 0.0:
+        WR = W @ R
+        val += alpha * float(np.sum(WR * WR))
+    if gamma > 0.0:
+        val += gamma * float(np.sum(W * W))
+    return val
+
+
+def _ref_smooth_grad(W, bias, Xs, Ys, alpha, gamma, R, RRt, fit_intercept):
+    gW = np.zeros_like(W)
+    gb = np.zeros_like(bias)
+    for t, (X, Y) in enumerate(zip(Xs, Ys)):
+        r = X @ W[:, t] + bias[t] - Y
+        gW[:, t] = 2.0 * (X.T @ r)
+        if fit_intercept:
+            gb[t] = 2.0 * float(r.sum())
+    if alpha > 0.0:
+        gW += 2.0 * alpha * (W @ RRt)
+    if gamma > 0.0:
+        gW += 2.0 * gamma * W
+    return gW, gb
+
+
+def _ref_soft_threshold(W, thresh):
+    return np.sign(W) * np.maximum(np.abs(W) - thresh, 0.0)
+
+
+def reference_mtl_fit(Xs, Ys, alpha, beta, gamma, R, fit_intercept=False, tol=1e-6, max_iter=10000):
+    """The fitting loop that `mtl.mtl_fit` must match bit for bit; R is the
+    task graph's incidence matrix. Returns (W, bias, objective_history)."""
+    Xs = [np.asarray(X, dtype=float) for X in Xs]
+    Ys = [np.asarray(Y, dtype=float).reshape(-1) for Y in Ys]
+    d = Xs[0].shape[1]
+    T = len(Xs)
+    RRt = R @ R.T
+
+    W = np.zeros((d, T))
+    bias = np.zeros(T)
+
+    def smooth(Wm, bm):
+        return _ref_smooth_value(Wm, bm, Xs, Ys, alpha, gamma, R)
+
+    def full(Wm, bm):
+        return smooth(Wm, bm) + beta * float(np.sum(np.abs(Wm)))
+
+    x_W, x_b = W.copy(), bias.copy()
+    x_W_old, x_b_old = W.copy(), bias.copy()
+    y_W, y_b = W.copy(), bias.copy()
+    t_momentum = 1.0
+    L = 1.0
+    history = [full(x_W, x_b)]
+
+    for _ in range(max_iter):
+        gW, gb = _ref_smooth_grad(y_W, y_b, Xs, Ys, alpha, gamma, R, RRt, fit_intercept)
+        f_y = smooth(y_W, y_b)
+        while True:
+            z_W = _ref_soft_threshold(y_W - gW / L, beta / L)
+            z_b = y_b - gb / L if fit_intercept else y_b
+            d_W = z_W - y_W
+            d_b = z_b - y_b
+            quad = (
+                f_y
+                + float(np.sum(d_W * gW))
+                + float(d_b @ gb)
+                + 0.5 * L * (float(np.sum(d_W * d_W)) + float(d_b @ d_b))
+            )
+            if smooth(z_W, z_b) <= quad + 1e-12 * max(1.0, abs(quad)):
+                break
+            L *= 2.0
+        f_z = full(z_W, z_b)
+        x_W_old, x_b_old = x_W, x_b
+        accepted = f_z <= history[-1]
+        if accepted:
+            x_W, x_b = z_W, z_b
+            f_x = f_z
+        else:
+            f_x = history[-1]
+        history.append(f_x)
+
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
+        y_W = x_W + (t_momentum / t_next) * (z_W - x_W) + ((t_momentum - 1.0) / t_next) * (
+            x_W - x_W_old
+        )
+        y_b = x_b + (t_momentum / t_next) * (z_b - x_b) + ((t_momentum - 1.0) / t_next) * (
+            x_b - x_b_old
+        )
+        t_momentum = t_next
+
+        if accepted and abs(history[-2] - history[-1]) <= tol * max(abs(history[-2]), 1e-12):
+            break
+
+    return x_W, x_b, history

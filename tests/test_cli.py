@@ -427,6 +427,40 @@ class TestModelSerialization:
         assert err.count("\n") == 1
         assert load_model(out).kind == "linear_svm"
 
+    def test_evaluate_warns_on_unconverged_smo(self, tmp_path, capsys, monkeypatch):
+        from adaffect.learners import shallow
+
+        feats = self.write_features(tmp_path, self.features().features)
+        args = ("evaluate", "--features", feats, "--model", "linear_svm", "--grid", "C=1",
+                "--reps", 1, "--folds", 3)
+        assert run(*args, "--out", tmp_path / "converged.csv") == 0
+        assert capsys.readouterr().err == ""
+
+        smo = shallow._smo
+        monkeypatch.setattr(shallow, "_smo", lambda K, y, C, alpha=None: smo(K, y, C, max_iter=1, alpha=alpha))
+        assert run(*args, "--out", tmp_path / "capped.csv") == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: linear_svm: 3 of 3 final fold fits stopped without meeting")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("hyper, field", [
+        ("dropout=1.0", "dropout"),
+        ("learning_rate=-1", "learning_rate"),
+        ("batch_size=0", "batch_size"),
+        ("n_filters=0", "n_filters"),
+        ("batch_size=2.5", "batch_size"),
+        ("max_epochs=0", "max_epochs"),
+        ("val_fraction=1.5", "val_fraction"),
+    ])
+    def test_train_cnn_bad_config_exits_1(self, tmp_path, capsys, hyper, field):
+        feats = self.write_features(tmp_path, self.features().features)
+        out = tmp_path / "m.json"
+        assert run("train", "--features", feats, "--model", "cnn", "--hyper", hyper, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: CnnConfig {field} must be ")
+        assert err.endswith(f", got {hyper.split('=')[1]}\n") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, hyper", [("mtl", "alpah=0.5"), ("linear_svm", "Cc=5")])
     def test_train_unknown_hyper_exits_1(self, tmp_path, capsys, kind, hyper):
         feats = self.write_features(tmp_path, self.features().features)

@@ -1,14 +1,17 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from oracles import reference_cnn_gradients, reference_cnn_train
 
 from adaffect.learners.cnn import (
     CnnConfig,
     CnnModel,
     TooShortInputError,
     _init_params,
+    cnn_gradients,
     cnn_loss,
     cnn_predict,
     cnn_predict_proba,
@@ -43,6 +46,11 @@ class TestArchitecture:
         X, y = separable_features(n=10, k=4)
         with pytest.raises(TooShortInputError):
             cnn_train(X, y)
+
+    def test_too_short_for_filter_width(self):
+        X, y = separable_features(n=10, k=8)
+        with pytest.raises(TooShortInputError, match="at least 9 input features, got 8"):
+            cnn_train(X, y, CnnConfig(filter_width=5))
 
 
 class TestTraining:
@@ -139,3 +147,68 @@ class TestGradCheck:
         bias = rng.normal(size=4)
         err = grad_check_mtl_smooth(W, bias, Xs, Ys, alpha=0.7, gamma=0.3, graph=g)
         assert err < 1e-6
+
+
+def alternating_features(n, k, seed):
+    """n items (odd n allowed) with alternating labels and a weak mean shift."""
+    rng = np.random.default_rng(seed)
+    y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return rng.normal(size=(n, k)) + 0.5 * y[:, None], y
+
+
+def assert_bits_equal(a, b, key):
+    """Equal shape and bytes: -0.0 differs from 0.0, as it does in model.json."""
+    assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
+
+
+def assert_matches_reference(X, y, config, val_data=None):
+    model = cnn_train(X, y, config, val_data)
+    params, history = reference_cnn_train(X, y, config, val_data)
+    assert list(model.params) == list(params)
+    for key in params:
+        assert_bits_equal(model.params[key], params[key], key)
+    assert model.history == history
+    return model
+
+
+class TestReferenceIdentity:
+    """cnn_train and cnn_gradients reproduce the per-array implementation
+    kept in tests/oracles.py bit for bit."""
+
+    @pytest.mark.parametrize("k, last_batch, dropout, weight_decay, given_val", itertools.product(
+        (8, 16, 40), (1, 13), (0.0, 0.5), (0.0, CnnConfig.weight_decay), (False, True)))
+    def test_training_matches_reference(self, k, last_batch, dropout, weight_decay, given_val):
+        # 32-item batches: n is chosen so the last batch holds `last_batch`
+        # items (n = 37 leaves 33 training items after the carved 10%).
+        n = 32 + last_batch if given_val else {1: 37, 13: 50}[last_batch]
+        X, y = alternating_features(n, k, seed=k + last_batch)
+        config = CnnConfig(max_epochs=3, dropout=dropout, weight_decay=weight_decay, seed=k)
+        val_data = alternating_features(10, k, seed=99) if given_val else None
+        assert_matches_reference(X, y, config, val_data)
+
+    @pytest.mark.parametrize("width", (2, 5))
+    def test_filter_width_matches_reference(self, width):
+        # k = 10 leaves conv 2 with 2 output positions at width 5.
+        X, y = alternating_features(40, 10, seed=width)
+        assert_matches_reference(X, y, CnnConfig(filter_width=width, max_epochs=3, seed=width))
+
+    def test_early_stop_matches_reference(self):
+        X, y = separable_features(n=32, k=8, scale=12.0, seed=9)
+        config = CnnConfig(weight_decay=0.0, learning_rate=0.01, seed=1)
+        model = assert_matches_reference(X, y, config, val_data=(X, -y))
+        assert model.history["stopped_epoch"] == 6
+
+    @pytest.mark.parametrize("B", (1, 7, 32))
+    def test_gradients_match_reference(self, B):
+        rng = np.random.default_rng(B)
+        config = CnnConfig()
+        params = _init_params(16, config, rng)
+        params = {key: value + 0.01 * rng.standard_normal(value.shape) for key, value in params.items()}
+        X = rng.normal(size=(B, 16))
+        targets = rng.integers(0, 2, size=B)
+        model = CnnModel(config=config, input_dim=16, params=params)
+        grads = cnn_gradients(model, X, targets)
+        expect = reference_cnn_gradients(params, X, targets, config.weight_decay)
+        assert set(grads) == set(expect)
+        for key in expect:
+            assert_bits_equal(grads[key], expect[key], key)

@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+from oracles import reference_mtl_fit
 
 from adaffect.core import ALL_QUADRANTS, Quadrant
 from adaffect.learners.mtl import (
     EmptyTaskError,
+    _smooth_grad,
+    _smooth_value,
     build_task_graph,
     mtl_fit,
     mtl_objective,
@@ -125,6 +130,35 @@ class TestMtlFit:
         model = mtl_fit(Xs, Ys, 0.3, 0.2, 0.1, g)
         value = mtl_objective(model.W, model.bias, Xs, Ys, 0.3, 0.2, 0.1, g)
         assert value == pytest.approx(model.objective_history[-1], rel=1e-9)
+
+
+class TestReferenceIdentity:
+    """mtl_fit reproduces the loop kept in tests/oracles.py bit for bit."""
+
+    @pytest.mark.parametrize("fit_intercept, regs", itertools.product(
+        (True, False), ((0.0, 0.0, 0.0), (1.0, 0.01, 0.1), (0.3, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.2))))
+    def test_fit_matches_reference(self, fit_intercept, regs):
+        rng = np.random.default_rng(11)
+        g = build_task_graph()
+        Xs = [rng.normal(size=(9, 6)) + 0.2 for _ in range(4)]
+        Ys = [np.sign(rng.normal(size=9)) for _ in range(4)]
+        model = mtl_fit(Xs, Ys, *regs, g, fit_intercept=fit_intercept, max_iter=3000)
+        W, bias, history = reference_mtl_fit(Xs, Ys, *regs, g.incidence, fit_intercept=fit_intercept,
+                                             max_iter=3000)
+        assert model.objective_history == history
+        assert model.W.tobytes() == W.tobytes() and model.W.shape == W.shape
+        assert model.bias.tobytes() == bias.tobytes()
+
+    def test_smooth_grad_value_is_smooth_value(self):
+        rng = np.random.default_rng(12)
+        g = build_task_graph()
+        R = g.incidence
+        Xs = [rng.normal(size=(7, 5)) for _ in range(4)]
+        Ys = [np.sign(rng.normal(size=7)) for _ in range(4)]
+        W, bias = rng.normal(size=(5, 4)), rng.normal(size=4)
+        for alpha, gamma in ((0.0, 0.0), (0.7, 0.3)):
+            *_, value = _smooth_grad(W, bias, Xs, Ys, alpha, gamma, R, R @ R.T, fit_intercept=True)
+            assert value == _smooth_value(W, bias, Xs, Ys, alpha, gamma, R)
 
 
 class TestMtlPredict:
