@@ -40,6 +40,7 @@ from .evaluation import (
     west_fuse,
 )
 from .learners import save_model
+from .learners.shallow import unconverged_solves
 # Unused here, but the benchmark's tracer (bench/spans.py) looks these names up on this module.
 from .learners.cnn import cnn_train
 from .learners.mtl import mtl_fit
@@ -248,10 +249,16 @@ def cmd_train(args) -> list:
     features = fileio.read_feature_csv(args.features)
     model = fit_model(args.model, features, _parse_kv(args.hyper), args.seed)
     save_model(model, args.out)
-    meta = getattr(model, "train_meta", {})
-    if meta.get("converged") is False:
-        print(f"warning: {args.model} C={model.hyperparams['C']} stopped after {meta['iters']} "
-              "SMO iterations without meeting the KKT tolerance", file=sys.stderr)
+    own, calibration = unconverged_solves(model)
+    if own or calibration:
+        meta = model.train_meta
+        short = f"{calibration} of {len(meta['calibration_converged'])} Platt calibration solves"
+        if own:
+            text = f" stopped after {meta['iters']} SMO iterations without meeting the KKT tolerance"
+            text += f" (so did {short})" if calibration else ""
+        else:
+            text = f": {short} stopped without meeting the KKT tolerance"
+        print(f"warning: {args.model} C={model.hyperparams['C']}{text}", file=sys.stderr)
     return [args.out]
 
 
@@ -276,7 +283,7 @@ def cmd_evaluate(args) -> list:
     print(f"{setting_str}: F1 = {report.mean:.4f} +/- {report.std:.4f} over {len(report.rows)} runs")
     if report.unconverged_fits:
         print(f"warning: {args.model}: {report.unconverged_fits} of {len(report.rows)} final fold fits stopped "
-              "without meeting the SMO KKT tolerance", file=sys.stderr)
+              "without meeting the SMO KKT tolerance in their own or a Platt calibration solve", file=sys.stderr)
     if not args.predictions:
         return [args.out]
     fileio.write_predictions_csv(args.predictions, features.item_ids, features.labels, report.oof_posteriors)

@@ -153,7 +153,8 @@ class CvReport:
     mean: float
     std: float
     oof_posteriors: np.ndarray | None = None  # first-repetition out-of-fold (High, Low)
-    unconverged_fits: int = 0  # final fold models whose SMO solve stopped short of the KKT tolerance
+    # Final fold models whose own SMO solve or any calibration solve stopped short of the KKT tolerance.
+    unconverged_fits: int = 0
 
 
 def _grid_points(grid: dict) -> list[dict]:
@@ -182,10 +183,11 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
     if spec.kind in SHALLOW_KINDS:
         scores = _shallow_scores(spec.kind, candidates, splits)
     else:
-        scores = np.array([
-            [f1_score(_argmax_signs(predict_proba(spec.kind, fit_model(spec.kind, fit_set, candidate, seed), test_set)),
-                      test_set.y_signs()) for fit_set, test_set in splits]
-            for candidate in candidates])
+        def score(i, scores):
+            for s, (fit_set, test_set) in enumerate(splits):
+                model = fit_model(spec.kind, fit_set, candidates[i], seed)
+                scores[i, s] = f1_score(_argmax_signs(predict_proba(spec.kind, model, test_set)), test_set.y_signs())
+        scores = _scores_in_order(len(candidates), len(splits), score)
     best_f1, best = -1.0, candidates[0]
     for candidate, mean in zip(candidates, scores.mean(axis=1)):
         if mean > best_f1 + 1e-12:
@@ -193,30 +195,56 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
     return best
 
 
+def _scores_in_order(n_candidates: int, n_splits: int, score) -> np.ndarray:
+    """F1 of each candidate (rows) on each split (columns), -inf where not
+    scored. `score(i, scores)` fills row i (and may fill others), candidate
+    by candidate, until one scores 1 on every split: no later candidate can
+    be picked, since a pick needs a mean F1 above the best so far by 1e-12
+    and no F1 exceeds 1.
+    """
+    scores = np.full((n_candidates, n_splits), -np.inf)
+    for i in range(n_candidates):
+        score(i, scores)
+        if np.all(scores[i] == 1.0):
+            break
+    return scores
+
+
 def _shallow_scores(kind: str, candidates: list[dict], splits) -> np.ndarray:
     """F1 of each candidate (rows) on each split (columns), predicting High
     where the uncalibrated decision value is positive: the search only
-    ranks these models, so none of them is Platt-calibrated.
+    ranks these models, so none of them is Platt-calibrated. Candidates are
+    scored in order as `_scores_in_order` says; those never scored get -inf.
 
     On each split, the SVM candidates that share a kernel are solved in
     ascending C, each starting from the previous solution: alpha from a
-    smaller C lies in the larger box and keeps sum alpha y = 0.
+    smaller C lies in the larger box and keeps sum alpha y = 0. Scoring a
+    candidate first solves and scores the smaller-C candidates of its
+    kernel that are not solved yet.
     """
     hypers = [shallow._hyperparams(kind, c) for c in candidates]
     kernels: dict[str, list[int]] = {}
     for i, hyper in enumerate(hypers):
         kernels.setdefault(repr(sorted((k, v) for k, v in hyper.items() if k != "C")), []).append(i)
-    data = [(fit_set.X, fit_set.y_signs(), test_set.X, test_set.y_signs()) for fit_set, test_set in splits]
-    scores = np.zeros((len(candidates), len(splits)))
+    chain = {}  # candidate -> the candidates of its kernel up to it, in ascending C
     for members in kernels.values():
         members.sort(key=lambda i: hypers[i].get("C", 0.0))
-        for s, (X, y, X_test, y_test) in enumerate(data):
-            alpha = None
-            for i in members:
-                model = shallow._fit_uncalibrated(X, y, kind, hypers[i], alpha)
-                alpha = model.train_meta.get("alpha")
-                scores[i, s] = f1_score(np.where(model.decision_values(X_test) > 0.0, 1.0, -1.0), y_test)
-    return scores
+        for k, i in enumerate(members):
+            chain[i] = members[:k + 1]
+    data = [(fit_set.X, fit_set.y_signs(), test_set.X, test_set.y_signs()) for fit_set, test_set in splits]
+    alphas = {}  # (first candidate of the kernel, split) -> alpha of the kernel's last solve
+
+    def score(i, scores):
+        kernel = chain[i][0]
+        for m in chain[i]:
+            if scores[m, 0] != -np.inf:  # solved already
+                continue
+            for s, (X, y, X_test, y_test) in enumerate(data):
+                model = shallow._fit_uncalibrated(X, y, kind, hypers[m], alphas.get((kernel, s)))
+                alphas[kernel, s] = model.train_meta.get("alpha")
+                scores[m, s] = f1_score(np.where(model.decision_values(X_test) > 0.0, 1.0, -1.0), y_test)
+
+    return _scores_in_order(len(candidates), len(splits), score)
 
 
 def _argmax_signs(proba: np.ndarray) -> np.ndarray:
@@ -264,7 +292,7 @@ def cross_validate(
             mask[test_idx] = False
             test = features.subset(test_idx)
             model, proba = _fit_predict(features.subset(np.flatnonzero(mask)), test, spec, int(inner_seeds[fold]))
-            unconverged += getattr(model, "train_meta", {}).get("converged") is False
+            unconverged += any(shallow.unconverged_solves(model))
             rows.append((rep, fold, f1_score(_argmax_signs(proba), test.y_signs())))
             if rep == 0:
                 oof[test_idx] = proba

@@ -38,7 +38,11 @@ def atomic_write_text(path, text: str):
 
 
 def fmt(x) -> str:
-    """Full-precision decimal rendering that round-trips floats."""
+    """Full-precision decimal rendering that round-trips floats.
+
+    The CSV writers render a whole row of floats as
+    `",".join(map(repr, row.tolist()))`, which writes each value as fmt does.
+    """
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
@@ -193,10 +197,8 @@ def write_feature_csv(path, features: FeatureMatrix, names: list[str] | None = N
     if len(names) != d:
         raise ValueError("feature name count must match dimensionality")
     lines = ["item_id,label,quadrant," + ",".join(names)]
-    for i in range(features.n_items):
-        row = [features.item_ids[i], features.labels[i].value, features.quadrants[i].code]
-        row += [fmt(v) for v in features.X[i]]
-        lines.append(",".join(row))
+    for iid, label, quad, row in zip(features.item_ids, features.labels, features.quadrants, features.X.tolist()):
+        lines.append(",".join([iid, label.value, quad.code, *map(repr, row)]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -254,8 +256,8 @@ def read_feature_csv(path) -> FeatureMatrix:
 def write_descriptor_csv(path, series):
     """second index column plus one named column per descriptor."""
     lines = ["second," + ",".join(series.names)]
-    for s, row in enumerate(series.values):
-        lines.append(str(s) + "," + ",".join(fmt(v) for v in row))
+    for s, row in enumerate(series.values.tolist()):
+        lines.append(str(s) + "," + ",".join(map(repr, row)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -266,9 +268,7 @@ def write_spectrogram_csv(path, sg):
         f"sample_rate={sg.sample_rate},frames={sg.magnitudes.shape[0]},"
         f"bins={sg.magnitudes.shape[1]}"
     )
-    lines = [header]
-    for row in sg.magnitudes:
-        lines.append(",".join(fmt(v) for v in row))
+    lines = [header] + [",".join(map(repr, row)) for row in sg.magnitudes.tolist()]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -303,8 +303,8 @@ def write_predictions_csv(path, item_ids, truths, posteriors):
     """Out-of-fold or test predictions: item_id,truth,p_high,p_low."""
     posteriors = np.asarray(posteriors, dtype=float)
     lines = ["item_id,truth,p_high,p_low"]
-    for iid, truth, (p_high, p_low) in zip(item_ids, truths, posteriors):
-        lines.append(f"{iid},{truth.value},{fmt(p_high)},{fmt(p_low)}")
+    for iid, truth, (p_high, p_low) in zip(item_ids, truths, posteriors.tolist()):
+        lines.append(f"{iid},{truth.value},{p_high!r},{p_low!r}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -195,9 +195,12 @@ def _forward(params, X, s: dict, dropout_mask=None) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _loss_from_probs(probs, targets, params, weight_decay):
+def _loss_from_probs(probs, targets, params, weight_decay, squares=None):
+    """Cross-entropy plus weight decay; each weight array is squared into
+    its buffer in `squares` when given."""
+    squares = squares or {}
     ce = -np.mean(np.log(np.clip(probs[np.arange(len(targets)), targets], 1e-300, None)))
-    reg = 0.5 * weight_decay * sum(float(np.sum(params[k] ** 2)) for k in _WEIGHTS)
+    reg = 0.5 * weight_decay * sum(float(np.sum(np.square(params[k], out=squares.get(k)))) for k in _WEIGHTS)
     return float(ce + reg)
 
 
@@ -312,6 +315,8 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
     velocity = np.zeros_like(theta)
     n_w = sum(params[key].size for key in _WEIGHTS)
     decay = np.empty(n_w)
+    # Between epochs the weight-decay scratch holds the squared weights of the validation loss.
+    squares = _flat_views(decay, {key: shapes[key] for key in _WEIGHTS})
     model = CnnModel(config=config, input_dim=k, params=params)
 
     scratch = _Scratch(params, min(config.batch_size, len(y_tr)), k)
@@ -340,7 +345,7 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
             velocity -= grad
             theta += velocity
         val_loss = _loss_from_probs(_forward(params, X_val, val_s), t_val, params,
-                                    config.weight_decay)
+                                    config.weight_decay, squares)
         if val_history and val_loss > val_history[-1]:
             streak += 1
         else:

@@ -64,81 +64,76 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = KKT_TOL, max_iter:
     Returns (alpha, b, iters, converged). Optimality: there is a b
     satisfying every KKT box condition within `tol`; `converged` is True
     only when the solver stopped on that test, and `iters` counts the pair
-    updates made. State (t = y - G and the bound-set eligibility penalties)
-    is maintained incrementally, in preallocated buffers, and the
-    two-variable subproblem is solved on Python floats, to keep iterations
-    cheap. The solve starts from alpha = 0, or from a given feasible
-    `alpha` (0 <= alpha <= C, sum alpha y = 0), such as the solution at a
-    smaller C on the same kernel.
+    updates made. The state is kept as two vectors of t = y - G, the
+    per-item implied bias: `up` holds t where the item may still bound b
+    from below and -inf elsewhere, `lo` holds t where it may still bound b
+    from above and +inf elsewhere. Both are updated in place, in
+    preallocated buffers, and the two-variable subproblem is solved on
+    Python floats, to keep iterations cheap. The solve starts from
+    alpha = 0, or from a given feasible `alpha` (0 <= alpha <= C,
+    sum alpha y = 0), such as the solution at a smaller C on the same kernel.
     """
     n = len(y)
     C = float(C)
-    t = y.astype(float).copy()  # y - G, the per-item implied bias
+    eps = 1e-12
+    inf = math.inf
+    t = y.astype(float).copy()  # y - G
     ys = t.tolist()
-    a = [0.0] * n  # alpha
+    if alpha is None:  # alpha = 0: every alpha can grow and none can shrink
+        alpha, grow, shrink = np.zeros(n), True, False
+    else:
+        alpha = np.asarray(alpha, dtype=float)
+        t -= K @ (alpha * y)
+        grow, shrink = alpha < C - eps, alpha > eps
+    a = alpha.tolist()
+    # An item bounds b from below while its alpha may still move toward its
+    # label's side (+1 grows, -1 shrinks), and from above while it may move
+    # away from it.
+    y_pos = y > 0
+    up = np.where(np.where(y_pos, grow, shrink), t, -inf)
+    lo = np.where(np.where(y_pos, shrink, grow), t, inf)
     diag = np.diag(K)
     K_rows = list(K)
     # Row i is the second-order curvature diag_i + diag_j - 2 K_ij of every pair (i, j).
     eta_rows = list(np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, 1e-12))
-    eps = 1e-12
-    inf = math.inf
-    # Eligibility to bound b from below (i side) / above (j side), kept as
-    # penalties added to t: 0 where eligible, -inf / +inf where not.
-    y_pos = y > 0
-    lb_pen = np.where(y_pos, 0.0, -inf)  # at alpha = 0: +1 items can still grow
-    ub_pen = np.where(y_pos, inf, 0.0)
-    t_lb = np.empty(n)
+    C_eps = C - eps
     delta = np.empty(n)  # t_i - t on the j side, -inf elsewhere
-    cand = np.empty(n, dtype=bool)
+    flat = np.empty(n, dtype=bool)
     gain = np.empty(n)
     step = np.empty(n)
-
-    def refresh(k):
-        ak = a[k]
-        if ys[k] > 0:
-            lb_pen[k] = 0.0 if ak < C - eps else -inf
-            ub_pen[k] = 0.0 if ak > eps else inf
-        else:
-            lb_pen[k] = 0.0 if ak > eps else -inf
-            ub_pen[k] = 0.0 if ak < C - eps else inf
-
-    if alpha is not None:
-        alpha = np.asarray(alpha, dtype=float)
-        t -= K @ (alpha * y)
-        a = alpha.tolist()
-        for k in range(n):
-            refresh(k)
     iters = 0
     converged = False
     while iters < max_iter:
-        np.add(t, lb_pen, out=t_lb)
-        i = int(t_lb.argmax())
-        t_i = t_lb.item(i)
-        np.subtract(t_i, np.add(t, ub_pen, out=delta), out=delta)
+        i = int(up.argmax())
+        t_i = up.item(i)
+        np.subtract(t_i, lo, out=delta)
         if delta.item(delta.argmax()) <= 2.0 * tol:  # max over j of t_i - t_j
             converged = True
             break
         # Second-order partner: maximize the guaranteed objective gain
         # delta^2 / eta among violating candidates.
-        np.greater(delta, 1e-15, out=cand)
         eta_i = eta_rows[i]
-        gain.fill(-inf)
-        np.divide(np.multiply(delta, delta, out=step), eta_i, out=gain, where=cand)
+        np.divide(np.multiply(delta, delta, out=gain), eta_i, out=gain)
+        np.putmask(gain, np.less_equal(delta, 1e-15, out=flat), -inf)
         j = int(gain.argmax())
         if gain.item(j) == -inf:
             break
-        # Two-variable subproblem on (i, j) with the rest fixed.
+        # Two-variable subproblem on (i, j) with the rest fixed. Each
+        # conditional expression is max(x, y) or min(x, y), which return x
+        # on ties, at less cost.
         a_i, a_j, y_i, y_j = a[i], a[j], ys[i], ys[j]
         if y_i != y_j:
-            lo = max(0.0, a_j - a_i)
-            hi = min(C, C + a_j - a_i)
+            lo_j, hi_j = a_j - a_i, C + a_j - a_i
         else:
-            lo = max(0.0, a_i + a_j - C)
-            hi = min(C, a_i + a_j)
-        if hi - lo < 1e-14:
+            lo_j, hi_j = a_i + a_j - C, a_i + a_j
+        lo_j = lo_j if lo_j > 0.0 else 0.0  # max(0.0, lo_j)
+        hi_j = hi_j if hi_j < C else C  # min(C, hi_j)
+        if hi_j - lo_j < 1e-14:
             break
         # E_i - E_j = t_j - t_i = -delta[j]
-        aj_new = min(max(a_j - y_j * delta.item(j) / eta_i.item(j), lo), hi)
+        aj_new = a_j - y_j * delta.item(j) / eta_i.item(j)
+        aj_new = lo_j if lo_j > aj_new else aj_new  # max(aj_new, lo_j)
+        aj_new = hi_j if hi_j < aj_new else aj_new  # min(aj_new, hi_j)
         delta_j = aj_new - a_j
         if abs(delta_j) < 1e-14:
             break
@@ -146,13 +141,17 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = KKT_TOL, max_iter:
         # t -= y_i (ai_new - a_i) K_i + y_j delta_j K_j, in that operation order.
         np.multiply(K_rows[i], y_i * (ai_new - a_i), out=step)
         step += np.multiply(K_rows[j], y_j * delta_j, out=gain)
-        t -= step
+        up -= step
+        lo -= step
         a[i], a[j] = ai_new, aj_new
-        refresh(i)
-        refresh(j)
+        t_i, t_j = up.item(i), lo.item(j)  # i came from `up` and j from `lo`, so both hold t
+        toward, away = (ai_new < C_eps, ai_new > eps) if y_i > 0 else (ai_new > eps, ai_new < C_eps)
+        up[i], lo[i] = (t_i if toward else -inf), (t_i if away else inf)
+        toward, away = (aj_new < C_eps, aj_new > eps) if y_j > 0 else (aj_new > eps, aj_new < C_eps)
+        up[j], lo[j] = (t_j if toward else -inf), (t_j if away else inf)
         iters += 1
-    b_low = np.max(np.where(lb_pen == 0.0, t, -inf))
-    b_up = np.min(np.where(ub_pen == 0.0, t, inf))
+    b_low = up.max()
+    b_up = lo.min()
     if not np.isfinite(b_low):
         b = b_up if np.isfinite(b_up) else 0.0
     elif not np.isfinite(b_up):
@@ -292,9 +291,11 @@ def _fit_lda(X, y, shrinkage: float):
 
 
 def _cross_fitted_scores(X, y, kind, hyper, n_folds: int, seed: int):
-    """Out-of-fold decision values of uncalibrated `kind` models, for calibration."""
+    """Out-of-fold decision values of uncalibrated `kind` models, for
+    calibration, and the `converged` flag of each fit made (None for LDA)."""
     rng = np.random.default_rng(seed)
     scores = np.zeros(len(y))
+    converged = []
     n_folds = max(2, min(n_folds, int(min(np.sum(y > 0), np.sum(y < 0)))))
     for test_idx in stratified_folds(y, n_folds, rng):
         train_mask = np.ones(len(y), dtype=bool)
@@ -304,7 +305,8 @@ def _cross_fitted_scores(X, y, kind, hyper, n_folds: int, seed: int):
             continue
         model = _fit_uncalibrated(X[train_mask], y[train_mask], kind, hyper)
         scores[test_idx] = model.decision_values(X[test_idx])
-    return scores
+        converged.append(model.train_meta.get("converged"))
+    return scores, converged
 
 
 def _fit_uncalibrated(X, y, kind, hyper, alpha=None) -> ShallowModel:
@@ -349,14 +351,26 @@ def shallow_fit(X, y, kind: str, hyperparams: dict | None = None, seed: int = 0)
     """Fit one shallow classifier and calibrate its posterior output.
 
     `y` holds +1/-1 labels. Calibration fits a logistic map on out-of-fold
-    decision values so posteriors are honest on the training scale.
+    decision values so posteriors are honest on the training scale. An SVM's
+    `train_meta` records whether its own solve ("converged") and each
+    calibration solve ("calibration_converged") met the KKT tolerance.
     """
     hyper = _hyperparams(kind, hyperparams)
     X, y = _check_training_inputs(X, y)
     model = _fit_uncalibrated(X, y, kind, hyper)
-    scores = _cross_fitted_scores(X, y, kind, hyper, CALIBRATION_FOLDS, seed)
+    scores, converged = _cross_fitted_scores(X, y, kind, hyper, CALIBRATION_FOLDS, seed)
     model.calibration = fit_platt(scores, y)
+    if kind != "lda":
+        model.train_meta["calibration_converged"] = converged
     return model
+
+
+def unconverged_solves(model) -> tuple[bool, int]:
+    """Whether the model's own SMO solve stopped short of the KKT tolerance,
+    and how many of its calibration solves did; (False, 0) for a model
+    without SMO solves."""
+    meta = getattr(model, "train_meta", {})
+    return meta.get("converged") is False, meta.get("calibration_converged", []).count(False)
 
 
 def shallow_predict_proba(model: ShallowModel, X) -> np.ndarray:

@@ -2,9 +2,10 @@
 library's closed-form/vectorized routines. These deliberately stay naive:
 explicit pair enumeration, dictionaries and Python loops only. The
 exceptions are frozen copies of earlier implementations that the optimized
-ones must reproduce bit for bit: `reference_smo` (`shallow._smo`),
-`reference_cnn_train` and `reference_cnn_gradients` (`cnn.cnn_train` and
-`cnn.cnn_gradients`), and `reference_mtl_fit` (`mtl.mtl_fit`).
+ones must reproduce bit for bit: `reference_smo` and `reference_seeded_smo`
+(`shallow._smo`), `reference_cnn_train` and `reference_cnn_gradients`
+(`cnn.cnn_train` and `cnn.cnn_gradients`), and `reference_mtl_fit`
+(`mtl.mtl_fit`).
 """
 
 import itertools
@@ -235,6 +236,170 @@ def reference_smo(K, y, C, tol=1e-3, max_iter=400000):
     else:
         b = 0.5 * (b_low + b_up)
     return alpha, float(b)
+
+
+def reference_seeded_smo(K, y, C, tol=1e-3, max_iter=400000, alpha=None):
+    """The penalty-array `shallow._smo` that the solver with maintained `up`
+    and `lo` vectors must match bit for bit (alpha, b, iters, converged),
+    cold and seeded.
+
+    SMO with second-order working-pair selection on a precomputed kernel.
+
+    Returns (alpha, b, iters, converged). Optimality: there is a b
+    satisfying every KKT box condition within `tol`; `converged` is True
+    only when the solver stopped on that test, and `iters` counts the pair
+    updates made. State (t = y - G and the bound-set eligibility penalties)
+    is maintained incrementally, in preallocated buffers, and the
+    two-variable subproblem is solved on Python floats, to keep iterations
+    cheap. The solve starts from alpha = 0, or from a given feasible
+    `alpha` (0 <= alpha <= C, sum alpha y = 0), such as the solution at a
+    smaller C on the same kernel.
+    """
+    n = len(y)
+    C = float(C)
+    t = y.astype(float).copy()  # y - G, the per-item implied bias
+    ys = t.tolist()
+    a = [0.0] * n  # alpha
+    diag = np.diag(K)
+    K_rows = list(K)
+    # Row i is the second-order curvature diag_i + diag_j - 2 K_ij of every pair (i, j).
+    eta_rows = list(np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, 1e-12))
+    eps = 1e-12
+    inf = math.inf
+    # Eligibility to bound b from below (i side) / above (j side), kept as
+    # penalties added to t: 0 where eligible, -inf / +inf where not.
+    y_pos = y > 0
+    lb_pen = np.where(y_pos, 0.0, -inf)  # at alpha = 0: +1 items can still grow
+    ub_pen = np.where(y_pos, inf, 0.0)
+    t_lb = np.empty(n)
+    delta = np.empty(n)  # t_i - t on the j side, -inf elsewhere
+    cand = np.empty(n, dtype=bool)
+    gain = np.empty(n)
+    step = np.empty(n)
+
+    def refresh(k):
+        ak = a[k]
+        if ys[k] > 0:
+            lb_pen[k] = 0.0 if ak < C - eps else -inf
+            ub_pen[k] = 0.0 if ak > eps else inf
+        else:
+            lb_pen[k] = 0.0 if ak > eps else -inf
+            ub_pen[k] = 0.0 if ak < C - eps else inf
+
+    if alpha is not None:
+        alpha = np.asarray(alpha, dtype=float)
+        t -= K @ (alpha * y)
+        a = alpha.tolist()
+        for k in range(n):
+            refresh(k)
+    iters = 0
+    converged = False
+    while iters < max_iter:
+        np.add(t, lb_pen, out=t_lb)
+        i = int(t_lb.argmax())
+        t_i = t_lb.item(i)
+        np.subtract(t_i, np.add(t, ub_pen, out=delta), out=delta)
+        if delta.item(delta.argmax()) <= 2.0 * tol:  # max over j of t_i - t_j
+            converged = True
+            break
+        # Second-order partner: maximize the guaranteed objective gain
+        # delta^2 / eta among violating candidates.
+        np.greater(delta, 1e-15, out=cand)
+        eta_i = eta_rows[i]
+        gain.fill(-inf)
+        np.divide(np.multiply(delta, delta, out=step), eta_i, out=gain, where=cand)
+        j = int(gain.argmax())
+        if gain.item(j) == -inf:
+            break
+        # Two-variable subproblem on (i, j) with the rest fixed.
+        a_i, a_j, y_i, y_j = a[i], a[j], ys[i], ys[j]
+        if y_i != y_j:
+            lo = max(0.0, a_j - a_i)
+            hi = min(C, C + a_j - a_i)
+        else:
+            lo = max(0.0, a_i + a_j - C)
+            hi = min(C, a_i + a_j)
+        if hi - lo < 1e-14:
+            break
+        # E_i - E_j = t_j - t_i = -delta[j]
+        aj_new = min(max(a_j - y_j * delta.item(j) / eta_i.item(j), lo), hi)
+        delta_j = aj_new - a_j
+        if abs(delta_j) < 1e-14:
+            break
+        ai_new = a_i - y_i * y_j * delta_j
+        # t -= y_i (ai_new - a_i) K_i + y_j delta_j K_j, in that operation order.
+        np.multiply(K_rows[i], y_i * (ai_new - a_i), out=step)
+        step += np.multiply(K_rows[j], y_j * delta_j, out=gain)
+        t -= step
+        a[i], a[j] = ai_new, aj_new
+        refresh(i)
+        refresh(j)
+        iters += 1
+    b_low = np.max(np.where(lb_pen == 0.0, t, -inf))
+    b_up = np.min(np.where(ub_pen == 0.0, t, inf))
+    if not np.isfinite(b_low):
+        b = b_up if np.isfinite(b_up) else 0.0
+    elif not np.isfinite(b_up):
+        b = b_low
+    else:
+        b = 0.5 * (b_low + b_up)
+    return np.array(a), float(b), iters, converged
+
+
+def inner_grid_search_full(train, spec, seed):
+    """`evaluation._inner_grid_search` without its early stop: every grid
+    point is scored on every inner split. Returns (params, scores), scores
+    being the F1 of each grid point (rows, in grid order) on each split.
+
+    LDA and SVM points are scored by the sign of the uncalibrated decision
+    value; on each split, the SVMs of one kernel are solved in ascending C,
+    each seeded with the previous alpha. Other kinds are scored by their
+    posterior argmax. The first point whose mean F1 beats every earlier one
+    by more than 1e-12 is picked. The search fits through the library's own
+    learners and F1, so only the search itself is independent.
+    """
+    from adaffect.core import stratified_folds
+    from adaffect.evaluation import f1_score, fit_model, predict_proba
+    from adaffect.learners import shallow
+
+    names = sorted(spec.grid)
+    candidates = [dict(spec.params, **dict(zip(names, values)))
+                  for values in itertools.product(*(spec.grid[k] for k in names))]
+    y = train.y_signs()
+    n_folds = int(min(5, np.sum(y > 0), np.sum(y < 0)))
+    splits = []
+    for test_idx in stratified_folds(y, n_folds, np.random.default_rng(seed)):
+        fit_idx = np.setdiff1d(np.arange(len(y)), test_idx)
+        if len(test_idx) and len(np.unique(y[fit_idx])) == 2:
+            splits.append((train.subset(fit_idx), train.subset(test_idx)))
+    scores = np.zeros((len(candidates), len(splits)))
+    for s, (fit_set, test_set) in enumerate(splits):
+        truth = test_set.y_signs()
+        if spec.kind not in shallow.SHALLOW_KINDS:
+            for c, candidate in enumerate(candidates):
+                proba = predict_proba(spec.kind, fit_model(spec.kind, fit_set, candidate, seed), test_set)
+                scores[c, s] = f1_score(np.where(proba[:, 0] > proba[:, 1], 1.0, -1.0), truth)
+            continue
+        hypers = [shallow._hyperparams(spec.kind, c) for c in candidates]
+        kernel_keys = [sorted((k, v) for k, v in h.items() if k != "C") for h in hypers]
+        done = set()
+        for c in range(len(candidates)):
+            if c in done:
+                continue
+            chain = [m for m in range(len(candidates)) if kernel_keys[m] == kernel_keys[c]]
+            chain.sort(key=lambda m: hypers[m].get("C", 0.0))
+            alpha = None
+            for m in chain:
+                model = shallow._fit_uncalibrated(fit_set.X, fit_set.y_signs(), spec.kind, hypers[m], alpha)
+                alpha = model.train_meta.get("alpha")
+                scores[m, s] = f1_score(np.where(model.decision_values(test_set.X) > 0.0, 1.0, -1.0), truth)
+                done.add(m)
+    best, best_f1 = 0, -1.0
+    for c in range(len(candidates)):
+        mean = float(np.mean(scores[c]))
+        if mean > best_f1 + 1e-12:
+            best, best_f1 = c, mean
+    return candidates[best], scores
 
 
 # --------------------------------------------------------------------- cnn

@@ -443,6 +443,32 @@ class TestModelSerialization:
         assert err.startswith("warning: linear_svm: 3 of 3 final fold fits stopped without meeting")
         assert err.count("\n") == 1
 
+    def test_train_and_evaluate_warn_on_unconverged_calibration(self, tmp_path, capsys, monkeypatch):
+        # Only the Platt calibration solves stop short: `_smo` is capped at one
+        # iteration while `_cross_fitted_scores` runs.
+        from adaffect.learners import shallow
+
+        smo, cross_fitted = shallow._smo, shallow._cross_fitted_scores
+
+        def capped_calibration(*args):
+            monkeypatch.setattr(shallow, "_smo", lambda K, y, C, alpha=None: smo(K, y, C, max_iter=1, alpha=alpha))
+            try:
+                return cross_fitted(*args)
+            finally:
+                monkeypatch.setattr(shallow, "_smo", smo)
+
+        monkeypatch.setattr(shallow, "_cross_fitted_scores", capped_calibration)
+        feats = self.write_features(tmp_path, self.features().features)
+        assert run("train", "--features", feats, "--model", "linear_svm", "--out", tmp_path / "m.json") == 0
+        err = capsys.readouterr().err
+        assert err == ("warning: linear_svm C=1.0: 3 of 3 Platt calibration solves stopped without meeting "
+                       "the KKT tolerance\n")
+        assert run("evaluate", "--features", feats, "--model", "linear_svm", "--grid", "C=1",
+                   "--reps", 1, "--folds", 3, "--out", tmp_path / "r.csv") == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: linear_svm: 3 of 3 final fold fits stopped without meeting")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("hyper, field", [
         ("dropout=1.0", "dropout"),
         ("learning_rate=-1", "learning_rate"),

@@ -14,7 +14,7 @@ from adaffect.evaluation import (
     west_fuse,
 )
 from adaffect.synthgen import GenSpec, gen_quadrant_data
-from oracles import f1_bruteforce
+from oracles import f1_bruteforce, inner_grid_search_full
 
 H = AffectLabel.HIGH
 L = AffectLabel.LOW
@@ -53,11 +53,29 @@ class TestF1:
         assert f1_score(np.array([1.0, -1.0]), np.array([1.0, -1.0])) == 1.0
 
 
-def small_features(n_per=8, seed=0):
+def small_features(n_per=8, seed=0, separation=6.0):
     return gen_quadrant_data(
-        GenSpec(seed=seed, n_per_task=n_per, dims=9, class_separation=6.0,
+        GenSpec(seed=seed, n_per_task=n_per, dims=9, class_separation=separation,
                 task_correlation=0.5, noise_std=0.1)
     ).features
+
+
+def weak_features():
+    """A set on which no default or test grid point scores F1 1 on every
+    inner split of `cross_validate(..., reps=1, folds=3, seed=6)`, so the
+    inner search scores every grid point."""
+    return small_features(seed=2, separation=2.0)
+
+
+def tie_heavy_features():
+    """Two item patterns, each under both labels: every model predicts one
+    label per pattern, so many grid points score the same F1."""
+    rng = np.random.default_rng(12)
+    base = rng.normal(size=(2, 9))
+    X = np.repeat(base, 12, axis=0) + 1e-3 * rng.normal(size=(24, 9))
+    labels = ([H] * 8 + [L] * 4) + ([H] * 4 + [L] * 8)
+    quads = [Quadrant.from_code(code) for code in ("HH", "HL", "LL", "LH")] * 6
+    return FeatureMatrix(X, labels, quads, [f"i{i}" for i in range(24)])
 
 
 class TestCrossValidate:
@@ -165,7 +183,7 @@ class TestCrossValidate:
         monkeypatch.setattr(shallow, "_fit_uncalibrated", rank_spy)
         monkeypatch.setattr(evaluation, "shallow_fit", fit_spy)
         spec = ModelSpec("lda", grid={"shrinkage": [0.2, 0.7]})
-        cross_validate(small_features(), spec, reps=1, folds=3, seed=6)
+        cross_validate(weak_features(), spec, reps=1, folds=3, seed=6)
         # Per outer fold: 2 grid points x 5 inner folds, then the final fit.
         assert len(shrinkages) == 3 * (2 * 5 + 1)
         assert shrinkages[:10] == [0.2] * 5 + [0.7] * 5
@@ -184,8 +202,45 @@ class TestCrossValidate:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(shallow, "_fit_uncalibrated", spy)
-        cross_validate(small_features(), ModelSpec(kind), reps=1, folds=3, seed=6)
+        cross_validate(weak_features(), ModelSpec(kind), reps=1, folds=3, seed=6)
         assert len(calls) == 3 * per_fold
+
+    @pytest.mark.parametrize("kind", ["linear_svm", "rbf_svm"])
+    def test_search_stops_at_the_first_perfect_grid_point(self, monkeypatch, kind):
+        # On a well-separated set the first default grid point scores F1 1 on
+        # every inner split, so it is the only one solved: 5 inner solves,
+        # then the final model's solve and its 3 calibration solves.
+        from adaffect.learners import shallow
+
+        calls = []
+        original = shallow._fit_uncalibrated
+
+        def spy(*args, **kwargs):
+            calls.append(args[3]["C"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shallow, "_fit_uncalibrated", spy)
+        feats = gen_quadrant_data(GenSpec(seed=7101, n_per_task=30, dims=16, class_separation=10.0,
+                                          task_correlation=0.5, noise_std=0.1)).features
+        cross_validate(feats, ModelSpec(kind), reps=1, folds=5, seed=71)
+        assert len(calls) == 5 * (5 + 4)
+        assert calls[:5] == [0.1] * 5
+
+    @pytest.mark.parametrize("data", ["separable", "weak", "tie_heavy"])
+    @pytest.mark.parametrize("kind, grid", [
+        ("linear_svm", None),
+        ("rbf_svm", None),
+        ("lda", {"shrinkage": [0.0, 0.2, 0.7, 1.0]}),
+        ("linear_svm", {"C": [10.0, 1.0]}),
+        ("mtl", {"alpha": [0.1, 1.0, 10.0]}),
+    ])
+    def test_search_picks_what_scoring_every_grid_point_picks(self, data, kind, grid):
+        from adaffect.evaluation import _inner_grid_search
+
+        feats = {"separable": small_features, "weak": weak_features, "tie_heavy": tie_heavy_features}[data]()
+        spec = ModelSpec(kind, grid=grid)
+        for seed in (0, 1, 2):
+            assert _inner_grid_search(feats, spec, seed) == inner_grid_search_full(feats, spec, seed)[0], seed
 
     @pytest.mark.parametrize("grid_C", [[10.0, 1.0], [1.0, 10.0]])
     def test_equal_scoring_grid_points_pick_the_first(self, monkeypatch, grid_C):
@@ -206,8 +261,8 @@ class TestCrossValidate:
         monkeypatch.setattr(evaluation, "_shallow_scores", scores_spy)
         monkeypatch.setattr(evaluation, "shallow_fit", fit_spy)
         spec = ModelSpec("linear_svm", grid={"C": grid_C})
-        cross_validate(small_features(), spec, reps=1, folds=3, seed=6)
-        assert len(means) == 3 and all(m[0] == m[1] for m in means)
+        cross_validate(weak_features(), spec, reps=1, folds=3, seed=6)
+        assert len(means) == 3 and all(m[0] == m[1] < 1.0 for m in means)
         assert finals == [grid_C[0]] * 3
 
     def test_thread_pool_matches_serial(self, monkeypatch):

@@ -1,8 +1,14 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaffect.core import AffectLabel, FeatureMatrix, Quadrant
 from adaffect.fileio import (
+    fmt,
     read_eeg_epoch,
     read_feature_csv,
     read_frame_dir,
@@ -14,9 +20,12 @@ from adaffect.fileio import (
     write_feature_csv,
     write_frame_dir,
     write_ppm,
+    write_descriptor_csv,
     write_predictions_csv,
+    write_spectrogram_csv,
     write_wav,
 )
+from adaffect.media import DescriptorSeries, Spectrogram
 
 
 class TestWav:
@@ -143,3 +152,53 @@ class TestCsvTables:
         path.write_text("ad_id,segment_id,p_high,p_low\nx,0,0.2,0.8\ny,0,0.9,0.1\nx,1,0.4,0.6\n")
         groups = read_segment_posteriors_csv(path)
         assert groups == {"x": [0.2, 0.4], "y": [0.9]}
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, 1.0 / 3.0, float("inf"), float("-inf"), float("nan")]
+
+
+@st.composite
+def float_rows(draw):
+    n_rows = draw(st.integers(1, 5))
+    n_cols = draw(st.integers(1, 6))
+    value = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+    return np.array(draw(st.lists(st.lists(value, min_size=n_cols, max_size=n_cols),
+                                  min_size=n_rows, max_size=n_rows)))
+
+
+class TestFloatRows:
+    """Each writer renders a row of floats as one join of reprs; the bytes
+    equal the per-value `fmt` rendering. Feature and descriptor values must
+    be finite, so their non-finite draws are replaced by 1e300."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(float_rows())
+    def test_row_writers_match_per_value_fmt(self, values):
+        def row(r):
+            return ",".join(fmt(v) for v in r)
+
+        ids = [f"i{i}" for i in range(len(values))]
+        labels = [AffectLabel.HIGH if i % 2 else AffectLabel.LOW for i in range(len(values))]
+        finite = np.where(np.isfinite(values), values, 1e300)
+        mags = np.where(values < 0, -values, values)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_spectrogram_csv(tmp / "s.csv", Spectrogram(mags, 25.0, 10.0, 16000))
+            write_descriptor_csv(tmp / "d.csv", DescriptorSeries(finite))
+            quads = [Quadrant.from_code("HL")] * len(values)
+            write_feature_csv(tmp / "f.csv", FeatureMatrix(finite, labels, quads, ids))
+            write_predictions_csv(tmp / "p.csv", ids, labels, values[:, [0, -1]])
+            written = {name: (tmp / f"{name}.csv").read_text() for name in "sdfp"}
+        n, d = values.shape
+        expect = {
+            "s": [f"# window_ms=25.0,hop_ms=10.0,sample_rate=16000,frames={n},bins={d}"]
+                 + [row(r) for r in mags],
+            "d": ["second," + ",".join(f"d{j}" for j in range(d))]
+                 + [f"{s}," + row(r) for s, r in enumerate(finite)],
+            "f": ["item_id,label,quadrant," + ",".join(f"f{j}" for j in range(d))]
+                 + [",".join([iid, lab.value, "HL"] + [fmt(v) for v in r]) for iid, lab, r in zip(ids, labels, finite)],
+            "p": ["item_id,truth,p_high,p_low"]
+                 + [f"{iid},{lab.value},{fmt(r[0])},{fmt(r[-1])}" for iid, lab, r in zip(ids, labels, values)],
+        }
+        for name, lines in expect.items():
+            assert written[name] == "\n".join(lines) + "\n", name

@@ -10,8 +10,9 @@ from adaffect.learners.shallow import (
     shallow_fit,
     shallow_predict,
     shallow_predict_proba,
+    unconverged_solves,
 )
-from oracles import reference_smo
+from oracles import reference_seeded_smo, reference_smo
 
 
 def gaussian_clouds(n=40, separation=6.0, dims=4, seed=0):
@@ -109,6 +110,29 @@ class TestSvm:
         assert meta["converged"] is True
         assert meta["iters"] > 0
 
+    def test_calibration_solves_recorded(self, monkeypatch):
+        from adaffect.learners import shallow
+
+        X, y = gaussian_clouds(n=30, separation=3.0, seed=12)
+        model = shallow_fit(X, y, "linear_svm")
+        assert model.train_meta["calibration_converged"] == [True] * 3
+        assert unconverged_solves(model) == (False, 0)
+        assert unconverged_solves(shallow_fit(X, y, "lda")) == (False, 0)
+
+        smo = shallow._smo
+        calls = []
+
+        def fail_after_first(K, y, C, alpha=None):  # the model's own solve comes first
+            calls.append(len(y))
+            return smo(K, y, C, max_iter=1 if len(calls) > 1 else 400000, alpha=alpha)
+
+        monkeypatch.setattr(shallow, "_smo", fail_after_first)
+        model = shallow_fit(X, y, "linear_svm")
+        assert calls[0] == len(y) and len(calls) == 4
+        assert model.train_meta["converged"] is True
+        assert model.train_meta["calibration_converged"] == [False] * 3
+        assert unconverged_solves(model) == (False, 3)
+
     def test_iteration_cap_reports_not_converged(self):
         X, y = gaussian_clouds(n=30, separation=1.5, seed=13)
         alpha, b, iters, converged = _smo(X @ X.T, y, 1.0, max_iter=1)
@@ -194,6 +218,26 @@ class TestSmoMatchesReference:
             alpha, b, _, _ = _smo(K, y, C)
             assert np.array_equal(alpha, ref_alpha), f"C={C}"
             assert b == ref_b, f"C={C}"
+
+
+class TestSmoSeededMatchesReference:
+    """Along a warm-started C chain, every solve reproduces the penalty-array
+    solver bit for bit: alpha, b, iteration count and convergence flag."""
+
+    @pytest.mark.parametrize("variant", ["balanced", "duplicates", "one_vs_rest"])
+    @pytest.mark.parametrize("n", [20, 50, 96])
+    @pytest.mark.parametrize("kind,gamma", [("linear_svm", None), ("rbf_svm", 1.0 / 16),
+                                            ("rbf_svm", 0.01), ("rbf_svm", 0.1)])
+    def test_chain_identical(self, variant, n, kind, gamma):
+        X, y = quadrant_set(n, variant, seed=n)
+        K = _kernel(kind, gamma)(X, X)
+        seed = None
+        for C in (0.1, 1.0, 10.0, 100.0):
+            ref_alpha, ref_b, ref_iters, ref_converged = reference_seeded_smo(K, y, C, alpha=seed)
+            alpha, b, iters, converged = _smo(K, y, C, alpha=seed)
+            assert alpha.tobytes() == ref_alpha.tobytes(), f"C={C}"  # -0.0 differs from 0.0
+            assert repr(b) == repr(ref_b) and iters == ref_iters and converged is ref_converged, f"C={C}"
+            seed = alpha
 
 
 class TestSmoWarmStart:
