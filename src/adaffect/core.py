@@ -12,6 +12,7 @@ import csv
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,6 +208,13 @@ def stratified_folds(y_signs: np.ndarray, n_folds: int, rng) -> list[np.ndarray]
         for pos, item in enumerate(idx):
             folds[pos % n_folds].append(int(item))
     return [np.array(sorted(f), dtype=int) for f in folds]
+
+
+def check_real(name: str, value, ok, bound: str) -> None:
+    """Raise ValueError naming `name` and `value` unless `value` is a real
+    number, not a bool, for which `ok(value)` holds; `bound` says which are."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
 @dataclass

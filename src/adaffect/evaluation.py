@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import AffectLabel, FeatureMatrix, stratified_folds
+from .core import AffectLabel, FeatureMatrix, check_real, stratified_folds
 from .learners import shallow
 from .learners.cnn import CnnConfig, cnn_predict_proba, cnn_train
 from .learners.mtl import build_task_graph, mtl_fit, mtl_predict_proba
@@ -33,8 +33,9 @@ class MisalignedItemsError(ValueError):
     """Fusion inputs do not describe the same items."""
 
 
-def f1_score(pred, truth, positive=AffectLabel.HIGH) -> float:
-    """Harmonic mean of precision and recall; 0 when both are undefined.
+def f1_score(pred, truth) -> float:
+    """Harmonic mean of precision and recall of the High class; 0 when both
+    are undefined.
 
     pred/truth may be AffectLabel sequences or +1/-1 sign arrays.
     """
@@ -42,8 +43,7 @@ def f1_score(pred, truth, positive=AffectLabel.HIGH) -> float:
     truth = _as_signs(truth)
     if pred.shape != truth.shape:
         raise ValueError("pred and truth must have equal length")
-    pos = 1.0 if positive is AffectLabel.HIGH else -1.0
-    return float(_f1_rows(pred == pos, truth == pos))
+    return float(_f1_rows(pred == 1.0, truth == 1.0))
 
 
 def _f1_rows(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -84,9 +84,7 @@ def _fit_mtl(kind, features, params, seed):
         idx = [i for i, q in enumerate(features.quadrants) if q == quad]
         Xs.append(features.X[idx])
         Ys.append(y[idx])
-    params = dict(MTL_DEFAULTS, **params)
-    params["max_iter"] = int(params["max_iter"])
-    return mtl_fit(Xs, Ys, graph=graph, **params)
+    return mtl_fit(Xs, Ys, graph=graph, **dict(MTL_DEFAULTS, **params))
 
 
 def _fit_cnn(kind, features, params, seed):
@@ -167,7 +165,12 @@ def _grid_points(grid: dict) -> list[dict]:
 
 def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict:
     """Pick the spec's params plus the grid point with the best mean F1
-    over an inner 5-fold split of `train` (the first point wins ties)."""
+    over an inner 5-fold split of `train` (the first point wins ties).
+
+    Grid points are scored in order, and the search stops after the first
+    one that scores F1 1 on every split: a later point would need a mean
+    above it by 1e-12, and no F1 exceeds 1.
+    """
     candidates = [dict(spec.params, **point) for point in _grid_points(spec.grid)]
     y = train.y_signs()
     n_folds = int(min(5, np.sum(y > 0), np.sum(y < 0)))
@@ -181,46 +184,34 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
     if not splits:
         return candidates[0]
     if spec.kind in SHALLOW_KINDS:
-        scores = _shallow_scores(spec.kind, candidates, splits)
+        labels = _shallow_labels(spec.kind, candidates, splits)
     else:
-        def score(i, scores):
-            for s, (fit_set, test_set) in enumerate(splits):
-                model = fit_model(spec.kind, fit_set, candidates[i], seed)
-                scores[i, s] = f1_score(_argmax_signs(predict_proba(spec.kind, model, test_set)), test_set.y_signs())
-        scores = _scores_in_order(len(candidates), len(splits), score)
+        def labels(i, s):
+            fit_set, test_set = splits[s]
+            model = fit_model(spec.kind, fit_set, candidates[i], seed)
+            return _argmax_signs(predict_proba(spec.kind, model, test_set))
+    truths = [test_set.y_signs() for _, test_set in splits]
     best_f1, best = -1.0, candidates[0]
-    for candidate, mean in zip(candidates, scores.mean(axis=1)):
+    for i, candidate in enumerate(candidates):
+        f1s = np.array([f1_score(labels(i, s), truth) for s, truth in enumerate(truths)])
+        mean = f1s.mean()
         if mean > best_f1 + 1e-12:
             best_f1, best = float(mean), candidate
+        if np.all(f1s == 1.0):
+            break
     return best
 
 
-def _scores_in_order(n_candidates: int, n_splits: int, score) -> np.ndarray:
-    """F1 of each candidate (rows) on each split (columns), -inf where not
-    scored. `score(i, scores)` fills row i (and may fill others), candidate
-    by candidate, until one scores 1 on every split: no later candidate can
-    be picked, since a pick needs a mean F1 above the best so far by 1e-12
-    and no F1 exceeds 1.
-    """
-    scores = np.full((n_candidates, n_splits), -np.inf)
-    for i in range(n_candidates):
-        score(i, scores)
-        if np.all(scores[i] == 1.0):
-            break
-    return scores
-
-
-def _shallow_scores(kind: str, candidates: list[dict], splits) -> np.ndarray:
-    """F1 of each candidate (rows) on each split (columns), predicting High
-    where the uncalibrated decision value is positive: the search only
-    ranks these models, so none of them is Platt-calibrated. Candidates are
-    scored in order as `_scores_in_order` says; those never scored get -inf.
+def _shallow_labels(kind: str, candidates: list[dict], splits):
+    """`labels(i, s)`: +1 where candidate i's uncalibrated decision value on
+    split s's test items is positive, else -1. The search only ranks these
+    models, so none of them is Platt-calibrated.
 
     On each split, the SVM candidates that share a kernel are solved in
     ascending C, each starting from the previous solution: alpha from a
-    smaller C lies in the larger box and keeps sum alpha y = 0. Scoring a
-    candidate first solves and scores the smaller-C candidates of its
-    kernel that are not solved yet.
+    smaller C lies in the larger box and keeps sum alpha y = 0. So labelling
+    a candidate first solves the smaller-C candidates of its kernel on that
+    split that are not solved yet; no (candidate, split) is solved twice.
     """
     hypers = [shallow._hyperparams(kind, c) for c in candidates]
     kernels: dict[str, list[int]] = {}
@@ -231,20 +222,21 @@ def _shallow_scores(kind: str, candidates: list[dict], splits) -> np.ndarray:
         members.sort(key=lambda i: hypers[i].get("C", 0.0))
         for k, i in enumerate(members):
             chain[i] = members[:k + 1]
-    data = [(fit_set.X, fit_set.y_signs(), test_set.X, test_set.y_signs()) for fit_set, test_set in splits]
-    alphas = {}  # (first candidate of the kernel, split) -> alpha of the kernel's last solve
+    data = [(fit_set.X, fit_set.y_signs(), test_set.X) for fit_set, test_set in splits]
+    solved = {}  # (candidate, split) -> (alpha of the solve, labels)
 
-    def score(i, scores):
-        kernel = chain[i][0]
+    def labels(i, s):
+        X, y, X_test = data[s]
+        alpha = None
         for m in chain[i]:
-            if scores[m, 0] != -np.inf:  # solved already
-                continue
-            for s, (X, y, X_test, y_test) in enumerate(data):
-                model = shallow._fit_uncalibrated(X, y, kind, hypers[m], alphas.get((kernel, s)))
-                alphas[kernel, s] = model.train_meta.get("alpha")
-                scores[m, s] = f1_score(np.where(model.decision_values(X_test) > 0.0, 1.0, -1.0), y_test)
+            if (m, s) not in solved:
+                model = shallow._fit_uncalibrated(X, y, kind, hypers[m], alpha)
+                signs = np.where(model.decision_values(X_test) > 0.0, 1.0, -1.0)
+                solved[m, s] = model.train_meta.get("alpha"), signs
+            alpha = solved[m, s][0]
+        return solved[i, s][1]
 
-    return _scores_in_order(len(candidates), len(splits), score)
+    return labels
 
 
 def _argmax_signs(proba: np.ndarray) -> np.ndarray:
@@ -326,7 +318,8 @@ def west_fuse(
 
     P_j = sum_i alpha_i t_i p_ij with t_i = alpha_i F_i / sum_i alpha_i F_i.
     With `alphas` given the weights are fixed; otherwise a grid search over
-    alpha in [0,1]^2 (or alpha2 = 1 - alpha1 when mode="convex") picks the
+    alpha in [0,1]^2 in steps of `grid_step`, a number in (0, 1] (or
+    alpha2 = 1 - alpha1 when mode="convex"), picks the
     pair maximizing F1 against `truth`, breaking ties toward the smallest
     (alpha1, alpha2) lexicographically. Grid points where both effective
     weights vanish are skipped. The labels are the sign of the fused
@@ -340,6 +333,7 @@ def west_fuse(
         raise ValueError("training F1 weights must lie in [0, 1]")
     if mode not in ("joint", "convex"):
         raise ValueError(f"unknown mode {mode!r}")
+    check_real("grid_step", grid_step, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 
     if alphas is not None:
         grid = np.array([alphas], dtype=float)

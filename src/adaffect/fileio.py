@@ -190,13 +190,9 @@ def list_eeg_epochs(dirpath):
 
 # ------------------------------------------------------------- CSV tables
 
-def write_feature_csv(path, features: FeatureMatrix, names: list[str] | None = None):
-    """item_id,label,quadrant,then one column per feature dimension."""
-    d = features.n_dims
-    names = names or [f"f{j}" for j in range(d)]
-    if len(names) != d:
-        raise ValueError("feature name count must match dimensionality")
-    lines = ["item_id,label,quadrant," + ",".join(names)]
+def write_feature_csv(path, features: FeatureMatrix):
+    """item_id,label,quadrant,then one column per feature dimension (f0, f1, ...)."""
+    lines = ["item_id,label,quadrant," + ",".join(f"f{j}" for j in range(features.n_dims))]
     for iid, label, quad, row in zip(features.item_ids, features.labels, features.quadrants, features.X.tolist()):
         lines.append(",".join([iid, label.value, quad.code, *map(repr, row)]))
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ..core import check_real
 from .shallow import DimensionMismatchError
 
 
@@ -63,9 +64,7 @@ class CnnConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"CnnConfig {name} must be an integer >= {low}, got {value!r}")
         for name, (ok, bound) in _REAL_BOUNDS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
-                raise ValueError(f"CnnConfig {name} must be {bound}, got {value!r}")
+            check_real(f"CnnConfig {name}", getattr(self, name), ok, bound)
 
 
 @dataclass
@@ -77,6 +76,16 @@ class CnnModel:
 
     def n_params(self) -> int:
         return sum(int(np.prod(p.shape)) for p in self.params.values())
+
+    def to_dict(self) -> dict:
+        """The fields a model file stores (not `history`); arrays stay arrays."""
+        return {"kind": "cnn", "hyperparams": asdict(self.config), "input_dim": self.input_dim,
+                "params": self.params}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "CnnModel":
+        params = {k: np.asarray(v, dtype=float) for k, v in doc["params"].items()}
+        return cls(CnnConfig(**doc["hyperparams"]), int(doc["input_dim"]), params)
 
 
 def expected_param_count(k: int, config: CnnConfig = CnnConfig()) -> int:

@@ -18,35 +18,41 @@ def _relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / denom
 
 
+def _max_error(arrays, grads, value, n_coords: int, h: float, seed: int) -> float:
+    """Max relative error of `grads` against central differences of
+    `value()` over <= n_coords coordinates, drawn at random from the
+    concatenated flat index of `arrays`. Each drawn coordinate is perturbed
+    in place, so `value()` must read `arrays`, and then restored."""
+    flats = [a.reshape(-1) for a in arrays]
+    grads = [np.reshape(g, -1) for g in grads]
+    offsets = np.cumsum([0] + [f.size for f in flats])
+    total = int(offsets[-1])
+    coords = np.arange(total)
+    if total > n_coords:
+        coords = np.random.default_rng(seed).choice(total, size=n_coords, replace=False)
+    worst = 0.0
+    for coord in coords:
+        k = int(np.searchsorted(offsets, coord, side="right")) - 1
+        flat, local = flats[k], coord - offsets[k]
+        orig = flat[local]
+        flat[local] = orig + h
+        up = value()
+        flat[local] = orig - h
+        down = value()
+        flat[local] = orig
+        numeric = (up - down) / (2.0 * h)
+        worst = max(worst, _relative_error(grads[k][local], numeric))
+    return worst
+
+
 def grad_check_cnn(model: CnnModel, X, y_targets, n_coords: int = 200,
                    h: float = 1e-5, seed: int = 0) -> float:
     """Max relative gradient error over <= n_coords random parameters."""
     X = np.asarray(X, dtype=float)
     targets = np.asarray(y_targets)
     analytic = cnn_gradients(model, X, targets)
-    rng = np.random.default_rng(seed)
-
-    coords = []
-    for key, arr in model.params.items():
-        for flat_idx in range(arr.size):
-            coords.append((key, flat_idx))
-    if len(coords) > n_coords:
-        chosen = rng.choice(len(coords), size=n_coords, replace=False)
-        coords = [coords[i] for i in chosen]
-
-    worst = 0.0
-    for key, flat_idx in coords:
-        arr = model.params[key]
-        flat = arr.reshape(-1)
-        orig = flat[flat_idx]
-        flat[flat_idx] = orig + h
-        up = cnn_loss(model, X, targets)
-        flat[flat_idx] = orig - h
-        down = cnn_loss(model, X, targets)
-        flat[flat_idx] = orig
-        numeric = (up - down) / (2.0 * h)
-        worst = max(worst, _relative_error(analytic[key].reshape(-1)[flat_idx], numeric))
-    return worst
+    return _max_error(list(model.params.values()), [analytic[key] for key in model.params],
+                      lambda: cnn_loss(model, X, targets), n_coords, h, seed)
 
 
 def grad_check_mtl_smooth(W, bias, Xs, Ys, alpha, gamma, graph: TaskGraph,
@@ -58,29 +64,5 @@ def grad_check_mtl_smooth(W, bias, Xs, Ys, alpha, gamma, graph: TaskGraph,
     Ys = [np.asarray(Y, dtype=float).reshape(-1) for Y in Ys]
     R = graph.incidence
     gW, gb, _ = _smooth_grad(W, bias, Xs, Ys, alpha, gamma, R, R @ R.T, fit_intercept=True)
-    analytic = np.concatenate([gW.reshape(-1), gb])
-    rng = np.random.default_rng(seed)
-    n_total = analytic.size
-    idx = np.arange(n_total)
-    if n_total > n_coords:
-        idx = rng.choice(n_total, size=n_coords, replace=False)
-
-    def value():
-        return _smooth_value(W, bias, Xs, Ys, alpha, gamma, R)
-
-    flatW = W.reshape(-1)
-    worst = 0.0
-    for coord in idx:
-        if coord < flatW.size:
-            target, local = flatW, coord
-        else:
-            target, local = bias, coord - flatW.size
-        orig = target[local]
-        target[local] = orig + h
-        up = value()
-        target[local] = orig - h
-        down = value()
-        target[local] = orig
-        numeric = (up - down) / (2.0 * h)
-        worst = max(worst, _relative_error(analytic[coord], numeric))
-    return worst
+    return _max_error([W, bias], [gW, gb], lambda: _smooth_value(W, bias, Xs, Ys, alpha, gamma, R),
+                      n_coords, h, seed)

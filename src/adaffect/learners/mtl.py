@@ -13,11 +13,12 @@ backtracking, soft-thresholding the l1 term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import ALL_QUADRANTS, Quadrant
+from ..core import ALL_QUADRANTS, Quadrant, check_real
 from .shallow import logistic
 
 
@@ -67,6 +68,28 @@ class MtlModel:
     @property
     def n_dims(self) -> int:
         return self.W.shape[0]
+
+    def to_dict(self) -> dict:
+        """The fields a model file stores (not `objective_history`); arrays stay arrays."""
+        return {
+            "kind": "mtl",
+            "hyperparams": {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
+                            "fit_intercept": self.fit_intercept},
+            "tasks": [t.code for t in self.graph.tasks],
+            "edges": self.graph.edges,
+            "W": self.W,
+            "bias": self.bias,
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "MtlModel":
+        graph = build_task_graph([Quadrant.from_code(c) for c in doc["tasks"]])
+        if [tuple(e) for e in doc["edges"]] != graph.edges:
+            raise ValueError(f"mtl model edges {doc['edges']} differ from the task graph's {graph.edges}")
+        hyper = doc["hyperparams"]
+        return cls(W=np.asarray(doc["W"], dtype=float), bias=np.asarray(doc["bias"], dtype=float), graph=graph,
+                   alpha=float(hyper["alpha"]), beta=float(hyper["beta"]), gamma=float(hyper["gamma"]),
+                   fit_intercept=bool(hyper.get("fit_intercept", False)))
 
 
 def _smooth_value(W, bias, Xs, Ys, alpha, gamma, R):
@@ -144,8 +167,11 @@ def mtl_fit(
     d = Xs[0].shape[1]
     if any(X.shape[1] != d for X in Xs):
         raise ValueError("all tasks must share one feature dimensionality")
-    if min(alpha, beta, gamma) < 0.0:
-        raise ValueError("regularizer weights must be nonnegative")
+    for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("tol", tol)):
+        check_real(f"mtl {name}", value, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+    check_real("mtl max_iter", max_iter, lambda v: 1 <= v < math.inf, "a finite number >= 1")
+    if not isinstance(fit_intercept, bool):
+        raise ValueError(f"mtl fit_intercept must be true or false, got {fit_intercept!r}")
     T = len(Xs)
     R = graph.incidence
     RRt = R @ R.T
@@ -163,7 +189,7 @@ def mtl_fit(
     L = 1.0
     history = [mtl_objective(x_W, x_b, Xs, Ys, alpha, beta, gamma, graph)]
 
-    for _ in range(max_iter):
+    for _ in range(int(max_iter)):
         gW, gb, f_y = _smooth_grad(y_W, y_b, Xs, Ys, alpha, gamma, R, RRt, fit_intercept)
         while True:
             z_W = _soft_threshold(y_W - gW / L, beta / L)

@@ -7,11 +7,11 @@ Labels are +1 (High) / -1 (Low); posterior columns are (High, Low).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..core import stratified_folds
+from ..core import check_real, stratified_folds
 
 KKT_TOL = 1e-3
 CALIBRATION_FOLDS = 3  # folds of the out-of-fold decision values that Platt scaling fits
@@ -240,6 +240,18 @@ class ShallowModel:
     calibration: tuple[float, float] = (0.0, 0.0)
     train_meta: dict = field(default_factory=dict)
 
+    def to_dict(self) -> dict:
+        """The fields a model file stores (all but `train_meta`); arrays stay arrays."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "train_meta"}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ShallowModel":
+        arrays = {k: None if doc[k] is None else np.asarray(doc[k], dtype=float)
+                  for k in ("w", "support_vectors", "dual_coef")}
+        return cls(doc["kind"], doc["hyperparams"], int(doc["n_dims"]), b=float(doc["b"]),
+                   gamma=None if doc["gamma"] is None else float(doc["gamma"]),
+                   calibration=tuple(doc["calibration"]), **arrays)
+
     def decision_values(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         single = X.ndim == 1
@@ -335,15 +347,24 @@ DEFAULT_HYPERPARAMS = {
     "rbf_svm": {"C": 1.0, "gamma": "scale"},
 }
 
+#: Allowed values of the shallow hyperparameters: (test, description).
+_HYPER_BOUNDS = {
+    "C": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    "gamma": (lambda v: 0.0 < v < math.inf, '"scale" or a finite number > 0'),
+    "shrinkage": (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+}
+
 
 def _hyperparams(kind: str, hyperparams: dict | None) -> dict:
-    """The kind's defaults, overridden by `hyperparams`."""
+    """The kind's defaults, overridden by `hyperparams`; a value out of
+    bounds (see `_HYPER_BOUNDS`) is an error."""
     if kind not in SHALLOW_KINDS:
         raise ValueError(f"unknown shallow kind {kind!r}")
     hyper = dict(DEFAULT_HYPERPARAMS[kind])
     hyper.update(hyperparams or {})
-    if kind != "lda" and hyper["C"] <= 0:
-        raise ValueError("C must be positive")
+    for name in DEFAULT_HYPERPARAMS[kind]:
+        if not (name == "gamma" and hyper[name] == "scale"):
+            check_real(f"{kind} {name}", hyper[name], *_HYPER_BOUNDS[name])
     return hyper
 
 

@@ -263,6 +263,19 @@ class TestFusePath:
         ids, truths, posts = read_predictions_csv(pa)
         assert len(lines) == 2 + len(ids)
 
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf", "2"])
+    def test_bad_grid_step_exits_1_naming_it(self, tmp_path, capsys, step):
+        preds = tmp_path / "p.csv"
+        preds.write_text(PREDICTIONS)
+        out = tmp_path / "fused.csv"
+        assert run("fuse", "--a", preds, "--b", preds, "--f1a", 0.8, "--f1b", 0.7,
+                   "--grid-step", step, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: grid_step must be a number in (0, 1], got {float(step)!r}\n"
+        assert not out.exists()
+        assert run("fuse", "--a", preds, "--b", preds, "--f1a", 0.8, "--f1b", 0.7,
+                   "--grid-step", 1, "--out", out) == 0
+
 
 PREDICTIONS = "item_id,truth,p_high,p_low\na,H,0.9,0.1\nb,L,0.2,0.8\nc,H,0.7,0.3\nd,L,0.4,0.6\n"
 SEGMENTS = "ad_id,segment_id,p_high,p_low\nad00,seg00,0.3,0.7\nad00,seg01,0.6,0.4\nad01,seg00,0.5,0.5\n"
@@ -389,6 +402,21 @@ class TestModelSerialization:
             cnn_predict_proba(model, data.features.X), cnn_predict_proba(loaded, data.features.X)
         )
 
+    @pytest.mark.parametrize("kind, params", [
+        ("lda", {}), ("linear_svm", {}), ("rbf_svm", {}), ("mtl", {}), ("cnn", {"max_epochs": 2}),
+    ])
+    def test_resaved_model_file_is_byte_identical(self, tmp_path, kind, params):
+        from adaffect.evaluation import fit_model, predict_proba
+
+        features = self.features().features
+        model = fit_model(kind, features, params, seed=1)
+        first, second = tmp_path / "m1.json", tmp_path / "m2.json"
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert np.array_equal(predict_proba(kind, loaded, features), predict_proba(kind, model, features))
+
     def test_edited_mtl_edges_rejected(self, tmp_path):
         data = self.features()
         path = tmp_path / "m.json"
@@ -485,6 +513,23 @@ class TestModelSerialization:
         err = capsys.readouterr().err
         assert err.startswith(f"error: CnnConfig {field} must be ")
         assert err.endswith(f", got {hyper.split('=')[1]}\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, hyper", [
+        ("linear_svm", "C=nan"), ("linear_svm", "C=inf"), ("rbf_svm", "C=0"),
+        ("rbf_svm", "gamma=nan"), ("rbf_svm", "gamma=-1"), ("rbf_svm", "gamma=auto"),
+        ("lda", "shrinkage=nan"), ("lda", "shrinkage=-1"), ("lda", "shrinkage=2"),
+        ("mtl", "alpha=nan"), ("mtl", "beta=inf"), ("mtl", "gamma=-1"), ("mtl", "tol=nan"),
+        ("mtl", "max_iter=-5"), ("mtl", "fit_intercept=3"),
+    ])
+    def test_train_hyper_out_of_bounds_exits_1(self, tmp_path, capsys, kind, hyper):
+        feats = self.write_features(tmp_path, self.features().features)
+        out = tmp_path / "m.json"
+        assert run("train", "--features", feats, "--model", kind, "--hyper", hyper, "--out", out) == 1
+        field, value = hyper.split("=")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind} {field} must be ")
+        assert err.count("\n") == 1 and err.rstrip("\n").split(", got ")[-1].strip("'") == value
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, hyper", [("mtl", "alpah=0.5"), ("linear_svm", "Cc=5")])

@@ -246,22 +246,23 @@ class TestCrossValidate:
     def test_equal_scoring_grid_points_pick_the_first(self, monkeypatch, grid_C):
         from adaffect import evaluation
 
-        means, finals = [], []
-        scores, fit = evaluation._shallow_scores, evaluation.shallow_fit
+        searches, finals = [], []
+        search, fit = evaluation._inner_grid_search, evaluation.shallow_fit
 
-        def scores_spy(*args):
-            out = scores(*args)
-            means.append(out.mean(axis=1))
-            return out
+        def search_spy(*args):
+            searches.append(args)
+            return search(*args)
 
         def fit_spy(X, y, kind, params, seed):
             finals.append(params["C"])
             return fit(X, y, kind, params, seed=seed)
 
-        monkeypatch.setattr(evaluation, "_shallow_scores", scores_spy)
+        monkeypatch.setattr(evaluation, "_inner_grid_search", search_spy)
         monkeypatch.setattr(evaluation, "shallow_fit", fit_spy)
         spec = ModelSpec("linear_svm", grid={"C": grid_C})
         cross_validate(weak_features(), spec, reps=1, folds=3, seed=6)
+        # Each search's mean F1 per grid point, scoring every point on every split.
+        means = [inner_grid_search_full(*args)[1].mean(axis=1) for args in searches]
         assert len(means) == 3 and all(m[0] == m[1] < 1.0 for m in means)
         assert finals == [grid_C[0]] * 3
 
