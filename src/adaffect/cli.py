@@ -254,7 +254,10 @@ def cmd_train(args) -> list:
         meta = model.train_meta
         short = f"{calibration} of {len(meta['calibration_converged'])} Platt calibration solves"
         if own:
-            text = f" stopped after {meta['iters']} SMO iterations without meeting the KKT tolerance"
+            counts = f"{meta['iters']} SMO pair updates"
+            if "ipm_steps" in meta:
+                counts = f"{meta['ipm_steps']} interior-point steps and {counts}"
+            text = f" stopped after {counts} without meeting the KKT tolerance"
             text += f" (so did {short})" if calibration else ""
         else:
             text = f": {short} stopped without meeting the KKT tolerance"
@@ -283,7 +286,7 @@ def cmd_evaluate(args) -> list:
     print(f"{setting_str}: F1 = {report.mean:.4f} +/- {report.std:.4f} over {len(report.rows)} runs")
     if report.unconverged_fits:
         print(f"warning: {args.model}: {report.unconverged_fits} of {len(report.rows)} final fold fits stopped "
-              "without meeting the SMO KKT tolerance in their own or a Platt calibration solve", file=sys.stderr)
+              "without meeting the KKT tolerance in their own or a Platt calibration solve", file=sys.stderr)
     if not args.predictions:
         return [args.out]
     fileio.write_predictions_csv(args.predictions, features.item_ids, features.labels, report.oof_posteriors)

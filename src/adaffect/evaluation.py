@@ -207,16 +207,19 @@ def _shallow_labels(kind: str, candidates: list[dict], splits):
     split s's test items is positive, else -1. The search only ranks these
     models, so none of them is Platt-calibrated.
 
-    On each split, the SVM candidates that share a kernel are solved in
+    On each split, the RBF candidates that share a kernel are solved in
     ascending C, each starting from the previous solution: alpha from a
     smaller C lies in the larger box and keeps sum alpha y = 0. So labelling
-    a candidate first solves the smaller-C candidates of its kernel on that
-    split that are not solved yet; no (candidate, split) is solved twice.
+    an RBF candidate first solves the smaller-C candidates of its kernel on
+    that split that are not solved yet; no (candidate, split) is solved
+    twice. A linear SVM's interior-point start takes no seed, so linear
+    SVM and LDA candidates are each solved on their own.
     """
     hypers = [shallow._hyperparams(kind, c) for c in candidates]
-    kernels: dict[str, list[int]] = {}
+    kernels: dict[object, list[int]] = {}
     for i, hyper in enumerate(hypers):
-        kernels.setdefault(repr(sorted((k, v) for k, v in hyper.items() if k != "C")), []).append(i)
+        key = repr(sorted((k, v) for k, v in hyper.items() if k != "C")) if kind == "rbf_svm" else i
+        kernels.setdefault(key, []).append(i)
     chain = {}  # candidate -> the candidates of its kernel up to it, in ascending C
     for members in kernels.values():
         members.sort(key=lambda i: hypers[i].get("C", 0.0))
@@ -318,10 +321,10 @@ def west_fuse(
 
     P_j = sum_i alpha_i t_i p_ij with t_i = alpha_i F_i / sum_i alpha_i F_i.
     With `alphas` given the weights are fixed; otherwise a grid search over
-    alpha in [0,1]^2 in steps of `grid_step`, a number in (0, 1] (or
-    alpha2 = 1 - alpha1 when mode="convex"), picks the
-    pair maximizing F1 against `truth`, breaking ties toward the smallest
-    (alpha1, alpha2) lexicographically. Grid points where both effective
+    alpha in [0,1]^2, each alpha_i taking the multiples of `grid_step` (a
+    number in (0, 1]) below 1 and then 1 (or alpha2 = 1 - alpha1 when
+    mode="convex"), picks the pair maximizing F1 against `truth`, breaking
+    ties toward the smallest (alpha1, alpha2) lexicographically. Grid points where both effective
     weights vanish are skipped. The labels are the sign of the fused
     High-minus-Low score that the grid scores, so `tuning_f1` is their F1.
     """
@@ -340,7 +343,8 @@ def west_fuse(
     elif truth is None:
         raise ValueError("grid search needs tuning-set truth labels")
     else:
-        values = np.arange(int(round(1.0 / grid_step)) + 1) * grid_step
+        # k * grid_step below 1, then 1 itself, so both endpoints are tried.
+        values = np.append(np.arange(int(np.ceil(1.0 / grid_step - 1e-9))) * grid_step, 1.0)
         if mode == "joint":
             grid = np.array([(a1, a2) for a1 in values for a2 in values])
         else:

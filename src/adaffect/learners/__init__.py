@@ -1,7 +1,6 @@
 from .shallow import ShallowModel, shallow_fit, shallow_predict_proba
 from .mtl import MtlModel, TaskGraph, build_task_graph, mtl_fit, mtl_predict
 from .cnn import CnnConfig, CnnModel, cnn_train, cnn_predict_proba
-from .gradcheck import grad_check_cnn, grad_check_mtl_smooth
 from .serialize import load_model, save_model
 
 __all__ = [
@@ -17,8 +16,6 @@ __all__ = [
     "CnnModel",
     "cnn_train",
     "cnn_predict_proba",
-    "grad_check_cnn",
-    "grad_check_mtl_smooth",
     "load_model",
     "save_model",
 ]

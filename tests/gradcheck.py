@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnn import CnnModel, cnn_gradients, cnn_loss
-from .mtl import TaskGraph, _smooth_grad, _smooth_value
+from adaffect.learners.cnn import CnnModel, cnn_gradients, cnn_loss
+from adaffect.learners.mtl import TaskGraph, _smooth_grad, _smooth_value
 
 
 def _relative_error(analytic: float, numeric: float) -> float:

@@ -19,7 +19,6 @@ from adaffect.core import ALL_QUADRANTS, AffectLabel, FeatureMatrix
 from adaffect.eeg import EegEpoch, pca_apply, pca_fit, vectorize
 from adaffect.evaluation import ModelSpec, cross_validate, f1_score, west_fuse
 from adaffect.learners.cnn import CnnConfig, CnnModel, _init_params
-from adaffect.learners.gradcheck import grad_check_cnn, grad_check_mtl_smooth
 from adaffect.learners.mtl import build_task_graph, mtl_fit
 from adaffect.media import AudioClip, stft_spectrogram
 from adaffect.scheduler import (
@@ -33,6 +32,7 @@ from adaffect.scheduler import (
 )
 from adaffect.stats import bh_fdr, cohen_kappa, fleiss_kappa, krippendorff_alpha, wilcoxon_rank_sum
 from adaffect.synthgen import GenSpec, gen_quadrant_data
+from gradcheck import grad_check_cnn, grad_check_mtl_smooth
 from oracles import (
     cohen_kappa_bruteforce,
     fleiss_kappa_bruteforce,

@@ -446,12 +446,13 @@ class TestModelSerialization:
         assert run("train", "--features", feats, "--model", "linear_svm", "--out", converged) == 0
         assert capsys.readouterr().err == ""
 
-        smo = shallow._smo
-        monkeypatch.setattr(shallow, "_smo", lambda K, y, C, alpha=None: smo(K, y, C, max_iter=1, alpha=alpha))
+        solve = shallow._linear_dual
+        monkeypatch.setattr(shallow, "_linear_dual", lambda X, y, C: solve(X, y, C, max_steps=1, max_iter=1))
         out = tmp_path / "capped.json"
         assert run("train", "--features", feats, "--model", "linear_svm", "--out", out) == 0
         err = capsys.readouterr().err
-        assert err.startswith("warning: linear_svm C=1.0 stopped after 1 SMO iterations")
+        assert err.startswith("warning: linear_svm C=1.0 stopped after 1 interior-point steps and 1 SMO pair updates "
+                              "without meeting the KKT tolerance")
         assert err.count("\n") == 1
         assert load_model(out).kind == "linear_svm"
 
@@ -464,26 +465,27 @@ class TestModelSerialization:
         assert run(*args, "--out", tmp_path / "converged.csv") == 0
         assert capsys.readouterr().err == ""
 
-        smo = shallow._smo
-        monkeypatch.setattr(shallow, "_smo", lambda K, y, C, alpha=None: smo(K, y, C, max_iter=1, alpha=alpha))
+        solve = shallow._linear_dual
+        monkeypatch.setattr(shallow, "_linear_dual", lambda X, y, C: solve(X, y, C, max_steps=1, max_iter=1))
         assert run(*args, "--out", tmp_path / "capped.csv") == 0
         err = capsys.readouterr().err
         assert err.startswith("warning: linear_svm: 3 of 3 final fold fits stopped without meeting")
         assert err.count("\n") == 1
 
     def test_train_and_evaluate_warn_on_unconverged_calibration(self, tmp_path, capsys, monkeypatch):
-        # Only the Platt calibration solves stop short: `_smo` is capped at one
-        # iteration while `_cross_fitted_scores` runs.
+        # Only the Platt calibration solves stop short: the linear solver is
+        # capped at one interior-point step and one SMO pair update while
+        # `_cross_fitted_scores` runs.
         from adaffect.learners import shallow
 
-        smo, cross_fitted = shallow._smo, shallow._cross_fitted_scores
+        solve, cross_fitted = shallow._linear_dual, shallow._cross_fitted_scores
 
         def capped_calibration(*args):
-            monkeypatch.setattr(shallow, "_smo", lambda K, y, C, alpha=None: smo(K, y, C, max_iter=1, alpha=alpha))
+            monkeypatch.setattr(shallow, "_linear_dual", lambda X, y, C: solve(X, y, C, max_steps=1, max_iter=1))
             try:
                 return cross_fitted(*args)
             finally:
-                monkeypatch.setattr(shallow, "_smo", smo)
+                monkeypatch.setattr(shallow, "_linear_dual", solve)
 
         monkeypatch.setattr(shallow, "_cross_fitted_scores", capped_calibration)
         feats = self.write_features(tmp_path, self.features().features)

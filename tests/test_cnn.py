@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from gradcheck import grad_check_cnn, grad_check_mtl_smooth
 from oracles import reference_cnn_gradients, reference_cnn_train
 
 from adaffect.learners.cnn import (
@@ -18,7 +19,6 @@ from adaffect.learners.cnn import (
     cnn_train,
     expected_param_count,
 )
-from adaffect.learners.gradcheck import grad_check_cnn, grad_check_mtl_smooth
 from adaffect.learners.mtl import build_task_graph
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adaffect.core import AffectLabel, FeatureMatrix, Quadrant
 from adaffect.evaluation import (
@@ -332,11 +334,23 @@ class TestWestFuse:
             fixed = west_fuse(p1, p2, f1t, f2t, truth=truth, alphas=res.alpha)
             assert np.array_equal(fixed.labels, res.labels) and fixed.tuning_f1 == res.tuning_f1
 
-    def test_weights_sum_to_one(self):
-        res = west_fuse(
-            np.array([[0.6, 0.4]]), np.array([[0.2, 0.8]]), 0.9, 0.3, alphas=(0.7, 0.4)
-        )
+    @settings(max_examples=50, deadline=None)
+    @given(p=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4), f1t=st.floats(0.01, 1.0),
+           f2t=st.floats(0.01, 1.0), alphas=st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1.0)))
+    @example(p=[0.6, 0.4, 0.2, 0.8], f1t=0.9, f2t=0.3, alphas=(0.7, 0.4))
+    def test_weights_sum_to_one(self, p, f1t, f2t, alphas):
+        res = west_fuse(np.array([p[:2]]), np.array([p[2:]]), f1t, f2t, alphas=alphas)
         assert sum(res.weights) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("step", [0.3, 0.4, 0.7])
+    def test_grid_reaches_one_when_the_step_does_not_divide_it(self, step):
+        # Stream 2 is wrong on every item and far more confident, so only
+        # alpha = (1, 0) gives every label right.
+        truth = np.array([1.0, -1.0, 1.0, -1.0])
+        p1 = np.column_stack([0.5 + 5e-4 * truth, 0.5 - 5e-4 * truth])
+        p2 = np.column_stack([truth < 0, truth > 0]).astype(float)
+        res = west_fuse(p1, p2, 0.5, 0.5, truth=truth, grid_step=step, mode="convex")
+        assert res.alpha == (1.0, 0.0) and res.tuning_f1 == 1.0
 
     def test_misaligned_shapes_rejected(self):
         with pytest.raises(MisalignedItemsError):

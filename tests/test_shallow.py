@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adaffect.learners.shallow import (
     KKT_TOL,
     DimensionMismatchError,
     SingleClassError,
-    _kernel,
+    _fit_uncalibrated,
+    _linear_dual,
+    _rbf_kernel,
     _smo,
     shallow_fit,
     shallow_predict,
@@ -108,7 +112,7 @@ class TestSvm:
         X, y = gaussian_clouds(n=30, separation=3.0, seed=12)
         meta = shallow_fit(X, y, "linear_svm").train_meta
         assert meta["converged"] is True
-        assert meta["iters"] > 0
+        assert meta["ipm_steps"] > 0 and meta["iters"] >= 0
 
     def test_calibration_solves_recorded(self, monkeypatch):
         from adaffect.learners import shallow
@@ -119,14 +123,14 @@ class TestSvm:
         assert unconverged_solves(model) == (False, 0)
         assert unconverged_solves(shallow_fit(X, y, "lda")) == (False, 0)
 
-        smo = shallow._smo
+        solve = shallow._linear_dual
         calls = []
 
-        def fail_after_first(K, y, C, alpha=None):  # the model's own solve comes first
+        def fail_after_first(X, y, C):  # the model's own solve comes first
             calls.append(len(y))
-            return smo(K, y, C, max_iter=1 if len(calls) > 1 else 400000, alpha=alpha)
+            return solve(X, y, C) if len(calls) == 1 else solve(X, y, C, max_steps=1, max_iter=1)
 
-        monkeypatch.setattr(shallow, "_smo", fail_after_first)
+        monkeypatch.setattr(shallow, "_linear_dual", fail_after_first)
         model = shallow_fit(X, y, "linear_svm")
         assert calls[0] == len(y) and len(calls) == 4
         assert model.train_meta["converged"] is True
@@ -138,6 +142,8 @@ class TestSvm:
         alpha, b, iters, converged = _smo(X @ X.T, y, 1.0, max_iter=1)
         assert iters == 1
         assert converged is False
+        *_, iters, converged, steps = _linear_dual(X, y, 1.0, max_steps=1, max_iter=1)
+        assert (iters, converged, steps) == (1, False, 1)
 
     def test_single_class_rejected(self):
         X = np.zeros((4, 2))
@@ -186,6 +192,16 @@ class TestPosteriors:
         assert np.array_equal(labels > 0, proba[:, 0] > proba[:, 1])
 
 
+def gram(kind, gamma, X):
+    return X @ X.T if kind == "linear_svm" else _rbf_kernel(X, X, gamma)
+
+
+def dual_objective(alpha, y, X):
+    """D(alpha) = sum alpha - 1/2 ||sum alpha_i y_i x_i||^2 of the linear SVM."""
+    w = X.T @ (alpha * y)
+    return float(alpha.sum() - 0.5 * w @ w)
+
+
 def quadrant_set(n, variant, seed):
     """Weakly separated 4-quadrant items; +1 is two quadrants, or one
     against the rest; "duplicates" repeats the first fifth of the rows,
@@ -212,7 +228,7 @@ class TestSmoMatchesReference:
                                             ("rbf_svm", 0.01), ("rbf_svm", 0.1)])
     def test_alpha_and_b_identical(self, variant, n, kind, gamma):
         X, y = quadrant_set(n, variant, seed=n)
-        K = _kernel(kind, gamma)(X, X)
+        K = gram(kind, gamma, X)
         for C in (0.1, 1.0, 10.0, 100.0):
             ref_alpha, ref_b = reference_smo(K, y, C)
             alpha, b, _, _ = _smo(K, y, C)
@@ -230,7 +246,7 @@ class TestSmoSeededMatchesReference:
                                             ("rbf_svm", 0.01), ("rbf_svm", 0.1)])
     def test_chain_identical(self, variant, n, kind, gamma):
         X, y = quadrant_set(n, variant, seed=n)
-        K = _kernel(kind, gamma)(X, X)
+        K = gram(kind, gamma, X)
         seed = None
         for C in (0.1, 1.0, 10.0, 100.0):
             ref_alpha, ref_b, ref_iters, ref_converged = reference_seeded_smo(K, y, C, alpha=seed)
@@ -257,7 +273,7 @@ class TestSmoWarmStart:
             X, y = quadrant_set(64, "balanced", seed=64)
         else:
             X, y = gaussian_clouds(n=32, separation=0.5, dims=4, seed=5)
-        K = _kernel(kind, gamma)(X, X)
+        K = gram(kind, gamma, X)
         seed_alpha, _, _, seed_converged = _smo(K, y, C_small)
         assert seed_converged
         alpha, b, _, converged = _smo(K, y, C_large, alpha=seed_alpha)
@@ -274,3 +290,46 @@ class TestSmoWarmStart:
                                np.abs(1.0 - margins[interior])])
         assert viol.max() <= KKT_TOL + 1e-9
         assert self.dual(alpha, y, K) == pytest.approx(self.dual(cold_alpha, y, K), rel=1e-5)
+
+
+class TestLinearDual:
+    """The interior-point start with its SMO finish meets the KKT test and
+    reaches at least the dual objective of a cold `_smo` solve."""
+
+    @staticmethod
+    def check(X, y, C, cold_alpha):
+        model = _fit_uncalibrated(X, y, "linear_svm", {"C": C})
+        alpha = model.train_meta["alpha"]
+        assert model.train_meta["converged"] is True
+        # In the box up to the rounding of the SMO pair updates, as in a cold solve.
+        assert np.all(alpha >= -1e-12 * C) and np.all(alpha <= C * (1.0 + 1e-12))
+        assert abs(float(alpha @ y)) <= 1e-8 * C * len(y)
+        assert model.kkt_violation(X, y) <= KKT_TOL
+        cold = dual_objective(cold_alpha, y, X)
+        assert dual_objective(alpha, y, X) >= cold - 1e-9 * abs(cold)
+
+    @pytest.mark.parametrize("variant", ["balanced", "duplicates", "one_vs_rest"])
+    @pytest.mark.parametrize("n", [20, 50, 96])
+    def test_reference_sets(self, variant, n):
+        X, y = quadrant_set(n, variant, seed=n)
+        for C in (0.1, 1.0, 10.0, 100.0):
+            self.check(X, y, C, reference_smo(X @ X.T, y, C)[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 60), d=st.integers(1, 8), log_c=st.floats(-2.0, 3.0),
+           shift=st.floats(0.0, 3.0), case=st.sampled_from(["random", "duplicates", "equal"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=4, d=8, log_c=0.0, shift=1.0, case="random", seed=0)  # n < d
+    @example(n=5, d=1, log_c=-2.0, shift=1.0, case="duplicates", seed=0)  # a flat face at small C
+    @example(n=13, d=1, log_c=3.0, shift=3.0, case="equal", seed=226)  # y'(Q + D)^-1 y comes out 0
+    def test_random_sets(self, n, d, log_c, shift, case, seed):
+        rng = np.random.default_rng(seed)
+        y = np.where(np.arange(n) < int(rng.integers(1, n)), 1.0, -1.0)
+        X = rng.normal(size=(n, d)) + shift * y[:, None] / np.sqrt(d)
+        if case == "duplicates":  # the first half repeated, under opposite labels
+            half = n // 2
+            X[half:2 * half], y[half:2 * half] = X[:half], -y[:half]
+        elif case == "equal":
+            X[:] = X[0]
+        C = 10.0 ** log_c
+        self.check(X, y, C, _smo(X @ X.T, y, C)[0])
