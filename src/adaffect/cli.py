@@ -69,25 +69,23 @@ from .synthgen import GenSpec, gen_quadrant_data, gen_rating_matrix, gen_synthet
 DEFAULT_SEED = 20200
 
 
-def _parse_kv(pairs):
-    """key=value overrides with numeric coercion."""
-    out = {}
+def _split_pairs(pairs, form: str):
+    """(key, raw value) of each key=value pair; `form` is the shape an error names."""
     for pair in pairs or []:
         if "=" not in pair:
-            raise ValueError(f"expected key=value, got {pair!r}")
+            raise ValueError(f"expected {form}, got {pair!r}")
         key, raw = pair.split("=", 1)
-        out[key.strip()] = _coerce(raw.strip())
-    return out
+        yield key.strip(), raw
+
+
+def _parse_kv(pairs):
+    """key=value overrides with numeric coercion."""
+    return {key: _coerce(raw.strip()) for key, raw in _split_pairs(pairs, "key=value")}
 
 
 def _parse_grid(pairs):
-    out = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ValueError(f"expected key=v1,v2,..., got {pair!r}")
-        key, raw = pair.split("=", 1)
-        out[key.strip()] = [_coerce(v) for v in raw.split(",") if v != ""]
-    return out
+    return {key: [_coerce(v) for v in raw.split(",") if v != ""]
+            for key, raw in _split_pairs(pairs, "key=v1,v2,...")}
 
 
 def _coerce(raw: str):
@@ -126,8 +124,7 @@ def cmd_agreement(args) -> list:
         raise ValueError(f"{args.ratings}: no ratings found")
     expert = {}
     if args.manifest:
-        bundle = load_manifest(args.manifest)
-        for ad in bundle.ads:
+        for ad in load_manifest(args.manifest):
             expert[ad.id] = {
                 "arousal": ad.expert_quadrant.arousal,
                 "valence": ad.expert_quadrant.valence,

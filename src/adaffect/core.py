@@ -217,19 +217,11 @@ def check_real(name: str, value, ok, bound: str) -> None:
         raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
-@dataclass
-class DatasetBundle:
-    ads: list[AdRecord]
-    ratings: dict[str, RatingMatrix]  # keyed by attribute
-
-
-def load_manifest(manifest_path, ratings_path=None) -> DatasetBundle:
-    """Load an ad manifest (JSON lines) and, optionally, its ratings CSV.
+def load_manifest(manifest_path) -> list[AdRecord]:
+    """Load an ad manifest (JSON lines).
 
     Manifest lines are objects with fields id, duration_s, expert_arousal,
-    expert_valence and optional asl_score/val_score. Ratings rows are
-    ``rater_id,item_id,attribute,score`` with the scales fixed to the
-    standard valence [-2,2] / arousal [0,4] bounds.
+    expert_valence and optional asl_score/val_score.
     """
     ads: list[AdRecord] = []
     seen: set[str] = set()
@@ -260,10 +252,7 @@ def load_manifest(manifest_path, ratings_path=None) -> DatasetBundle:
                 raise ManifestError(f"{manifest_path}:{lineno}: duplicate ad id {rec.id!r}")
             seen.add(rec.id)
             ads.append(rec)
-    ratings = {}
-    if ratings_path is not None:
-        ratings = load_ratings_csv(ratings_path)
-    return DatasetBundle(ads=ads, ratings=ratings)
+    return ads
 
 
 def load_ratings_csv(path) -> dict[str, RatingMatrix]:

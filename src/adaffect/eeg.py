@@ -93,21 +93,6 @@ def vectorize(e: EegEpoch, window: str = "all") -> np.ndarray:
     return data.reshape(-1).copy()
 
 
-def unvectorize(vec: np.ndarray, channels: int = EEG_CHANNELS) -> np.ndarray:
-    """Shape-aware inverse of vectorize."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.size % channels != 0:
-        raise ValueError(f"vector length {vec.size} not divisible by {channels} channels")
-    return vec.reshape(channels, -1)
-
-
-def summarize_epochs(epochs) -> tuple[int, int, int]:
-    """(total, clean, dirty) epoch counts."""
-    total = len(epochs)
-    clean = sum(1 for e in epochs if e.clean)
-    return total, clean, total - clean
-
-
 # ----------------------------------------------------------------- PCA
 
 class RankZeroDataError(ValueError):
@@ -186,8 +171,3 @@ def pca_apply(model: PcaModel, rows: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {model.mean.shape[0]} dims, got {X.shape[1]}")
     proj = (X - model.mean) @ model.components.T
     return proj[0] if single else proj
-
-
-def pca_reconstruct(model: PcaModel, projected: np.ndarray) -> np.ndarray:
-    projected = np.atleast_2d(np.asarray(projected, dtype=float))
-    return projected @ model.components + model.mean

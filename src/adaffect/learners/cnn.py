@@ -74,9 +74,6 @@ class CnnModel:
     params: dict = field(default_factory=dict)
     history: dict = field(default_factory=dict)
 
-    def n_params(self) -> int:
-        return sum(int(np.prod(p.shape)) for p in self.params.values())
-
     def to_dict(self) -> dict:
         """The fields a model file stores (not `history`); arrays stay arrays."""
         return {"kind": "cnn", "hyperparams": asdict(self.config), "input_dim": self.input_dim,
@@ -86,13 +83,6 @@ class CnnModel:
     def from_dict(cls, doc: dict) -> "CnnModel":
         params = {k: np.asarray(v, dtype=float) for k, v in doc["params"].items()}
         return cls(CnnConfig(**doc["hyperparams"]), int(doc["input_dim"]), params)
-
-
-def expected_param_count(k: int, config: CnnConfig = CnnConfig()) -> int:
-    """Closed-form parameter count for input length k."""
-    f, w, h = config.n_filters, config.filter_width, config.fc_units
-    k2 = k - 2 * (w - 1)
-    return (f * w + f) + (f * f * w + f) + (f * k2 * h + h) + (h * 2 + 2)
 
 
 _WEIGHTS = ("W1", "W2", "W3", "W4")
@@ -374,9 +364,3 @@ def cnn_predict_proba(model: CnnModel, X) -> np.ndarray:
     if X.shape[1] != model.input_dim:
         raise DimensionMismatchError(f"expected {model.input_dim} dims, got {X.shape[1]}")
     return _forward(model.params, X, _buffers_for(model.params, X))
-
-
-def cnn_predict(model: CnnModel, X) -> np.ndarray:
-    """Hard +1/-1 labels (class index 0 is High)."""
-    probs = cnn_predict_proba(model, X)
-    return np.where(probs[:, 0] > probs[:, 1], 1.0, -1.0)

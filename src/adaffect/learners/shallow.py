@@ -520,9 +520,3 @@ def shallow_predict_proba(model: ShallowModel, X) -> np.ndarray:
     f = model.decision_values(X)
     p_high = platt_posterior(np.atleast_1d(f), *model.calibration)
     return np.column_stack([p_high, 1.0 - p_high])
-
-
-def shallow_predict(model: ShallowModel, X) -> np.ndarray:
-    """Hard +1/-1 labels from the posterior argmax (ties map to Low)."""
-    proba = shallow_predict_proba(model, X)
-    return np.where(proba[:, 0] > proba[:, 1], 1.0, -1.0)

@@ -128,7 +128,7 @@ def krippendorff_alpha(m: RatingMatrix | np.ndarray, metric: str = "ordinal") ->
 
     # Ordinal delta(c, k) is the marginal mass from c through k less half
     # of each end: the distance between the values' midranks.
-    scale = domain if metric == "interval" else np.cumsum(n_c) - n_c / 2.0
+    scale = domain if metric == "interval" else _midranks(n_c)
     delta_sq = (scale[:, None] - scale[None, :]) ** 2
 
     d_o = float(np.sum(coincidence * delta_sq)) / n_total
@@ -165,18 +165,10 @@ def pearson_r(x, y) -> TestResult:
     return TestResult(r, min(1.0, p), "pearson_r")
 
 
-def _rank_with_midranks(pooled: np.ndarray) -> np.ndarray:
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(len(pooled))
-    sorted_vals = pooled[order]
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _midranks(ties: np.ndarray) -> np.ndarray:
+    """Midrank of each distinct value, from the tie counts of the values in
+    ascending order: the mean of the ranks cumsum - c + 1 through cumsum."""
+    return np.cumsum(ties) - (ties - 1) / 2.0
 
 
 def _rank_sum_counts(doubled_ranks, k: int) -> dict:
@@ -210,7 +202,8 @@ def wilcoxon_rank_sum(x, y, method: str = "auto") -> TestResult:
     nx, ny = len(x), len(y)
     n = nx + ny
     pooled = np.concatenate([x, y])
-    ranks = _rank_with_midranks(pooled)
+    _, value_of, ties = np.unique(pooled, return_inverse=True, return_counts=True)
+    ranks = _midranks(ties)[value_of]
     w = float(ranks[:nx].sum())
 
     if method == "exact" or (method == "auto" and n <= 12):
@@ -223,8 +216,7 @@ def wilcoxon_rank_sum(x, y, method: str = "auto") -> TestResult:
         p = min(1.0, 2.0 * min(p_low, p_high))
     else:
         mean_w = nx * (n + 1) / 2.0
-        _, counts = np.unique(pooled, return_counts=True)
-        tie_term = float(np.sum(counts**3 - counts)) / (n * (n - 1.0))
+        tie_term = float(np.sum(ties**3 - ties)) / (n * (n - 1.0))
         var_w = nx * ny / 12.0 * ((n + 1.0) - tie_term)
         if var_w <= 0:
             p = 1.0

@@ -7,6 +7,7 @@ import pytest
 from gradcheck import grad_check_cnn, grad_check_mtl_smooth
 from oracles import reference_cnn_gradients, reference_cnn_train
 
+from adaffect.evaluation import _argmax_signs
 from adaffect.learners.cnn import (
     CnnConfig,
     CnnModel,
@@ -14,10 +15,8 @@ from adaffect.learners.cnn import (
     _init_params,
     cnn_gradients,
     cnn_loss,
-    cnn_predict,
     cnn_predict_proba,
     cnn_train,
-    expected_param_count,
 )
 from adaffect.learners.mtl import build_task_graph
 
@@ -29,12 +28,19 @@ def separable_features(n=32, k=16, scale=8.0, seed=0):
     return X, y
 
 
+def expected_param_count(k: int, config: CnnConfig = CnnConfig()) -> int:
+    """Closed-form parameter count for input length k."""
+    f, w, h = config.n_filters, config.filter_width, config.fc_units
+    k2 = k - 2 * (w - 1)
+    return (f * w + f) + (f * f * w + f) + (f * k2 * h + h) + (h * 2 + 2)
+
+
 class TestArchitecture:
     def test_param_count_closed_form(self):
         for k in (8, 16, 40):
             X, y = separable_features(n=12, k=k)
             model = cnn_train(X, y, CnnConfig(max_epochs=1))
-            assert model.n_params() == expected_param_count(k)
+            assert sum(p.size for p in model.params.values()) == expected_param_count(k)
 
     def test_param_count_formula_value(self):
         # 64*3+64 conv1, 64*64*3+64 conv2, 64*(k-4)*128+128 fc, 128*2+2 out
@@ -58,7 +64,7 @@ class TestTraining:
         X, y = separable_features(n=32, k=16, scale=8.0)
         config = CnnConfig(dropout=0.0, seed=3)
         model = cnn_train(X, y, config, val_data=(X, y))
-        pred = cnn_predict(model, X)
+        pred = _argmax_signs(cnn_predict_proba(model, X))
         assert np.mean(pred == y) == 1.0
 
     def test_patience_arithmetic_stops_at_epoch_six(self):
@@ -108,7 +114,7 @@ class TestPredictions:
     def test_trained_model_matches_training_labels(self):
         X, y = separable_features(n=32, k=16, scale=8.0, seed=7)
         model = cnn_train(X, y, CnnConfig(dropout=0.0, seed=7), val_data=(X, y))
-        assert np.array_equal(cnn_predict(model, X), y)
+        assert np.array_equal(_argmax_signs(cnn_predict_proba(model, X)), y)
 
     def test_dimension_mismatch(self):
         X, y = separable_features(n=16, k=10)

@@ -64,10 +64,10 @@ class TestLoadManifest:
             {"id": f"ad{i}", "duration_s": 50.0, "expert_arousal": a, "expert_valence": v}
             for i, (a, v) in enumerate([("H", "H"), ("H", "L"), ("L", "H"), ("L", "L")])
         ]
-        bundle = load_manifest(write_manifest(tmp_path, rows))
-        assert len(bundle.ads) == 4
+        ads = load_manifest(write_manifest(tmp_path, rows))
+        assert len(ads) == 4
         counts = {q: 0 for q in ALL_QUADRANTS}
-        for ad in bundle.ads:
+        for ad in ads:
             counts[ad.expert_quadrant] += 1
         assert all(c == 1 for c in counts.values())
 
@@ -78,22 +78,17 @@ class TestLoadManifest:
             load_manifest(path)
 
     def test_scale_violation_names_cell(self, tmp_path):
-        mpath = write_manifest(
-            tmp_path,
-            [{"id": "a", "duration_s": 10, "expert_arousal": "H", "expert_valence": "H"}],
-        )
         rpath = tmp_path / "ratings.csv"
         rpath.write_text("rater_id,item_id,attribute,score\nr1,a,valence,3\n")
         with pytest.raises(ScaleViolationError, match="'a'"):
-            load_manifest(mpath, rpath)
+            load_ratings_csv(rpath)
 
     def test_table_style_mean_length(self, tmp_path):
         mpath = write_manifest(
             tmp_path,
             [{"id": "a", "duration_s": 48.16, "expert_arousal": "H", "expert_valence": "H"}],
         )
-        bundle = load_manifest(mpath)
-        summary = quadrant_summary(bundle.ads)
+        summary = quadrant_summary(load_manifest(mpath))
         assert summary[Quadrant.from_code("HH")].mean_length_s == pytest.approx(48.16)
 
 

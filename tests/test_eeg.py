@@ -11,9 +11,6 @@ from adaffect.eeg import (
     baseline_correct,
     pca_apply,
     pca_fit,
-    pca_reconstruct,
-    summarize_epochs,
-    unvectorize,
     vectorize,
 )
 
@@ -98,7 +95,7 @@ class TestVectorize:
         epoch = EegEpoch(np.arange(14 * 4000, dtype=float).reshape(14, 4000))
         for window, samples in (("first30", epoch.data[:, :3667]), ("last30", epoch.data[:, -3667:]),
                                 ("last10", epoch.data[:, -1280:])):
-            assert np.array_equal(unvectorize(vectorize(epoch, window)), samples)
+            assert np.array_equal(vectorize(epoch, window).reshape(14, -1), samples)
 
     def test_unknown_window_mode(self):
         with pytest.raises(ValueError, match="unknown window mode"):
@@ -112,22 +109,12 @@ class TestVectorize:
         rng = np.random.default_rng(1)
         epoch = EegEpoch(rng.normal(size=(14, 200)))
         vec = vectorize(epoch, "all")
-        assert np.array_equal(unvectorize(vec), epoch.data)
+        assert np.array_equal(vec.reshape(14, -1), epoch.data)
 
     def test_channel_major_order(self):
         data = np.arange(28.0).reshape(14, 2)
         vec = vectorize(EegEpoch(data), "all")
         assert vec[0] == 0.0 and vec[1] == 1.0 and vec[2] == 2.0
-
-
-class TestEpochBookkeeping:
-    def test_clean_counts(self):
-        epochs = [
-            EegEpoch(np.zeros((14, 2)), clean=(i >= 212), stimulus_id=str(i))
-            for i in range(1738)
-        ]
-        total, clean, dirty = summarize_epochs(epochs)
-        assert (total, clean, dirty) == (1738, 1526, 212)
 
 
 class TestPca:
@@ -149,7 +136,7 @@ class TestPca:
         rng = np.random.default_rng(4)
         rows = rng.normal(size=(40, 8))
         model = pca_fit(rows, retain=1.0)
-        recon = pca_reconstruct(model, pca_apply(model, rows))
+        recon = pca_apply(model, rows) @ model.components + model.mean
         err = np.linalg.norm(recon - rows) / np.linalg.norm(rows)
         assert err <= 1e-8
 

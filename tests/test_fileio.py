@@ -5,8 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from adaffect.core import AffectLabel, FeatureMatrix, Quadrant
+from adaffect.core import (
+    ALL_QUADRANTS,
+    AROUSAL_SCALE,
+    VALENCE_SCALE,
+    AffectLabel,
+    FeatureMatrix,
+    Quadrant,
+    RatingMatrix,
+    load_ratings_csv,
+)
 from adaffect.fileio import (
     fmt,
     read_eeg_epoch,
@@ -22,6 +32,7 @@ from adaffect.fileio import (
     write_ppm,
     write_descriptor_csv,
     write_predictions_csv,
+    write_ratings_csv,
     write_spectrogram_csv,
     write_wav,
 )
@@ -202,3 +213,103 @@ class TestFloatRows:
         }
         for name, lines in expect.items():
             assert written[name] == "\n".join(lines) + "\n", name
+
+
+ID_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
+id_strings = st.text(ID_CHARS, min_size=1, max_size=8)
+affect_labels = st.sampled_from([AffectLabel.HIGH, AffectLabel.LOW])
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def feature_matrices(draw):
+    item_ids = draw(st.lists(id_strings, min_size=1, max_size=6, unique=True))
+    n, d = len(item_ids), draw(st.integers(1, 5))
+    X = draw(arrays(np.float64, (n, d), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    quads = draw(st.lists(st.sampled_from(ALL_QUADRANTS), min_size=n, max_size=n))
+    return FeatureMatrix(X, draw(st.lists(affect_labels, min_size=n, max_size=n)), quads, item_ids)
+
+
+@st.composite
+def rating_sets(draw):
+    """{attribute: RatingMatrix}, each on its attribute's scale, with NaN
+    marking missing cells."""
+    out = {}
+    for attr, (lo, hi) in (("valence", VALENCE_SCALE), ("arousal", AROUSAL_SCALE)):
+        if draw(st.booleans()):
+            raters = draw(st.lists(id_strings, min_size=1, max_size=4, unique=True))
+            items = draw(st.lists(id_strings, min_size=1, max_size=5, unique=True))
+            cell = st.one_of(st.floats(lo, hi), st.just(float("nan")))
+            grid = draw(arrays(np.float64, (len(raters), len(items)), elements=cell))
+            out[attr] = RatingMatrix(grid, lo, hi, attr, rater_ids=raters, item_ids=items)
+    return out
+
+
+def rating_cells(matrices) -> dict:
+    """{(attribute, rater id, item id): the score's bits} over the scored cells."""
+    return {(attr, rid, iid): float(v).hex()
+            for attr, m in matrices.items()
+            for rid, row in zip(m.rater_ids, m.values.tolist())
+            for iid, v in zip(m.item_ids, row) if np.isfinite(v)}
+
+
+class TestRoundTrips:
+    """Each reader gives back what its writer wrote, every float bit for bit.
+    Ids come from [A-Za-z0-9_-]: the CSV writers do not quote fields."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(feature_matrices())
+    def test_feature_csv(self, features):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_feature_csv(Path(tmp) / "f.csv", features)
+            loaded = read_feature_csv(Path(tmp) / "f.csv")
+        assert loaded.item_ids == features.item_ids
+        assert loaded.labels == features.labels and loaded.quadrants == features.quadrants
+        assert loaded.X.shape == features.X.shape and bits(loaded.X) == bits(features.X)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(id_strings, affect_labels, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=8))
+    def test_predictions_csv(self, rows):
+        item_ids, truths, p_high, p_low = map(list, zip(*rows))
+        posteriors = np.column_stack([p_high, p_low])
+        with tempfile.TemporaryDirectory() as tmp:
+            write_predictions_csv(Path(tmp) / "p.csv", item_ids, truths, posteriors)
+            rids, rtruths, rpost = read_predictions_csv(Path(tmp) / "p.csv")
+        assert rids == item_ids and rtruths == truths
+        assert rpost.shape == posteriors.shape and bits(rpost) == bits(posteriors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rating_sets())
+    def test_ratings_csv(self, matrices):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_ratings_csv(Path(tmp) / "r.csv", matrices)
+            loaded = load_ratings_csv(Path(tmp) / "r.csv")
+        assert rating_cells(loaded) == rating_cells(matrices)
+        for attr, m in loaded.items():
+            assert (m.scale_min, m.scale_max) == (matrices[attr].scale_min, matrices[attr].scale_max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_eeg_epoch(self, data):
+        channels = data.draw(st.integers(1, 14))
+        sample = st.floats(width=32, allow_nan=False)
+        signal = data.draw(arrays(np.float32, (channels, data.draw(st.integers(0, 40))), elements=sample))
+        n_base = data.draw(st.one_of(st.none(), st.integers(1, 20)))
+        baseline = None if n_base is None else data.draw(arrays(np.float32, (channels, n_base), elements=sample))
+        sidecar = {"stimulus_id": data.draw(id_strings), "clean": data.draw(st.booleans()),
+                   "sample_rate": data.draw(st.integers(1, 1024)),
+                   "label": data.draw(affect_labels).value, "quadrant": data.draw(st.sampled_from(ALL_QUADRANTS)).code}
+        with tempfile.TemporaryDirectory() as tmp:
+            write_eeg_epoch(tmp, "e", signal, baseline, sidecar)
+            loaded, loaded_base, meta = read_eeg_epoch(Path(tmp) / "e.f32")
+        assert loaded.shape == signal.shape and bits(loaded) == bits(signal)
+        if baseline is None:
+            assert loaded_base is None
+        else:
+            assert loaded_base.shape == baseline.shape and bits(loaded_base) == bits(baseline)
+        assert meta == {**sidecar, "channels": channels, "samples": signal.shape[1],
+                        "baseline_offset": 0 if baseline is None else n_base}

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adaffect.evaluation import _argmax_signs
 from adaffect.learners.shallow import (
     KKT_TOL,
     DimensionMismatchError,
@@ -12,7 +13,6 @@ from adaffect.learners.shallow import (
     _rbf_kernel,
     _smo,
     shallow_fit,
-    shallow_predict,
     shallow_predict_proba,
     unconverged_solves,
 )
@@ -41,7 +41,7 @@ def xor_data(n=40, seed=1):
 
 
 def train_f1(model, X, y):
-    pred = shallow_predict(model, X)
+    pred = _argmax_signs(shallow_predict_proba(model, X))
     tp = np.sum((pred > 0) & (y > 0))
     fp = np.sum((pred > 0) & (y < 0))
     fn = np.sum((pred < 0) & (y > 0))
@@ -86,8 +86,8 @@ class TestLda:
         c = rng.normal(size=4)
         base = shallow_fit(X, y, "lda", {"shrinkage": 0.0})
         transformed = shallow_fit(X @ A.T + c, y, "lda", {"shrinkage": 0.0})
-        lab_base = shallow_predict(base, X_test)
-        lab_trans = shallow_predict(transformed, X_test @ A.T + c)
+        lab_base = _argmax_signs(shallow_predict_proba(base, X_test))
+        lab_trans = _argmax_signs(shallow_predict_proba(transformed, X_test @ A.T + c))
         assert np.array_equal(lab_base, lab_trans)
 
 
@@ -188,7 +188,7 @@ class TestPosteriors:
         X, y = gaussian_clouds(n=30, separation=3.0, seed=11)
         model = shallow_fit(X, y, "lda")
         proba = shallow_predict_proba(model, X)
-        labels = shallow_predict(model, X)
+        labels = _argmax_signs(proba)
         assert np.array_equal(labels > 0, proba[:, 0] > proba[:, 1])
 
 
