@@ -25,10 +25,11 @@ from .core import (
     Quadrant,
     binarize_ratings,
     load_manifest,
-    load_ratings_csv,
     min_max_normalize,
 )
 from . import fileio
+# Called by this bare name: the benchmark's tracer (bench/spans.py) wraps cli.load_ratings_csv.
+from .fileio import load_ratings_csv
 from .eeg import EegEpoch, bandpass_filter, baseline_correct, pca_apply, pca_fit, vectorize
 from .evaluation import (
     MODEL_KINDS,
@@ -58,10 +59,10 @@ from .scheduler import (
     GaConfig,
     ScheduleProblem,
     brute_force_schedule,
+    fitness_contributions,
     ga_optimize,
     load_ads,
     load_scenes,
-    schedule_to_csv,
 )
 from .stats import cohen_kappa, fleiss_kappa, krippendorff_alpha
 from .synthgen import GenSpec, gen_quadrant_data, gen_rating_matrix, gen_synthetic_eeg, gen_test_media
@@ -275,11 +276,11 @@ def cmd_evaluate(args) -> list:
     }
     report = cross_validate(features, spec, reps=args.reps, folds=args.folds, seed=args.seed)
     setting_str = ":".join(str(setting[k]) for k in ("attribute", "window", "model", "modality"))
-    lines = ["setting,run,fold,f1"]
-    for run, fold, f1 in report.rows:
-        lines.append(f"{setting_str},{run},{fold},{fileio.fmt(f1)}")
-    lines.append(f"summary,{fileio.fmt(report.mean)},{fileio.fmt(report.std)}")
-    fileio.atomic_write_text(args.out, "\n".join(lines) + "\n")
+    fileio.write_csv(args.out, [
+        ["setting", "run", "fold", "f1"],
+        *([setting_str, *row] for row in report.rows),
+        ["summary", report.mean, report.std],
+    ])
     print(f"{setting_str}: F1 = {report.mean:.4f} +/- {report.std:.4f} over {len(report.rows)} runs")
     if report.unconverged_fits:
         print(f"warning: {args.model}: {report.unconverged_fits} of {len(report.rows)} final fold fits stopped "
@@ -324,16 +325,15 @@ def cmd_fuse(args) -> list:
     )
     result = west_fuse(post_a, post_b, args.f1a, args.f1b, alphas=tuned.alpha)
     eval_f1 = f1_score(result.labels[hold_idx], [truth_a[i] for i in hold_idx])
-    lines = [
-        f"# alpha1={fileio.fmt(tuned.alpha[0])},alpha2={fileio.fmt(tuned.alpha[1])},"
+    comment = (
+        f"alpha1={fileio.fmt(tuned.alpha[0])},alpha2={fileio.fmt(tuned.alpha[1])},"
         f"tuning_f1={fileio.fmt(tuned.tuning_f1)},eval_f1={fileio.fmt(eval_f1)},"
-        f"tune_on_eval={str(bool(args.tune_on_eval)).lower()}",
-        "item_id,truth,p_high,p_low,label",
-    ]
-    for iid, truth, post, label in zip(ids_a, truth_a, result.posteriors, result.labels):
-        code = "H" if label > 0 else "L"
-        lines.append(f"{iid},{truth.value},{fileio.fmt(post[0])},{fileio.fmt(post[1])},{code}")
-    fileio.atomic_write_text(args.out, "\n".join(lines) + "\n")
+        f"tune_on_eval={str(bool(args.tune_on_eval)).lower()}"
+    )
+    fileio.write_csv(args.out, [["item_id", "truth", "p_high", "p_low", "label"], *(
+        [iid, truth.value, p_high, p_low, "H" if label > 0 else "L"]
+        for iid, truth, (p_high, p_low), label in zip(ids_a, truth_a, result.posteriors.tolist(), result.labels)
+    )], comment=comment)
     print(f"alpha = {tuned.alpha}, tuning F1 = {tuned.tuning_f1:.4f}, eval F1 = {eval_f1:.4f}")
     return [args.out]
 
@@ -348,10 +348,7 @@ def cmd_score_ads(args) -> list:
     scores = np.array([ad_level_score(groups[a]) for a in ad_ids])
     if args.normalize:
         scores = min_max_normalize(scores)
-    lines = ["ad_id,score"]
-    for ad_id, score in zip(ad_ids, scores):
-        lines.append(f"{ad_id},{fileio.fmt(float(score))}")
-    fileio.atomic_write_text(args.out, "\n".join(lines) + "\n")
+    fileio.write_csv(args.out, [["ad_id", "score"], *zip(ad_ids, scores.tolist())])
     return [args.out]
 
 
@@ -378,7 +375,11 @@ def cmd_schedule(args) -> list:
         )
         result = ga_optimize(problem, config)
         schedule, fitness = result.schedule, result.fitness
-    fileio.atomic_write_text(args.out, schedule_to_csv(problem, schedule, fitness))
+    fileio.write_csv(args.out, [
+        ["slot_index", "ad_id", "fitness_contribution"],
+        *fitness_contributions(problem, schedule),
+        ["total", "", fileio.fmt(fitness)],
+    ])
     print(f"{args.method} schedule fitness = {fitness:.6f}")
     return [args.out]
 
@@ -480,12 +481,12 @@ def cmd_synth(args) -> list:
         fileio.atomic_write_text(out / "ads.json", json.dumps(ads, indent=2) + "\n")
     elif args.kind == "posteriors":
         rng = np.random.default_rng(seed)
-        lines = ["ad_id,segment_id,p_high,p_low"]
+        rows = [["ad_id", "segment_id", "p_high", "p_low"]]
         for a in range(args.ads):
             for s in range(args.segments):
                 p_high = float(np.round(rng.random(), 6))
-                lines.append(f"ad{a:02d},seg{s:02d},{fileio.fmt(p_high)},{fileio.fmt(1.0 - p_high)}")
-        fileio.atomic_write_text(out, "\n".join(lines) + "\n")
+                rows.append([f"ad{a:02d}", f"seg{s:02d}", p_high, 1.0 - p_high])
+        fileio.write_csv(out, rows)
     else:
         raise ValueError(f"unknown synth kind {args.kind!r}")
     # The ratings manifest is a by-product and gets no sidecar.

@@ -8,7 +8,6 @@ missing) on a declared scale.
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import math
@@ -22,7 +21,7 @@ AROUSAL_SCALE = (0.0, 4.0)
 
 
 class ManifestError(ValueError):
-    """Manifest or ratings file failed to parse; message carries the line number."""
+    """Manifest file failed to parse; message carries the line number."""
 
 
 class ScaleViolationError(ValueError):
@@ -253,45 +252,6 @@ def load_manifest(manifest_path) -> list[AdRecord]:
             seen.add(rec.id)
             ads.append(rec)
     return ads
-
-
-def load_ratings_csv(path) -> dict[str, RatingMatrix]:
-    """Read ``rater_id,item_id,attribute,score`` rows into one matrix per attribute."""
-    by_attr: dict[str, dict[tuple[str, str], float]] = {}
-    raters: dict[str, dict[str, None]] = {}
-    items: dict[str, dict[str, None]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:4]] != ["rater_id", "item_id", "attribute", "score"]:
-            raise ManifestError(f"{path}:1: expected header rater_id,item_id,attribute,score")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 4:
-                raise ManifestError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            rater, item, attr, score_s = (f.strip() for f in row[:4])
-            if attr not in ("valence", "arousal"):
-                raise ManifestError(f"{path}:{lineno}: unknown attribute {attr!r}")
-            try:
-                score = float(score_s)
-            except ValueError:
-                raise ManifestError(f"{path}:{lineno}: bad score {score_s!r}") from None
-            by_attr.setdefault(attr, {})[(rater, item)] = score
-            raters.setdefault(attr, {})[rater] = None
-            items.setdefault(attr, {})[item] = None
-    out = {}
-    for attr, cells in by_attr.items():
-        lo, hi = VALENCE_SCALE if attr == "valence" else AROUSAL_SCALE
-        rid = list(raters[attr])
-        iid = list(items[attr])
-        grid = np.full((len(rid), len(iid)), np.nan)
-        rpos = {r: k for k, r in enumerate(rid)}
-        ipos = {i: k for k, i in enumerate(iid)}
-        for (r, i), v in cells.items():
-            grid[rpos[r], ipos[i]] = v
-        out[attr] = RatingMatrix(grid, lo, hi, attr, rater_ids=rid, item_ids=iid)
-    return out
 
 
 def min_max_normalize(x) -> np.ndarray:

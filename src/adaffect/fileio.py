@@ -1,5 +1,6 @@
 """On-disk formats: WAV audio, binary PPM frame directories, EEG binary
-epochs with JSON sidecars, feature/prediction CSVs, and atomic writes.
+epochs with JSON sidecars, atomic writes, and the CSV tables every stage
+passes on, all written by `write_csv` and read by `_read_rows`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AffectLabel, FeatureMatrix, Quadrant
+from .core import AROUSAL_SCALE, VALENCE_SCALE, AffectLabel, FeatureMatrix, Quadrant, RatingMatrix
 
 
 def atomic_write_bytes(path, data: bytes):
@@ -40,8 +41,8 @@ def atomic_write_text(path, text: str):
 def fmt(x) -> str:
     """Full-precision decimal rendering that round-trips floats.
 
-    The CSV writers render a whole row of floats as
-    `",".join(map(repr, row.tolist()))`, which writes each value as fmt does.
+    `write_csv` renders a Python float field as fmt does, so `tolist()` rows
+    pass straight through; fmt is for values that may be numpy scalars.
     """
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
@@ -190,12 +191,29 @@ def list_eeg_epochs(dirpath):
 
 # ------------------------------------------------------------- CSV tables
 
+def write_csv(path, rows, comment=None):
+    """Write `rows` as RFC 4180 CSV with LF row ends, after a `# comment` line if
+    given. A field is quoted only when it holds a comma, a quote or a newline. The
+    reader would split a row at a carriage return, so a field holding one fails
+    as `path:line: reason` and nothing is written."""
+    buf = io.StringIO()
+    if comment is not None:
+        buf.write(f"# {comment}\n")
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    text = buf.getvalue()
+    if "\r" in text:
+        line = text.count("\n", 0, text.index("\r")) + 1
+        raise ValueError(f"{path}:{line}: a field holds a carriage return, which the CSV tables cannot carry")
+    atomic_write_text(path, text)
+
+
 def write_feature_csv(path, features: FeatureMatrix):
     """item_id,label,quadrant,then one column per feature dimension (f0, f1, ...)."""
-    lines = ["item_id,label,quadrant," + ",".join(f"f{j}" for j in range(features.n_dims))]
-    for iid, label, quad, row in zip(features.item_ids, features.labels, features.quadrants, features.X.tolist()):
-        lines.append(",".join([iid, label.value, quad.code, *map(repr, row)]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = ["item_id", "label", "quadrant", *(f"f{j}" for j in range(features.n_dims))]
+    write_csv(path, [header, *(
+        [iid, label.value, quad.code, *row]
+        for iid, label, quad, row in zip(features.item_ids, features.labels, features.quadrants, features.X.tolist())
+    )])
 
 
 def _read_rows(path, row_parser):
@@ -251,34 +269,62 @@ def read_feature_csv(path) -> FeatureMatrix:
 
 def write_descriptor_csv(path, series):
     """second index column plus one named column per descriptor."""
-    lines = ["second," + ",".join(series.names)]
-    for s, row in enumerate(series.values.tolist()):
-        lines.append(str(s) + "," + ",".join(map(repr, row)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, [["second", *series.names], *([s, *row] for s, row in enumerate(series.values.tolist()))])
 
 
 def write_spectrogram_csv(path, sg):
     """Magnitude rows preceded by a parameter header line."""
-    header = (
-        f"# window_ms={fmt(sg.window_ms)},hop_ms={fmt(sg.hop_ms)},"
+    comment = (
+        f"window_ms={fmt(sg.window_ms)},hop_ms={fmt(sg.hop_ms)},"
         f"sample_rate={sg.sample_rate},frames={sg.magnitudes.shape[0]},"
         f"bins={sg.magnitudes.shape[1]}"
     )
-    lines = [header] + [",".join(map(repr, row)) for row in sg.magnitudes.tolist()]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, sg.magnitudes.tolist(), comment=comment)
 
 
 def write_ratings_csv(path, matrices):
     """Serialize RatingMatrix objects back to rater_id,item_id,attribute,score rows."""
-    lines = ["rater_id,item_id,attribute,score"]
+    rows = [["rater_id", "item_id", "attribute", "score"]]
     for attr in sorted(matrices):
         m = matrices[attr]
-        for r, rid in enumerate(m.rater_ids):
-            for i, iid in enumerate(m.item_ids):
-                v = m.values[r, i]
-                if np.isfinite(v):
-                    lines.append(f"{rid},{iid},{attr},{fmt(v)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        for rid, scores in zip(m.rater_ids, m.values.tolist()):
+            rows.extend([rid, iid, attr, v] for iid, v in zip(m.item_ids, scores) if math.isfinite(v))
+    write_csv(path, rows)
+
+
+def load_ratings_csv(path) -> dict[str, RatingMatrix]:
+    """rater_id,item_id,attribute,score rows -> one RatingMatrix per attribute,
+    raters and items in order of first appearance. An unknown attribute, a
+    non-finite score and a repeated cell each fail as `path:line: reason`."""
+    cells: dict[str, dict[tuple[str, str], float]] = {}
+
+    def row_parser(header):
+        if header[:4] != ["rater_id", "item_id", "attribute", "score"]:
+            raise ValueError(f"{path}:1: expected header rater_id,item_id,attribute,score")
+        return parse
+
+    def parse(row):
+        rater, item, attr, text = row[:4]
+        if attr not in ("valence", "arousal"):
+            raise ValueError(f"unknown attribute {attr!r}")
+        score = float(text)
+        if not math.isfinite(score):
+            raise ValueError(f"score {text!r} is not finite")
+        scores = cells.setdefault(attr, {})
+        if (rater, item) in scores:
+            raise ValueError(f"duplicate {attr} score for rater {rater!r} and item {item!r}")
+        scores[rater, item] = score
+
+    _read_rows(path, row_parser)
+    out = {}
+    for attr, scores in cells.items():
+        rpos = {r: k for k, r in enumerate(dict.fromkeys(r for r, _ in scores))}
+        ipos = {i: k for k, i in enumerate(dict.fromkeys(i for _, i in scores))}
+        grid = np.full((len(rpos), len(ipos)), np.nan)
+        grid[[rpos[r] for r, _ in scores], [ipos[i] for _, i in scores]] = list(scores.values())
+        lo, hi = VALENCE_SCALE if attr == "valence" else AROUSAL_SCALE
+        out[attr] = RatingMatrix(grid, lo, hi, attr, rater_ids=list(rpos), item_ids=list(ipos))
+    return out
 
 
 def read_segment_posteriors_csv(path):
@@ -298,10 +344,10 @@ def read_segment_posteriors_csv(path):
 def write_predictions_csv(path, item_ids, truths, posteriors):
     """Out-of-fold or test predictions: item_id,truth,p_high,p_low."""
     posteriors = np.asarray(posteriors, dtype=float)
-    lines = ["item_id,truth,p_high,p_low"]
-    for iid, truth, (p_high, p_low) in zip(item_ids, truths, posteriors.tolist()):
-        lines.append(f"{iid},{truth.value},{p_high!r},{p_low!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, [["item_id", "truth", "p_high", "p_low"], *(
+        [iid, truth.value, p_high, p_low]
+        for iid, truth, (p_high, p_low) in zip(item_ids, truths, posteriors.tolist())
+    )])
 
 
 def read_predictions_csv(path):

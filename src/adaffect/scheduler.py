@@ -13,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import fmt
-
 BRUTE_FORCE_BUDGET = 10_000_000
 
 
@@ -332,11 +330,3 @@ def load_scenes(path) -> list[SceneRecord]:
 
 def load_ads(path) -> list[AdItem]:
     return _load_records(path, AdItem)
-
-
-def schedule_to_csv(problem: ScheduleProblem, schedule: AdSchedule, fitness: float) -> str:
-    lines = ["slot_index,ad_id,fitness_contribution"]
-    for slot, ad_id, contribution in fitness_contributions(problem, schedule):
-        lines.append(f"{slot},{ad_id},{fmt(contribution)}")
-    lines.append(f"total,,{fmt(fitness)}")
-    return "\n".join(lines) + "\n"

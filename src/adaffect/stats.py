@@ -197,6 +197,8 @@ def wilcoxon_rank_sum(x, y, method: str = "auto") -> TestResult:
     y = np.asarray(y, dtype=float)
     if x.size == 0 or y.size == 0:
         raise ValueError("both samples must be nonempty")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("samples must be finite: a rank test has no answer for NaN or infinite values")
     if method not in ("auto", "exact", "normal"):
         raise ValueError(f"unknown method {method!r}")
     nx, ny = len(x), len(y)

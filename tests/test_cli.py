@@ -280,6 +280,7 @@ class TestFusePath:
 PREDICTIONS = "item_id,truth,p_high,p_low\na,H,0.9,0.1\nb,L,0.2,0.8\nc,H,0.7,0.3\nd,L,0.4,0.6\n"
 SEGMENTS = "ad_id,segment_id,p_high,p_low\nad00,seg00,0.3,0.7\nad00,seg01,0.6,0.4\nad01,seg00,0.5,0.5\n"
 FEATURES = "item_id,label,quadrant,f0,f1\nx0,H,HH,0.1,0.2\nx1,L,LL,0.3,0.4\nx2,H,HL,0.5,0.6\nx3,L,LH,0.7,0.8\n"
+RATINGS = "rater_id,item_id,attribute,score\nr1,a,valence,1\nr1,b,valence,-1\nr2,a,valence,2\nr2,b,valence,0\n"
 
 
 class TestReaderBoundaries:
@@ -298,9 +299,15 @@ class TestReaderBoundaries:
         ("train", FEATURES, "x3,L,LH", "x1,L,LH", 5),
         ("train", FEATURES, "x2,H,HL,0.5,0.6", "x2,H,HL,nan,0.6", 4),
         ("train", FEATURES, "x3,L,LH,0.7,0.8", "x3,L,LH,0.7,-inf", 5),
+        ("agreement", RATINGS, "r2,a,valence,2", "r2,a,valence", 4),
+        ("agreement", RATINGS, "r2,a,valence,2", "r2,a,valence,2,extra", 4),
+        ("agreement", RATINGS, "r2,a,valence,2", "r2,a,valence,nan", 4),
+        ("agreement", RATINGS, "r2,a,valence,2", "r2,a,valence,inf", 4),
+        ("agreement", RATINGS, "r2,b,valence,0", "r2,a,valence,0", 5),
     ], ids=["fuse-nan", "fuse-above-one", "predictions-short-row", "score-ads-above-one",
             "score-ads-negative", "score-ads-nan", "segments-short-row", "features-ragged",
-            "features-non-numeric", "features-duplicate-id", "features-nan", "features-inf"])
+            "features-non-numeric", "features-duplicate-id", "features-nan", "features-inf",
+            "ratings-short-row", "ratings-long-row", "ratings-nan", "ratings-inf", "ratings-duplicate-cell"])
     def test_bad_row_exits_1_with_path_line(self, tmp_path, capsys, command, text, old, new, line):
         good, bad, out = tmp_path / "good.csv", tmp_path / "bad.csv", tmp_path / "out.csv"
         assert old in text
@@ -310,11 +317,22 @@ class TestReaderBoundaries:
             "fuse": ("--a", bad, "--b", good, "--f1a", 0.8, "--f1b", 0.7),
             "score-ads": ("--predictions", bad),
             "train": ("--features", bad, "--model", "lda"),
+            "agreement": ("--ratings", bad),
         }[command]
         assert run(command, *argv, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+def test_carriage_return_id_exits_1_and_writes_nothing(tmp_path, capsys):
+    # csv.reader keeps a quoted carriage return, but the CSV writers cannot carry one.
+    preds, out = tmp_path / "p.csv", tmp_path / "fused.csv"
+    preds.write_text(PREDICTIONS.replace("a,H", '"a\rb",H'))
+    assert run("fuse", "--a", preds, "--b", preds, "--f1a", 0.8, "--f1b", 0.7, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}:3: ") and "carriage return" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def schedule_entries(prefix):

@@ -15,10 +15,10 @@ from adaffect.core import (
     ScaleViolationError,
     binarize_ratings,
     load_manifest,
-    load_ratings_csv,
     min_max_normalize,
     quadrant_summary,
 )
+from adaffect.fileio import load_ratings_csv
 
 H = AffectLabel.HIGH
 L = AffectLabel.LOW

@@ -15,10 +15,10 @@ from adaffect.core import (
     FeatureMatrix,
     Quadrant,
     RatingMatrix,
-    load_ratings_csv,
 )
 from adaffect.fileio import (
     fmt,
+    load_ratings_csv,
     read_eeg_epoch,
     read_feature_csv,
     read_frame_dir,
@@ -215,7 +215,7 @@ class TestFloatRows:
             assert written[name] == "\n".join(lines) + "\n", name
 
 
-ID_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
+ID_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-,\" \n"
 id_strings = st.text(ID_CHARS, min_size=1, max_size=8)
 affect_labels = st.sampled_from([AffectLabel.HIGH, AffectLabel.LOW])
 
@@ -258,7 +258,9 @@ def rating_cells(matrices) -> dict:
 
 class TestRoundTrips:
     """Each reader gives back what its writer wrote, every float bit for bit.
-    Ids come from [A-Za-z0-9_-]: the CSV writers do not quote fields."""
+    Ids may hold a comma, a quote, a space or a newline: the CSV writers
+    quote such fields and the readers strip none. A carriage return is the
+    one character the tables cannot carry, and writing it fails."""
 
     @settings(max_examples=60, deadline=None)
     @given(feature_matrices())
@@ -291,6 +293,20 @@ class TestRoundTrips:
         assert rating_cells(loaded) == rating_cells(matrices)
         for attr, m in loaded.items():
             assert (m.scale_min, m.scale_max) == (matrices[attr].scale_min, matrices[attr].scale_max)
+
+    @pytest.mark.parametrize("write", [
+        lambda path, iid: write_feature_csv(path, FeatureMatrix(np.zeros((1, 1)), [AffectLabel.HIGH],
+                                                                [ALL_QUADRANTS[0]], [iid])),
+        lambda path, iid: write_predictions_csv(path, [iid], [AffectLabel.HIGH], [[0.5, 0.5]]),
+        lambda path, iid: write_ratings_csv(path, {"valence": RatingMatrix(
+            np.zeros((1, 1)), *VALENCE_SCALE, "valence", rater_ids=["r"], item_ids=[iid])}),
+    ], ids=["feature", "predictions", "ratings"])
+    def test_carriage_return_id_fails_with_path_line(self, tmp_path, write):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="carriage return") as exc:
+            write(path, "a\rb")
+        assert str(exc.value).startswith(f"{path}:2: ") and "\n" not in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -245,6 +245,16 @@ class TestWilcoxon:
         assert res.statistic == pytest.approx(5.0)
         assert res.p_value == 1.0
 
+    @pytest.mark.parametrize("method", ["auto", "exact", "normal"])
+    @pytest.mark.parametrize("x, y", [
+        ([1, np.nan, 3], [4, np.nan, 6]),
+        ([1, 2, 3], [4, np.inf, 6]),
+        ([-np.inf, 2], [3, 4]),
+    ])
+    def test_non_finite_samples_rejected(self, x, y, method):
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_rank_sum(x, y, method=method)
+
     def test_exact_equals_enumeration_with_ties(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
