@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AROUSAL_SCALE, VALENCE_SCALE, AffectLabel, FeatureMatrix, Quadrant, RatingMatrix
+from .core import (
+    AROUSAL_SCALE, VALENCE_SCALE, AffectLabel, FeatureMatrix, Quadrant, RatingMatrix, ScaleViolationError,
+)
 
 
 def atomic_write_bytes(path, data: bytes):
@@ -219,7 +221,8 @@ def write_feature_csv(path, features: FeatureMatrix):
 def _read_rows(path, row_parser):
     """Each non-empty data row of CSV `path`, parsed by the function that
     `row_parser(header)` returns after checking the header. A row with the
-    wrong field count, or that the parser rejects, fails as `path:line: why`."""
+    wrong field count, or that the parser rejects, fails as `path:line: why`,
+    an error of the parser's own class."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -233,7 +236,7 @@ def _read_rows(path, row_parser):
                     raise ValueError(f"expected {len(header)} fields, found {len(row)}")
                 out.append(parse(row))
             except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
     return out
 
 
@@ -295,7 +298,9 @@ def write_ratings_csv(path, matrices):
 def load_ratings_csv(path) -> dict[str, RatingMatrix]:
     """rater_id,item_id,attribute,score rows -> one RatingMatrix per attribute,
     raters and items in order of first appearance. An unknown attribute, a
-    non-finite score and a repeated cell each fail as `path:line: reason`."""
+    repeated cell and a score off its attribute's scale (`ScaleViolationError`;
+    nan included) each fail as `path:line: reason`."""
+    scales = {"valence": VALENCE_SCALE, "arousal": AROUSAL_SCALE}
     cells: dict[str, dict[tuple[str, str], float]] = {}
 
     def row_parser(header):
@@ -305,11 +310,14 @@ def load_ratings_csv(path) -> dict[str, RatingMatrix]:
 
     def parse(row):
         rater, item, attr, text = row[:4]
-        if attr not in ("valence", "arousal"):
+        if attr not in scales:
             raise ValueError(f"unknown attribute {attr!r}")
         score = float(text)
-        if not math.isfinite(score):
-            raise ValueError(f"score {text!r} is not finite")
+        lo, hi = scales[attr]
+        if not lo <= score <= hi:  # also rejects nan
+            raise ScaleViolationError(
+                f"rating {text!r} at rater {rater!r}, item {item!r} outside [{lo}, {hi}] ({attr})"
+            )
         scores = cells.setdefault(attr, {})
         if (rater, item) in scores:
             raise ValueError(f"duplicate {attr} score for rater {rater!r} and item {item!r}")
@@ -322,15 +330,14 @@ def load_ratings_csv(path) -> dict[str, RatingMatrix]:
         ipos = {i: k for k, i in enumerate(dict.fromkeys(i for _, i in scores))}
         grid = np.full((len(rpos), len(ipos)), np.nan)
         grid[[rpos[r] for r, _ in scores], [ipos[i] for _, i in scores]] = list(scores.values())
-        lo, hi = VALENCE_SCALE if attr == "valence" else AROUSAL_SCALE
-        out[attr] = RatingMatrix(grid, lo, hi, attr, rater_ids=list(rpos), item_ids=list(ipos))
+        out[attr] = RatingMatrix(grid, *scales[attr], attr, rater_ids=list(rpos), item_ids=list(ipos))
     return out
 
 
 def read_segment_posteriors_csv(path):
     """ad_id,(anything...),p_high[,p_low] rows -> ordered {ad_id: [p_high...]}."""
     def row_parser(header):
-        cols = {name.strip(): k for k, name in enumerate(header)}
+        cols = {name: k for k, name in enumerate(header)}
         if "ad_id" not in cols or "p_high" not in cols:
             raise ValueError(f"{path}: need ad_id and p_high columns")
         return lambda row: (row[cols["ad_id"]], _posterior(row[cols["p_high"]]))

@@ -110,20 +110,18 @@ def _validate(problem: ScheduleProblem, schedule: AdSchedule):
             raise InfeasibleScheduleError(f"unknown ad id {ad_id!r}")
 
 
-def schedule_fitness(problem: ScheduleProblem, schedule: AdSchedule) -> float:
-    """Sum over assignments of the per-slot relevance; higher is better,
-    bounded by k * (lambda_v + lambda_a)."""
-    _validate(problem, schedule)
-    M = problem.match_matrix()
-    ad_index = {a.id: i for i, a in enumerate(problem.ads)}
-    return float(sum(M[slot, ad_index[ad_id]] for slot, ad_id in schedule.assignments.items()))
-
-
 def fitness_contributions(problem: ScheduleProblem, schedule: AdSchedule) -> list[tuple[int, str, float]]:
+    """(slot, ad id, relevance) for each assignment, in slot order."""
     _validate(problem, schedule)
     M = problem.match_matrix()
     ad_index = {a.id: i for i, a in enumerate(problem.ads)}
     return [(slot, ad_id, float(M[slot, ad_index[ad_id]])) for slot, ad_id in schedule.sorted_items()]
+
+
+def schedule_fitness(problem: ScheduleProblem, schedule: AdSchedule) -> float:
+    """Sum over assignments of the per-slot relevance; higher is better,
+    bounded by k * (lambda_v + lambda_a)."""
+    return float(sum(c for _, _, c in fitness_contributions(problem, schedule)))
 
 
 def brute_force_schedule(problem: ScheduleProblem) -> tuple[AdSchedule, float]:
@@ -154,19 +152,22 @@ def brute_force_schedule(problem: ScheduleProblem) -> tuple[AdSchedule, float]:
     return schedule, best_fit
 
 
+TOURNAMENT_SIZE = 3
+
+
 @dataclass(frozen=True)
 class GaConfig:
     population: int = 100
     generations: int = 200
     crossover_rate: float = 0.8
     mutation_rate: float = 0.1
-    tournament_size: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("population", "tournament_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"GA {name} must be at least 1, got {getattr(self, name)}")
+        for name, least in (("population", 1), ("generations", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+                raise ValueError(f"GA {name} must be an integer of at least {least}, got {value!r}")
         for name in ("crossover_rate", "mutation_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"GA {name} must lie in [0, 1], got {getattr(self, name)}")
@@ -179,36 +180,29 @@ class GaResult:
     best_history: list[float] = field(default_factory=list)
 
 
-def _repair_row(child, k, n_ads, slot_order, ad_order):
-    """Deduplicate ads (first slot wins) and re-pad to exactly k of them,
-    consuming pre-drawn slot/ad orderings for all randomness."""
-    seen = set()
-    filled = 0
-    for s in range(len(child)):
-        a = child[s]
-        if a < 0:
-            continue
-        if a in seen:
-            child[s] = -1
-        else:
-            seen.add(a)
-            filled += 1
-    if filled > k:
-        for s in slot_order:
-            if filled == k:
-                break
-            if child[s] >= 0:
-                seen.discard(child[s])
-                child[s] = -1
-                filled -= 1
-    elif filled < k:
-        spare = iter(a for a in ad_order if a not in seen)
-        for s in slot_order:
-            if filled == k:
-                break
-            if child[s] < 0:
-                child[s] = next(spare)
-                filled += 1
+def _repair(pop: np.ndarray, k: int, slot_orders: np.ndarray, ad_orders: np.ndarray):
+    """Make every row hold k distinct ads, in place, consuming pre-drawn
+    slot/ad orderings for all randomness: a repeated ad keeps its leftmost
+    slot; surplus filled slots are emptied in `slot_orders` order; missing
+    ones go to the first empty slots in that order, which take the unused
+    ads in `ad_orders` order. A feasible row comes out unchanged."""
+    rows = np.arange(len(pop))[:, None]
+    order = pop.argsort(axis=1, kind="stable")  # a repeat follows its leftmost slot
+    ranked = pop[rows, order]
+    ranked[:, 1:][ranked[:, 1:] == ranked[:, :-1]] = -1
+    pop[rows, order] = ranked
+
+    filled = pop[rows, slot_orders] >= 0
+    short = k - filled.sum(axis=1, keepdims=True)
+    surplus = filled & (filled.cumsum(axis=1) <= -short)
+    pop[np.nonzero(surplus)[0], slot_orders[surplus]] = -1
+
+    used = np.zeros(ad_orders.shape, dtype=bool)
+    used[np.nonzero(pop >= 0)[0], pop[pop >= 0]] = True
+    spare = ~used[rows, ad_orders]
+    spare &= spare.cumsum(axis=1) <= short
+    gaps = ~filled & ((~filled).cumsum(axis=1) <= short)
+    pop[np.nonzero(gaps)[0], slot_orders[gaps]] = ad_orders[spare]
 
 
 def _population_fitness(pop: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -227,14 +221,11 @@ def _population_feasible(pop: np.ndarray, k: int) -> bool:
     return not np.any((ordered[:, :-1] >= 0) & (ordered[:, :-1] == ordered[:, 1:]))
 
 
-def ga_optimize(problem: ScheduleProblem, config: GaConfig = GaConfig(),
-                on_generation=None) -> GaResult:
+def ga_optimize(problem: ScheduleProblem, config: GaConfig = GaConfig()) -> GaResult:
     """Genetic search: tournament selection, uniform crossover with
     feasibility repair, swap/replace mutation, elitism of one.
 
     Deterministic for a fixed seed; returns the best individual ever seen.
-    `on_generation(gen, population, best_fitness)` is called once per
-    generation when provided.
     """
     rng = np.random.default_rng(config.seed)
     n, k, m = problem.n_slots, problem.k, len(problem.ads)
@@ -252,9 +243,9 @@ def ga_optimize(problem: ScheduleProblem, config: GaConfig = GaConfig(),
     best_fit = float(fits[best_idx])
     history = []
 
-    for gen in range(config.generations):
+    for _ in range(config.generations):
         # Batched randomness for the whole generation.
-        contenders = rng.integers(0, P, size=(2, P, config.tournament_size))
+        contenders = rng.integers(0, P, size=(2, P, TOURNAMENT_SIZE))
         idx1 = contenders[0][np.arange(P), np.argmax(fits[contenders[0]], axis=1)]
         idx2 = contenders[1][np.arange(P), np.argmax(fits[contenders[1]], axis=1)]
         do_cross = rng.random(P) < config.crossover_rate
@@ -269,21 +260,23 @@ def ga_optimize(problem: ScheduleProblem, config: GaConfig = GaConfig(),
         children = np.where(masks, pop[idx1], pop[idx2])
         children[~do_cross] = pop[idx1[~do_cross]]
         children[0] = best_chrom  # elitism
+        # Uncrossed rows and the elite are feasible, so the repair leaves them be.
+        _repair(children, k, slot_orders, ad_orders)
+        do_swap[0] = do_replace[0] = False  # the elite is not mutated
 
-        for row in range(P):
-            child = children[row]
-            if row > 0 and do_cross[row]:
-                _repair_row(child, k, m, slot_orders[row], ad_orders[row])
-            if row > 0 and do_swap[row]:
-                s1, s2 = swap_pairs[row]
-                child[s1], child[s2] = child[s2], child[s1]
-            if row > 0 and do_replace[row]:
-                filled = np.flatnonzero(child >= 0)
-                used = set(child[filled].tolist())
-                unused = [a for a in range(m) if a not in used]
-                if unused:
-                    slot = filled[replace_draws[row, 0] % len(filled)]
-                    child[slot] = unused[replace_draws[row, 1] % len(unused)]
+        rows = np.flatnonzero(do_swap)
+        s1, s2 = swap_pairs[rows].T
+        children[rows, s1], children[rows, s2] = children[rows, s2], children[rows, s1]
+
+        rows = np.flatnonzero(do_replace & (m > k))  # a replace needs an unused ad
+        kids, picks = children[rows], np.arange(len(rows))
+        held_rows, held_slots = np.nonzero(kids >= 0)
+        filled = held_slots.reshape(len(rows), k)  # ascending in each row
+        used = np.zeros((len(rows), m), dtype=bool)
+        used[held_rows, kids[held_rows, held_slots]] = True
+        unused = np.nonzero(~used)[1].reshape(len(rows), m - k)
+        slots = filled[picks, replace_draws[rows, 0] % k]
+        children[rows, slots] = unused[picks, replace_draws[rows, 1] % (m - k)]
 
         pop = children
         fits = _population_fitness(pop, M)
@@ -293,8 +286,6 @@ def ga_optimize(problem: ScheduleProblem, config: GaConfig = GaConfig(),
             best_fit = float(fits[gen_best])
             best_chrom = pop[gen_best].copy()
         history.append(best_fit)
-        if on_generation is not None:
-            on_generation(gen, pop, best_fit)
 
     slots = np.flatnonzero(best_chrom >= 0)
     schedule = AdSchedule({int(s): problem.ads[int(best_chrom[s])].id for s in slots})

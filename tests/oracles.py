@@ -4,8 +4,8 @@ explicit pair enumeration, dictionaries and Python loops only. The
 exceptions are frozen copies of earlier implementations that the optimized
 ones must reproduce bit for bit: `reference_smo` and `reference_seeded_smo`
 (`shallow._smo`), `reference_cnn_train` and `reference_cnn_gradients`
-(`cnn.cnn_train` and `cnn.cnn_gradients`), and `reference_mtl_fit`
-(`mtl.mtl_fit`).
+(`cnn.cnn_train` and `cnn.cnn_gradients`), `reference_mtl_fit`
+(`mtl.mtl_fit`) and `reference_ga_optimize` (`scheduler.ga_optimize`).
 """
 
 import itertools
@@ -687,3 +687,107 @@ def reference_mtl_fit(Xs, Ys, alpha, beta, gamma, R, fit_intercept=False, tol=1e
             break
 
     return x_W, x_b, history
+
+
+# ---------------------------------------------------------------- scheduler
+# The per-row generation loop that `scheduler.ga_optimize` replaced: each
+# child is repaired and mutated on its own, with set/iterator bookkeeping.
+
+def _ref_repair_row(child, k, n_ads, slot_order, ad_order):
+    """Deduplicate ads (first slot wins) and re-pad to exactly k of them,
+    consuming pre-drawn slot/ad orderings for all randomness."""
+    seen = set()
+    filled = 0
+    for s in range(len(child)):
+        a = child[s]
+        if a < 0:
+            continue
+        if a in seen:
+            child[s] = -1
+        else:
+            seen.add(a)
+            filled += 1
+    if filled > k:
+        for s in slot_order:
+            if filled == k:
+                break
+            if child[s] >= 0:
+                seen.discard(child[s])
+                child[s] = -1
+                filled -= 1
+    elif filled < k:
+        spare = iter(a for a in ad_order if a not in seen)
+        for s in slot_order:
+            if filled == k:
+                break
+            if child[s] < 0:
+                child[s] = next(spare)
+                filled += 1
+
+
+def reference_ga_optimize(problem, config):
+    """The GA that `scheduler.ga_optimize` must match exactly, result for
+    result, with tournaments of three."""
+    from adaffect.scheduler import AdSchedule, GaResult, _population_feasible, _population_fitness
+
+    rng = np.random.default_rng(config.seed)
+    n, k, m = problem.n_slots, problem.k, len(problem.ads)
+    P = config.population
+    M = problem.match_matrix()
+
+    pop = np.full((P, n), -1, dtype=int)
+    for row in range(P):
+        slots = rng.choice(n, size=k, replace=False)
+        ads = rng.choice(m, size=k, replace=False)
+        pop[row, slots] = ads
+    fits = _population_fitness(pop, M)
+    best_idx = int(np.argmax(fits))
+    best_chrom = pop[best_idx].copy()
+    best_fit = float(fits[best_idx])
+    history = []
+
+    for gen in range(config.generations):
+        # Batched randomness for the whole generation.
+        contenders = rng.integers(0, P, size=(2, P, 3))
+        idx1 = contenders[0][np.arange(P), np.argmax(fits[contenders[0]], axis=1)]
+        idx2 = contenders[1][np.arange(P), np.argmax(fits[contenders[1]], axis=1)]
+        do_cross = rng.random(P) < config.crossover_rate
+        masks = rng.random((P, n)) < 0.5
+        slot_orders = np.argsort(rng.random((P, n)), axis=1)
+        ad_orders = np.argsort(rng.random((P, m)), axis=1)
+        do_swap = rng.random(P) < config.mutation_rate
+        swap_pairs = rng.integers(0, n, size=(P, 2))
+        do_replace = rng.random(P) < config.mutation_rate
+        replace_draws = rng.integers(0, 1 << 30, size=(P, 2))
+
+        children = np.where(masks, pop[idx1], pop[idx2])
+        children[~do_cross] = pop[idx1[~do_cross]]
+        children[0] = best_chrom  # elitism
+
+        for row in range(P):
+            child = children[row]
+            if row > 0 and do_cross[row]:
+                _ref_repair_row(child, k, m, slot_orders[row], ad_orders[row])
+            if row > 0 and do_swap[row]:
+                s1, s2 = swap_pairs[row]
+                child[s1], child[s2] = child[s2], child[s1]
+            if row > 0 and do_replace[row]:
+                filled = np.flatnonzero(child >= 0)
+                used = set(child[filled].tolist())
+                unused = [a for a in range(m) if a not in used]
+                if unused:
+                    slot = filled[replace_draws[row, 0] % len(filled)]
+                    child[slot] = unused[replace_draws[row, 1] % len(unused)]
+
+        pop = children
+        fits = _population_fitness(pop, M)
+        assert _population_feasible(pop, k)
+        gen_best = int(np.argmax(fits))
+        if fits[gen_best] > best_fit:
+            best_fit = float(fits[gen_best])
+            best_chrom = pop[gen_best].copy()
+        history.append(best_fit)
+
+    slots = np.flatnonzero(best_chrom >= 0)
+    schedule = AdSchedule({int(s): problem.ads[int(best_chrom[s])].id for s in slots})
+    return GaResult(schedule=schedule, fitness=best_fit, best_history=history)

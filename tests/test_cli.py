@@ -304,10 +304,12 @@ class TestReaderBoundaries:
         ("agreement", RATINGS, "r2,a,valence,2", "r2,a,valence,nan", 4),
         ("agreement", RATINGS, "r2,a,valence,2", "r2,a,valence,inf", 4),
         ("agreement", RATINGS, "r2,b,valence,0", "r2,a,valence,0", 5),
+        ("agreement", RATINGS, "r2,a,valence,2", "r2,a,valence,3", 4),
     ], ids=["fuse-nan", "fuse-above-one", "predictions-short-row", "score-ads-above-one",
             "score-ads-negative", "score-ads-nan", "segments-short-row", "features-ragged",
             "features-non-numeric", "features-duplicate-id", "features-nan", "features-inf",
-            "ratings-short-row", "ratings-long-row", "ratings-nan", "ratings-inf", "ratings-duplicate-cell"])
+            "ratings-short-row", "ratings-long-row", "ratings-nan", "ratings-inf", "ratings-duplicate-cell",
+            "ratings-off-scale"])
     def test_bad_row_exits_1_with_path_line(self, tmp_path, capsys, command, text, old, new, line):
         good, bad, out = tmp_path / "good.csv", tmp_path / "bad.csv", tmp_path / "out.csv"
         assert old in text
@@ -323,6 +325,15 @@ class TestReaderBoundaries:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+def test_padded_segment_header_exits_1(tmp_path, capsys):
+    # Header names match exactly, as in every other CSV reader.
+    segments, out = tmp_path / "segments.csv", tmp_path / "scores.csv"
+    segments.write_text(SEGMENTS.replace("ad_id,segment_id,p_high", " ad_id,segment_id, p_high"))
+    assert run("score-ads", "--predictions", segments, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {segments}: need ad_id and p_high columns\n"
+    assert not out.exists()
 
 
 def test_carriage_return_id_exits_1_and_writes_nothing(tmp_path, capsys):

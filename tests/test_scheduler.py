@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaffect.scheduler import (
     AdItem,
@@ -17,6 +19,7 @@ from adaffect.scheduler import (
     ga_optimize,
     schedule_fitness,
 )
+from oracles import reference_ga_optimize
 
 
 def make_problem(n_scenes=8, n_ads=6, k=5, seed=0, lambda_v=1.0, lambda_a=1.0):
@@ -30,6 +33,23 @@ def make_problem(n_scenes=8, n_ads=6, k=5, seed=0, lambda_v=1.0, lambda_a=1.0):
         for i in range(n_ads)
     ]
     return ScheduleProblem(scenes, ads, k, lambda_v, lambda_a)
+
+
+@st.composite
+def ga_cases(draw):
+    """A random instance (1-12 slots, 1-11 ads, any feasible k) and a GA
+    configuration of small size with any rates."""
+    n_slots, n_ads = draw(st.integers(1, 12)), draw(st.integers(1, 11))
+    k = draw(st.integers(1, min(n_slots, n_ads)))
+    problem = make_problem(n_slots + 1, n_ads, k, seed=draw(st.integers(0, 2**32 - 1)))
+    config = GaConfig(
+        population=draw(st.integers(1, 29)),
+        generations=draw(st.integers(0, 29)),
+        crossover_rate=draw(st.floats(0.0, 1.0)),
+        mutation_rate=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return problem, config
 
 
 class TestFitness:
@@ -131,19 +151,28 @@ class TestGa:
         hist = np.array(result.best_history)
         assert np.all(np.diff(hist) >= 0.0)
 
-    def test_every_generation_feasible(self):
-        problem = make_problem(seed=8)
-        seen = []
+    @settings(max_examples=100, deadline=None)
+    @given(ga_cases())
+    def test_matches_reference_loop_at_any_size(self, case):
+        problem, config = case
+        result = ga_optimize(problem, config)
+        assert result == reference_ga_optimize(problem, config)
+        slots, ads = zip(*result.schedule.sorted_items())
+        assert len(set(slots)) == len(set(ads)) == problem.k
+        assert all(0 <= s < problem.n_slots for s in slots)
+        assert set(ads) <= {a.id for a in problem.ads}
+        # Equal up to summation order: the GA sums a row pairwise from 8 slots on.
+        total = sum(c for _, _, c in fitness_contributions(problem, result.schedule))
+        assert result.fitness == pytest.approx(total, rel=1e-12, abs=1e-12)
+        assert np.all(np.diff(result.best_history) >= 0.0)
 
-        def check(gen, pop, best):
-            for chrom in pop:
-                ads = chrom[chrom >= 0]
-                assert len(ads) == problem.k
-                assert len(np.unique(ads)) == problem.k
-            seen.append(gen)
-
-        ga_optimize(problem, GaConfig(generations=30, seed=2), on_generation=check)
-        assert len(seen) == 30
+    @pytest.mark.parametrize("seed", range(0, 100, 10))
+    def test_matches_reference_loop_on_criterion_9_instance(self, seed):
+        rng = np.random.default_rng(9009)
+        scenes = [SceneRecord(f"s{i}", float(rng.random()), float(rng.random())) for i in range(8)]
+        ads = [AdItem(f"a{i}", float(rng.random()), float(rng.random())) for i in range(6)]
+        problem, config = ScheduleProblem(scenes, ads, k=5), GaConfig(seed=seed)
+        assert ga_optimize(problem, config) == reference_ga_optimize(problem, config)
 
     def test_feasibility_check_matches_per_row_definition(self):
         # Feasible populations, half of them with one cell overwritten (which
@@ -172,7 +201,8 @@ class TestGa:
         assert result.fitness == pytest.approx(max(result.best_history))
 
     @pytest.mark.parametrize("field, value", [
-        ("population", 0), ("tournament_size", 0),
+        ("population", 0), ("population", 2.5), ("population", True),
+        ("generations", -5), ("generations", 2.5), ("generations", False),
         ("crossover_rate", -0.1), ("crossover_rate", 1.5), ("mutation_rate", 2.0),
     ])
     def test_config_rejects_degenerate_sizes_and_rates(self, field, value):
