@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -375,10 +376,12 @@ def cmd_schedule(args) -> list:
         )
         result = ga_optimize(problem, config)
         schedule, fitness = result.schedule, result.fitness
+    rows = fitness_contributions(problem, schedule)
+    # The total is the correctly rounded sum of the rows above it, whatever order the optimizer summed in.
     fileio.write_csv(args.out, [
         ["slot_index", "ad_id", "fitness_contribution"],
-        *fitness_contributions(problem, schedule),
-        ["total", "", fileio.fmt(fitness)],
+        *rows,
+        ["total", "", math.fsum(c for _, _, c in rows)],
     ])
     print(f"{args.method} schedule fitness = {fitness:.6f}")
     return [args.out]

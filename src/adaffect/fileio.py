@@ -197,11 +197,19 @@ def write_csv(path, rows, comment=None):
     """Write `rows` as RFC 4180 CSV with LF row ends, after a `# comment` line if
     given. A field is quoted only when it holds a comma, a quote or a newline. The
     reader would split a row at a carriage return, so a field holding one fails
-    as `path:line: reason` and nothing is written."""
+    as `path:line: reason` and nothing is written.
+
+    A row of Python floats alone is joined directly: csv.writer renders a
+    float as its repr, which never needs quoting, and the join is faster."""
     buf = io.StringIO()
     if comment is not None:
         buf.write(f"# {comment}\n")
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        if all(type(v) is float for v in row):  # not isinstance: np.float64's repr is "np.float64(...)"
+            buf.write(",".join(map(repr, row)) + "\n")
+        else:
+            writer.writerow(row)
     text = buf.getvalue()
     if "\r" in text:
         line = text.count("\n", 0, text.index("\r")) + 1

@@ -9,12 +9,22 @@ validation loss has increased over five successive epochs.
 Each convolution multiplies a window matrix (one row per output
 position, columns ordered (channel, tap)) by the reshaped kernel: the
 unrolled convolution of Chellapilla, Puri & Simard (2006). Training
-keeps the parameters in one flat float64 vector, weights first (W1..W4,
+keeps the parameters in one flat float32 vector, weights first (W1..W4,
 then b1..b4), with the gradient and the momentum velocity in two more
 vectors of the same layout; the `params` dict holds views into it. The
 window matrices, activations and gradient scratch are allocated once per
 training run, so an SGD step allocates no array larger than
 batch x fc_units.
+
+Precision follows the parameters: every product runs in the dtype of
+`params`, and the inputs are cast to it. Training draws the initial
+weights in float64 and casts them once to float32; a model built with
+float64 params (as the gradient checks build them) runs in float64
+throughout. The softmax and the loss always run in float64 on logits cast
+up from the parameters' dtype, as in mixed-precision training
+(Micikevicius et al., 2018), so posterior rows sum to 1 to float64
+rounding. A model file restores float32 params when every stored value is
+exactly a float32, and float64 params otherwise.
 """
 
 from __future__ import annotations
@@ -81,7 +91,13 @@ class CnnModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CnnModel":
+        """Params come back as float32 when every value is exactly a float32
+        (a trained model, which the file stores widened), else as float64."""
         params = {k: np.asarray(v, dtype=float) for k, v in doc["params"].items()}
+        with np.errstate(over="ignore"):
+            narrow = {k: v.astype(np.float32) for k, v in params.items()}
+        if all(np.array_equal(narrow[k], v) for k, v in params.items()):
+            params = narrow
         return cls(CnnConfig(**doc["hyperparams"]), int(doc["input_dim"]), params)
 
 
@@ -123,15 +139,18 @@ class _Scratch:
     batch's own size, so every step of a training run reuses the same memory.
 
     Conv activations are channels-last, (items, positions, channels). The
-    masks, dz1 and dz2 are (items, channels, positions), the layout the
-    bias gradients are summed over; a2 is too, because W3's rows are
-    ordered (channel, position).
+    masks, dz1, dz2 and a2 are (items, channels, positions), the row order
+    of W3. g2 (items * positions, channels) and g1 (channels, items *
+    positions) are contiguous copies of dz2 and dz1, which the kernel
+    gradient products and the bias sums read. Every buffer has the dtype
+    of `params`.
     """
 
     def __init__(self, params: dict, n: int, k: int):
         f, _, w = params["W1"].shape
         self.dims = (k, f, w, params["W3"].shape[1])
-        self.flat = {name: np.empty(math.prod(shape)) for name, shape in self._shapes(n).items()}
+        dtype = params["W1"].dtype
+        self.flat = {name: np.empty(math.prod(shape), dtype) for name, shape in self._shapes(n).items()}
         self.views: dict[int, dict] = {}
 
     def _shapes(self, B: int) -> dict:
@@ -170,8 +189,9 @@ def _windows(x: np.ndarray, w: int, out: np.ndarray) -> np.ndarray:
 
 
 def _forward(params, X, s: dict, dropout_mask=None) -> np.ndarray:
-    """Softmax probabilities of the items X (B, k). The activations that the
-    backward pass reads stay in the batch buffers `s`.
+    """Softmax probabilities (float64) of the items X (B, k), which have the
+    params' dtype. The activations that the backward pass reads stay in the
+    batch buffers `s`.
 
     Each conv is one (L, C * w) @ (C * w, C_out) product per item; a single
     (B * L)-row product rounds differently.
@@ -188,7 +208,7 @@ def _forward(params, X, s: dict, dropout_mask=None) -> np.ndarray:
     h = np.maximum(z3, 0.0, out=s["h"])
     if dropout_mask is not None:
         h *= dropout_mask
-    logits = h @ params["W4"] + params["b4"]
+    logits = (h @ params["W4"] + params["b4"]).astype(np.float64)
     shifted = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     return expd / expd.sum(axis=1, keepdims=True)
@@ -205,7 +225,7 @@ def _loss_from_probs(probs, targets, params, weight_decay, squares=None):
 
 def cnn_loss(model: CnnModel, X, targets) -> float:
     """Regularized cross-entropy with dropout disabled."""
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(X, dtype=model.params["W1"].dtype)
     probs = _forward(model.params, X, _buffers_for(model.params, X))
     return _loss_from_probs(probs, np.asarray(targets), model.params,
                             model.config.weight_decay)
@@ -219,6 +239,7 @@ def _backward(params, s: dict, probs, targets, grads: dict, dropout_mask=None) -
     delta = probs.copy()
     delta[np.arange(B), targets] -= 1.0
     delta /= B
+    delta = delta.astype(params["W1"].dtype, copy=False)
 
     np.matmul(s["h"].T, delta, out=grads["W4"])
     np.sum(delta, axis=0, out=grads["b4"])
@@ -230,9 +251,9 @@ def _backward(params, s: dict, probs, targets, grads: dict, dropout_mask=None) -
     np.sum(dz3, axis=0, out=grads["b3"])
     dz2 = np.matmul(dz3, params["W3"].T, out=s["dz2"].reshape(B, -1)).reshape(B, f, L2)
     dz2 *= np.greater(s["z2"].transpose(0, 2, 1), 0.0, out=s["mask2"])
-    np.sum(dz2, axis=(0, 2), out=grads["b2"])
     g2 = s["g2"]
     g2[...] = dz2.transpose(0, 2, 1)
+    np.sum(g2.reshape(-1, f), axis=0, out=grads["b2"])
     np.matmul(g2.reshape(-1, f).T, s["cols2"].reshape(-1, f * w), out=grads["W2"].reshape(f, -1))
     # Input gradient of conv 2: one product for all taps, added tap by tap.
     # It rounds like one product per tap unless conv 2 has a single output
@@ -245,17 +266,17 @@ def _backward(params, s: dict, probs, targets, grads: dict, dropout_mask=None) -
         gx[:, tau : tau + L2] += taps[..., tau]
     dz1 = np.multiply(gx.transpose(0, 2, 1), np.greater(s["z1"].transpose(0, 2, 1), 0.0, out=s["mask1"]),
                       out=s["dz1"])
-    np.sum(dz1, axis=(0, 2), out=grads["b1"])
     g1 = s["g1"]
     g1[...] = dz1.transpose(1, 0, 2)
+    np.sum(g1.reshape(f, -1), axis=1, out=grads["b1"])
     np.matmul(g1.reshape(f, -1), s["cols1"].reshape(-1, w), out=grads["W1"].reshape(f, -1))
 
 
 def cnn_gradients(model: CnnModel, X, targets) -> dict:
-    """Analytic gradients of cnn_loss (dropout disabled)."""
-    X = np.asarray(X, dtype=float)
+    """Analytic gradients of cnn_loss (dropout disabled), in the params' dtype."""
     params = model.params
-    grads = _flat_views(np.empty(sum(p.size for p in params.values())),
+    X = np.asarray(X, dtype=params["W1"].dtype)
+    grads = _flat_views(np.empty(sum(p.size for p in params.values()), params["W1"].dtype),
                         {key: p.shape for key, p in params.items()})
     s = _buffers_for(params, X)
     _backward(params, s, _forward(params, X, s), np.asarray(targets), grads)
@@ -274,9 +295,10 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
 
     A validation split (10% by default) is carved from the training data
     when none is provided; training stops early once the validation loss
-    has increased over `patience` successive epochs.
+    has increased over `patience` successive epochs. Training runs in
+    float32 (see the module docstring).
     """
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(X, dtype=np.float32)
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be items x dims aligned with y")
@@ -290,7 +312,7 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
 
     if val_data is not None:
         X_tr, y_tr = X, y
-        X_val = np.asarray(val_data[0], dtype=float)
+        X_val = np.asarray(val_data[0], dtype=np.float32)
         t_val = _targets_from_signs(np.asarray(val_data[1]))
     else:
         n = len(y)
@@ -305,7 +327,7 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
 
     init = _init_params(k, config, rng)
     shapes = {key: p.shape for key, p in init.items()}
-    theta = np.empty(sum(p.size for p in init.values()))
+    theta = np.empty(sum(p.size for p in init.values()), np.float32)
     params = _flat_views(theta, shapes)
     for key, value in init.items():
         params[key][...] = value
@@ -313,7 +335,7 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
     grads = _flat_views(grad, shapes)
     velocity = np.zeros_like(theta)
     n_w = sum(params[key].size for key in _WEIGHTS)
-    decay = np.empty(n_w)
+    decay = np.empty(n_w, theta.dtype)
     # Between epochs the weight-decay scratch holds the squared weights of the validation loss.
     squares = _flat_views(decay, {key: shapes[key] for key in _WEIGHTS})
     model = CnnModel(config=config, input_dim=k, params=params)
@@ -331,7 +353,7 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
             batch = order[start : start + config.batch_size]
             s = scratch.batch(len(batch))
             if config.dropout > 0.0:
-                mask = rng.random(out=s["mask"])
+                mask = rng.random(dtype=np.float32, out=s["mask"])
                 np.less(mask, keep, out=mask)
                 mask /= keep
             else:
@@ -359,8 +381,8 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
 
 
 def cnn_predict_proba(model: CnnModel, X) -> np.ndarray:
-    """Softmax posterior pairs (High, Low); dropout disabled, deterministic."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    """float64 softmax posterior pairs (High, Low); dropout disabled, deterministic."""
+    X = np.atleast_2d(np.asarray(X, dtype=model.params["W1"].dtype))
     if X.shape[1] != model.input_dim:
         raise DimensionMismatchError(f"expected {model.input_dim} dims, got {X.shape[1]}")
     return _forward(model.params, X, _buffers_for(model.params, X))

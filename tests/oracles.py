@@ -405,7 +405,9 @@ def inner_grid_search_full(train, spec, seed):
 # --------------------------------------------------------------------- cnn
 # The per-array CNN step that `cnn.cnn_train` replaced: every activation,
 # window matrix and gradient is a fresh array, and SGD updates each
-# parameter array on its own.
+# parameter array on its own. Products run in the params' dtype (float32
+# in training) and the softmax in float64; the bias gradients are summed
+# over the same contiguous copies as in `cnn._backward`.
 
 def _ref_init_params(k, config, rng):
     f, w, h = config.n_filters, config.filter_width, config.fc_units
@@ -453,7 +455,7 @@ def _ref_conv1d_grad_x(grad_out, W, L_in):
     B, _, L_out = grad_out.shape
     C_in, w = W.shape[1], W.shape[2]
     g = np.ascontiguousarray(grad_out.transpose(0, 2, 1))  # (B, L_out, C_out)
-    gx = np.zeros((B, C_in, L_in))
+    gx = np.zeros((B, C_in, L_in), grad_out.dtype)
     for tau in range(w):
         gx[:, :, tau : tau + L_out] += (g @ W[:, :, tau]).transpose(0, 2, 1)
     return gx
@@ -470,7 +472,7 @@ def _ref_forward(params, X, dropout_mask=None):
     z3 = flat @ params["W3"] + params["b3"]
     a3 = np.maximum(z3, 0.0)
     h = a3 * dropout_mask if dropout_mask is not None else a3
-    logits = h @ params["W4"] + params["b4"]
+    logits = (h @ params["W4"] + params["b4"]).astype(np.float64)
     shifted = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     probs = expd / expd.sum(axis=1, keepdims=True)
@@ -492,6 +494,8 @@ def _ref_backward(params, cache, probs, targets, weight_decay, dropout_mask=None
     delta = probs.copy()
     delta[np.arange(B), targets] -= 1.0
     delta /= B
+    delta = delta.astype(params["W1"].dtype)
+    f = params["W1"].shape[0]
 
     grads = {}
     grads["W4"] = h.T @ delta + weight_decay * params["W4"]
@@ -505,18 +509,18 @@ def _ref_backward(params, cache, probs, targets, weight_decay, dropout_mask=None
     da2 = dflat.reshape(a2.shape)
     dz2 = da2 * (z2 > 0)
     grads["W2"] = _ref_conv1d_grad_w(a1, dz2, params["W2"].shape) + weight_decay * params["W2"]
-    grads["b2"] = dz2.sum(axis=(0, 2))
+    grads["b2"] = np.ascontiguousarray(dz2.transpose(0, 2, 1)).reshape(-1, f).sum(axis=0)
     da1 = _ref_conv1d_grad_x(dz2, params["W2"], a1.shape[2])
     dz1 = da1 * (z1 > 0)
     grads["W1"] = _ref_conv1d_grad_w(x, dz1, params["W1"].shape) + weight_decay * params["W1"]
-    grads["b1"] = dz1.sum(axis=(0, 2))
+    grads["b1"] = np.ascontiguousarray(dz1.transpose(1, 0, 2)).reshape(f, -1).sum(axis=1)
     return grads
 
 
 def reference_cnn_gradients(params, X, targets, weight_decay):
     """Gradients of the regularized cross-entropy (dropout disabled) that
-    `cnn.cnn_gradients` must match bit for bit."""
-    X = np.asarray(X, dtype=float)
+    `cnn.cnn_gradients` must match bit for bit, in the params' dtype."""
+    X = np.asarray(X, dtype=params["W1"].dtype)
     probs, cache = _ref_forward(params, X)
     return _ref_backward(params, cache, probs, np.asarray(targets), weight_decay)
 
@@ -526,18 +530,18 @@ def _ref_targets_from_signs(y):
 
 
 def reference_cnn_train(X, y, config, val_data=None):
-    """The training loop that `cnn.cnn_train` must match bit for bit.
+    """The float32 training loop that `cnn.cnn_train` must match bit for bit.
 
     Returns (params, history) with history = {"val_loss", "stopped_epoch"}.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(X, dtype=np.float32)
     y = np.asarray(y, dtype=float).reshape(-1)
     k = X.shape[1]
     rng = np.random.default_rng(config.seed)
 
     if val_data is not None:
         X_tr, y_tr = X, y
-        X_val = np.asarray(val_data[0], dtype=float)
+        X_val = np.asarray(val_data[0], dtype=np.float32)
         t_val = _ref_targets_from_signs(np.asarray(val_data[1]))
     else:
         n = len(y)
@@ -550,7 +554,7 @@ def reference_cnn_train(X, y, config, val_data=None):
         X_val, t_val = X[val_idx], _ref_targets_from_signs(y[val_idx])
     t_tr = _ref_targets_from_signs(y_tr)
 
-    params = _ref_init_params(k, config, rng)
+    params = {key: value.astype(np.float32) for key, value in _ref_init_params(k, config, rng).items()}
     velocity = {key: np.zeros_like(val) for key, val in params.items()}
 
     val_history = []
@@ -564,7 +568,8 @@ def reference_cnn_train(X, y, config, val_data=None):
             Xb, tb = X_tr[batch], t_tr[batch]
             if config.dropout > 0.0:
                 keep = 1.0 - config.dropout
-                mask = (rng.random((len(batch), config.fc_units)) < keep) / keep
+                draw = rng.random((len(batch), config.fc_units), dtype=np.float32)
+                mask = (draw < keep).astype(np.float32) / keep
             else:
                 mask = None
             probs, cache = _ref_forward(params, Xb, mask)

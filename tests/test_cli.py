@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,21 @@ class TestDispatch:
         total_line = out.read_text().strip().splitlines()[-1]
         assert total_line.startswith("total,,")
         assert float(total_line.split(",")[2]) == pytest.approx(expect)
+
+    @pytest.mark.parametrize("instance_seed, total", [(4, "36.337137999999996"), (1, "37.069883")])
+    def test_schedule_total_is_exact_sum_of_rows(self, tmp_path, instance_seed, total):
+        # The total is the correctly rounded sum of the rows. Seed 4: a
+        # left-to-right sum of the rows gives 36.337138, one ulp too high.
+        # Seed 1: the GA's own sum gives 37.069883000000004, one ulp too high.
+        inst = tmp_path / "inst"
+        assert run("synth", "schedule-instance", "--seed", instance_seed, "--scenes", 30, "--ads", 20,
+                   "--out", inst) == 0
+        out = tmp_path / "sched.csv"
+        assert run("schedule", "--scenes", inst / "scenes.json", "--ads", inst / "ads.json",
+                   "--k", 20, "--seed", 5, "--match-following", "--out", out) == 0
+        *rows, last = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 20 and last == ["total", "", total]
+        assert float(total) == math.fsum(float(row[2]) for row in rows)
 
     def test_metadata_sidecar_contents(self, tmp_path):
         feats = tmp_path / "f.csv"

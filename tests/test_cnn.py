@@ -19,6 +19,7 @@ from adaffect.learners.cnn import (
     cnn_train,
 )
 from adaffect.learners.mtl import build_task_graph
+from adaffect.learners.serialize import load_model, save_model
 
 
 def separable_features(n=32, k=16, scale=8.0, seed=0):
@@ -105,11 +106,14 @@ class TestTraining:
 
 class TestPredictions:
     def test_softmax_rows_sum_to_one(self):
+        # Training runs in float32; the softmax runs on logits cast to float64.
         X, y = separable_features(n=20, k=9, seed=6)
         model = cnn_train(X, y, CnnConfig(max_epochs=3, seed=6))
+        assert all(p.dtype == np.float32 for p in model.params.values())
         rng = np.random.default_rng(0)
-        proba = cnn_predict_proba(model, rng.normal(size=(7, 9)))
-        assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-6)
+        proba = cnn_predict_proba(model, rng.normal(size=(50, 9)))
+        assert proba.dtype == np.float64
+        assert np.max(np.abs(proba.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_trained_model_matches_training_labels(self):
         X, y = separable_features(n=32, k=16, scale=8.0, seed=7)
@@ -204,12 +208,16 @@ class TestReferenceIdentity:
         model = assert_matches_reference(X, y, config, val_data=(X, -y))
         assert model.history["stopped_epoch"] == 6
 
-    @pytest.mark.parametrize("B", (1, 7, 32))
-    def test_gradients_match_reference(self, B):
+    @pytest.mark.parametrize("B, dtype", [
+        pytest.param(B, dtype, id=f"{B}{suffix}")
+        for dtype, suffix in ((np.float64, ""), (np.float32, "-float32")) for B in (1, 7, 32)
+    ])
+    def test_gradients_match_reference(self, B, dtype):
         rng = np.random.default_rng(B)
         config = CnnConfig()
         params = _init_params(16, config, rng)
-        params = {key: value + 0.01 * rng.standard_normal(value.shape) for key, value in params.items()}
+        params = {key: (value + 0.01 * rng.standard_normal(value.shape)).astype(dtype)
+                  for key, value in params.items()}
         X = rng.normal(size=(B, 16))
         targets = rng.integers(0, 2, size=B)
         model = CnnModel(config=config, input_dim=16, params=params)
@@ -217,4 +225,33 @@ class TestReferenceIdentity:
         expect = reference_cnn_gradients(params, X, targets, config.weight_decay)
         assert set(grads) == set(expect)
         for key in expect:
+            assert grads[key].dtype == dtype, key
             assert_bits_equal(grads[key], expect[key], key)
+
+
+class TestModelFile:
+    """A model file restores float32 params only when every stored value is
+    exactly a float32, so each model predicts after a reload as it did before."""
+
+    def test_trained_model_reloads_as_float32(self, tmp_path):
+        X, y = separable_features(n=24, k=10, seed=2)
+        model = cnn_train(X, y, CnnConfig(max_epochs=3, seed=2))
+        save_model(model, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        for key in model.params:
+            assert loaded.params[key].dtype == np.float32, key
+            assert_bits_equal(loaded.params[key], model.params[key], key)
+        assert_bits_equal(cnn_predict_proba(loaded, X), cnn_predict_proba(model, X), "proba")
+
+    def test_float64_model_file_reloads_as_float64(self, tmp_path):
+        # As a model file written before training ran in float32.
+        rng = np.random.default_rng(5)
+        config = CnnConfig(seed=5)
+        model = CnnModel(config=config, input_dim=11, params=_init_params(11, config, rng))
+        save_model(model, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        for key in model.params:
+            assert loaded.params[key].dtype == np.float64, key
+            assert_bits_equal(loaded.params[key], model.params[key], key)
+        X = rng.normal(size=(9, 11))
+        assert_bits_equal(cnn_predict_proba(loaded, X), cnn_predict_proba(model, X), "proba")

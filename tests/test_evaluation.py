@@ -305,18 +305,22 @@ class TestWestFuse:
         expect = np.where(p1[:, 0] > p1[:, 1], 1.0, -1.0)
         assert np.array_equal(res.labels, expect)
 
-    def test_grid_search_beats_both_endpoints(self):
-        rng = np.random.default_rng(3)
-        for trial in range(10):
-            truth = np.where(rng.random(40) < 0.5, 1.0, -1.0)
-            p1 = rng.dirichlet((1, 1), size=40)
-            p2 = rng.dirichlet((1, 1), size=40)
-            f1t, f2t = rng.uniform(0.05, 1.0, size=2)
-            res = west_fuse(p1, p2, f1t, f2t, truth=truth, grid_step=0.05)
-            lab1 = np.where(p1[:, 0] > p1[:, 1], 1.0, -1.0)
-            lab2 = np.where(p2[:, 0] > p2[:, 1], 1.0, -1.0)
-            best_single = max(f1_score(lab1, truth), f1_score(lab2, truth))
-            assert res.tuning_f1 >= best_single - 1e-12
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(["joint", "convex"]),
+           step=st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.7, 1.0]),
+           f1t=st.floats(0.01, 1.0), f2t=st.floats(0.01, 1.0))
+    def test_grid_search_beats_both_endpoints(self, data, mode, step, f1t, f2t):
+        # The grid holds alpha = (1, 0) and (0, 1), where the fusion weights
+        # (summing to 1) are (1, 0) and (0, 1): the labels of one stream alone,
+        # ties going to Low. Quarter-step posteriors make such ties.
+        n = data.draw(st.integers(1, 30))
+        high = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+        p1, p2 = (np.array([[p, 1.0 - p] for p in data.draw(st.lists(high, min_size=n, max_size=n))])
+                  for _ in range(2))
+        truth = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+        res = west_fuse(p1, p2, f1t, f2t, truth=truth, grid_step=step, mode=mode)
+        for p in (p1, p2):
+            assert res.tuning_f1 >= f1_score(np.where(p[:, 0] > p[:, 1], 1.0, -1.0), truth)
 
     @pytest.mark.parametrize("mode", ["joint", "convex"])
     def test_tuning_f1_is_the_f1_of_the_returned_labels(self, mode):

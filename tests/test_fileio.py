@@ -1,3 +1,5 @@
+import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from adaffect.fileio import (
     write_feature_csv,
     write_frame_dir,
     write_ppm,
+    write_csv,
     write_descriptor_csv,
     write_predictions_csv,
     write_ratings_csv,
@@ -213,6 +216,20 @@ class TestFloatRows:
         }
         for name, lines in expect.items():
             assert written[name] == "\n".join(lines) + "\n", name
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.lists(st.one_of(
+        st.floats(), st.sampled_from(SPECIAL_FLOATS), st.floats(-1e-300, 1e-300),  # subnormals among them
+        st.sampled_from(["id,1", 'q"t', 7, np.float64(0.5)]),
+    ), max_size=6), max_size=6))
+    def test_write_csv_equals_csv_writer(self, rows):
+        # Rows of Python floats alone take the joined fast path; every other
+        # row (a str, an int, a numpy scalar) goes through csv.writer.
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_csv(Path(tmp) / "t.csv", rows)
+            assert (Path(tmp) / "t.csv").read_text() == buf.getvalue()
 
 
 ID_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-,\" \n"
