@@ -31,7 +31,7 @@ from .core import (
 from . import fileio
 # Called by this bare name: the benchmark's tracer (bench/spans.py) wraps cli.load_ratings_csv.
 from .fileio import load_ratings_csv
-from .eeg import EegEpoch, bandpass_filter, baseline_correct, pca_apply, pca_fit, vectorize
+from .eeg import EegEpoch, ShortEpochError, bandpass_filter, baseline_correct, pca_apply, pca_fit, vectorize
 from .evaluation import (
     MODEL_KINDS,
     ModelSpec,
@@ -201,7 +201,7 @@ def cmd_preprocess_eeg(args) -> list:
     paths = fileio.list_eeg_epochs(args.epochs)
     if not paths:
         raise ValueError(f"{args.epochs}: no epoch files (*.f32) found")
-    epochs, labels, quads, ids = [], [], [], []
+    epochs, labels, quads, ids, sources = [], [], [], [], []
     n_dirty = 0
     for p in paths:
         data, baseline, meta = fileio.read_eeg_epoch(p)
@@ -219,6 +219,7 @@ def cmd_preprocess_eeg(args) -> list:
         if "label" not in meta or "quadrant" not in meta:
             raise ValueError(f"{p}: sidecar lacks label/quadrant fields needed for features")
         epochs.append(epoch)
+        sources.append(p)
         labels.append(AffectLabel.from_code(meta["label"]))
         quads.append(Quadrant.from_code(meta["quadrant"]))
         ids.append(meta["stimulus_id"])
@@ -226,8 +227,11 @@ def cmd_preprocess_eeg(args) -> list:
     print(f"epochs: {total} total, {total - n_dirty} clean, {n_dirty} dirty; using {len(epochs)}")
 
     rows = []
-    for epoch in epochs:
-        filtered = bandpass_filter(epoch, args.low, args.high)
+    for epoch, source in zip(epochs, sources):
+        try:
+            filtered = bandpass_filter(epoch, args.low, args.high)
+        except ShortEpochError as exc:
+            raise ValueError(f"{source}: {exc}") from None
         if filtered.baseline is not None:
             filtered = baseline_correct(filtered)
         rows.append(vectorize(filtered, args.window))
@@ -547,7 +551,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write the method,attribute,value lines here")
 
     p = command("extract-av", cmd_extract_av, "audio/video descriptor extraction")
-    p.add_argument("--audio", default=None, help="PCM WAV input")
+    p.add_argument("--audio", default=None, help="WAV input: int16/int32 PCM or float32/float64")
     p.add_argument("--frames", default=None, help="directory of frame_%%06d.ppm + fps.txt")
     p.add_argument("--window", choices=WINDOW_MODES, default="all")
     p.add_argument("--smooth", action="store_true", help="Kaiser-smooth frame series before aggregation")

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -53,35 +54,108 @@ def fmt(x) -> str:
 
 # ---------------------------------------------------------------- WAV audio
 
-def write_wav(path, samples: np.ndarray, sample_rate: int):
-    """Write mono or multichannel float samples in [-1,1] as 32-bit float WAV."""
-    from scipy.io import wavfile  # imported here so commands without audio skip it
+WAVE_FORMAT_PCM = 0x0001
+WAVE_FORMAT_IEEE_FLOAT = 0x0003
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# An extensible header's subformat GUID is {tag-0000-0010-8000-00AA00389B71}.
+_SUBFORMAT_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# (format tag, bits per sample) -> (stored dtype, divisor onto [-1, 1])
+_WAV_SAMPLE_FORMATS = {
+    (WAVE_FORMAT_PCM, 16): ("<i2", 32768.0),
+    (WAVE_FORMAT_PCM, 32): ("<i4", 2147483648.0),
+    (WAVE_FORMAT_IEEE_FLOAT, 32): ("<f4", 1.0),
+    (WAVE_FORMAT_IEEE_FLOAT, 64): ("<f8", 1.0),
+}
+_WAV_TAG_NAMES = {WAVE_FORMAT_PCM: "PCM", WAVE_FORMAT_IEEE_FLOAT: "IEEE float", 0x0006: "A-law", 0x0007: "mu-law"}
 
-    data = np.asarray(samples, dtype=np.float32)
-    buf = io.BytesIO()
-    wavfile.write(buf, int(sample_rate), data)
-    atomic_write_bytes(path, buf.getvalue())
+
+def _riff_chunk(chunk_id: bytes, body: bytes) -> bytes:
+    return chunk_id + struct.pack("<I", len(body)) + body
+
+
+def write_wav(path, samples: np.ndarray, sample_rate: int):
+    """Write mono (1-D) or frames x channels float samples in [-1,1] as a
+    32-bit float WAV.
+
+    The bytes equal scipy's `wavfile.write` of the float32 array: RIFF/WAVE,
+    an 18-byte IEEE-float `fmt ` chunk, a `fact` chunk holding the frame
+    count, then the little-endian samples in one `data` chunk.
+    """
+    data = np.ascontiguousarray(samples, dtype="<f4")
+    channels = 1 if data.ndim == 1 else data.shape[-1]
+    if data.ndim not in (1, 2) or channels == 0:
+        raise ValueError(f"{path}: WAV samples must be 1-D or frames x channels, got shape {data.shape}")
+    rate = int(sample_rate)
+    if not 0 < rate < 2**32:
+        raise ValueError(f"{path}: sample rate {rate} does not fit a WAV header")
+    block_align = 4 * channels
+    if data.nbytes > 2**32 - 64:
+        raise ValueError(f"{path}: {data.nbytes} bytes of samples do not fit a RIFF file")
+    fmt_body = struct.pack("<HHIIHHH", WAVE_FORMAT_IEEE_FLOAT, channels, rate, rate * block_align,
+                           block_align, 32, 0)
+    head = (b"WAVE" + _riff_chunk(b"fmt ", fmt_body) + _riff_chunk(b"fact", struct.pack("<I", data.shape[0]))
+            + b"data" + struct.pack("<I", data.nbytes))
+    size = struct.pack("<I", len(head) + data.nbytes)
+    atomic_write_bytes(path, b"".join([b"RIFF", size, head, data.view(np.uint8).reshape(-1)]))
 
 
 def read_wav(path):
-    """Read a PCM WAV (16-bit int or 32-bit float) into float64 in [-1,1].
+    """Read a little-endian RIFF/WAVE file into float64 samples.
+
+    Accepted sample formats: PCM int16 and int32 (divided by 2**15 and
+    2**31 into [-1, 1)), IEEE float32 and float64 (taken as they are), and
+    WAVE_FORMAT_EXTENSIBLE headers whose subformat is PCM or IEEE float
+    with one of those depths. Chunks other than `fmt ` and `data` are
+    skipped. Anything else fails as `path: reason`: a file that is not
+    RIFF/WAVE, a missing `fmt ` or `data` chunk, a chunk that runs past the
+    end of the file, zero channels, another tag or depth (8- or 24-bit PCM,
+    A-law, ...), or a data chunk that is not a whole number of frames.
 
     Returns (samples, sample_rate, channels) with samples flattened
     interleaved for multichannel input.
     """
-    from scipy.io import wavfile
-
-    sample_rate, data = wavfile.read(path)
-    if data.dtype == np.int16:
-        data = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        data = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        data = data.astype(np.float64)
-    else:
-        raise ValueError(f"unsupported WAV sample format {data.dtype}")
-    channels = 1 if data.ndim == 1 else data.shape[1]
-    return data.reshape(-1), int(sample_rate), channels
+    raw = Path(path).read_bytes()
+    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise ValueError(f"{path}: not a RIFF/WAVE file")
+    chunks = {}
+    pos = 12
+    while pos < len(raw):
+        if len(raw) - pos < 8:
+            raise ValueError(f"{path}: truncated chunk header at byte {pos}")
+        chunk_id, size = struct.unpack_from("<4sI", raw, pos)
+        if pos + 8 + size > len(raw):
+            raise ValueError(f"{path}: {chunk_id.decode('latin-1')!r} chunk at byte {pos} declares {size} bytes, "
+                             f"only {len(raw) - pos - 8} remain")
+        chunks.setdefault(chunk_id, (pos + 8, size))
+        pos += 8 + size + (size & 1)
+    for chunk_id in (b"fmt ", b"data"):
+        if chunk_id not in chunks:
+            raise ValueError(f"{path}: no {chunk_id.decode()!r} chunk")
+    fmt_at, fmt_size = chunks[b"fmt "]
+    if fmt_size < 16:
+        raise ValueError(f"{path}: 'fmt ' chunk has {fmt_size} bytes, expected at least 16")
+    tag, channels, sample_rate, _, block_align, bits = struct.unpack_from("<HHIIHH", raw, fmt_at)
+    if tag == WAVE_FORMAT_EXTENSIBLE:
+        if fmt_size < 40:
+            raise ValueError(f"{path}: extensible 'fmt ' chunk has {fmt_size} bytes, expected 40")
+        guid = raw[fmt_at + 24 : fmt_at + 40]
+        if guid[4:] != _SUBFORMAT_GUID_TAIL:
+            raise ValueError(f"{path}: unsupported extensible subformat {guid.hex()}")
+        (tag,) = struct.unpack("<I", guid[:4])
+    if channels == 0:
+        raise ValueError(f"{path}: zero channels")
+    if (tag, bits) not in _WAV_SAMPLE_FORMATS:
+        name = _WAV_TAG_NAMES.get(tag, f"format tag {tag:#06x}")
+        raise ValueError(f"{path}: unsupported sample format: {bits}-bit {name}")
+    dtype, divisor = _WAV_SAMPLE_FORMATS[tag, bits]
+    if block_align != channels * bits // 8:
+        raise ValueError(f"{path}: block align {block_align} does not fit {channels} channels of {bits}-bit samples")
+    data_at, data_size = chunks[b"data"]
+    if data_size % block_align:
+        raise ValueError(f"{path}: data chunk of {data_size} bytes is not a whole number of "
+                         f"{block_align}-byte frames")
+    samples = np.frombuffer(raw, dtype=dtype, count=data_size // (bits // 8), offset=data_at).astype(np.float64) / divisor
+    return samples, int(sample_rate), channels
 
 
 # ------------------------------------------------------------- PPM frames

@@ -9,7 +9,7 @@ import pytest
 
 import adaffect
 from adaffect.cli import main
-from adaffect.fileio import read_feature_csv, read_predictions_csv, write_feature_csv
+from adaffect.fileio import read_feature_csv, read_predictions_csv, write_eeg_epoch, write_feature_csv
 from adaffect.learners import load_model, save_model
 from adaffect.learners.cnn import CnnConfig, cnn_predict_proba, cnn_train
 from adaffect.learners.mtl import build_task_graph, mtl_fit, mtl_scores
@@ -34,16 +34,26 @@ class TestDispatch:
         assert lines[-1].startswith("summary,")
         assert len(lines) == 1 + 3 + 1
 
-    def test_import_defers_slow_scipy_modules(self):
-        # scipy.signal, scipy.io and scipy.special take most of the start-up
-        # time; only the commands that filter EEG, read/write WAV files or
-        # compute a Pearson p-value should load them.
+    def test_import_defers_slow_scipy_modules(self, tmp_path):
+        # Importing scipy takes most of a command's start-up time. Only a
+        # Pearson p-value (scipy.special's t CDF) loads it: importing the CLI
+        # does not, and neither do the EEG and WAV commands, whose band-pass
+        # and RIFF reader and writer are numpy code.
         src = str(Path(adaffect.__file__).resolve().parents[1])
-        code = ("import sys; sys.path.insert(0, %r); import adaffect.cli; "
-                "print(sorted(m for m in ('scipy.signal', 'scipy.io', 'scipy.special') "
-                "if m in sys.modules))" % src)
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        code = ("import json, sys; sys.path.insert(0, %r); import adaffect.cli; "
+                "status = adaffect.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+                "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))" % src)
+        commands = [
+            [],
+            ["synth", "eeg", "--seed", 3, "--n-per-class", 2, "--duration", 4, "--out", tmp_path / "eeg"],
+            ["preprocess-eeg", "--epochs", tmp_path / "eeg", "--out", tmp_path / "eeg.csv"],
+            ["synth", "media", "--out", tmp_path / "media"],
+            ["extract-av", "--audio", tmp_path / "media" / "tone.wav", "--out-audio", tmp_path / "audio.csv"],
+        ]
+        for argv in commands:
+            out = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                                 capture_output=True, text=True, check=True)
+            assert json.loads(out.stdout.splitlines()[-1]) == [0, []], argv
 
     def test_benchmark_layer_hooks_resolve(self, monkeypatch):
         # The benchmark's tracer wraps these (module, attribute) pairs in every
@@ -341,6 +351,25 @@ class TestReaderBoundaries:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+def test_short_eeg_epoch_exits_1_naming_the_file(tmp_path, capsys):
+    sidecar = {"sample_rate": 128, "stimulus_id": "ad02", "clean": True, "label": "H", "quadrant": "HH"}
+    write_eeg_epoch(tmp_path / "eeg", "ad01", np.zeros((14, 64)), None, {**sidecar, "stimulus_id": "ad01"})
+    write_eeg_epoch(tmp_path / "eeg", "ad02", np.zeros((14, 20)), None, sidecar)
+    out = tmp_path / "eeg.csv"
+    assert run("preprocess-eeg", "--epochs", tmp_path / "eeg", "--out", out) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'eeg' / 'ad02.f32'}: epoch 'ad02' has 20 samples; "
+                                       "the zero-phase band-pass needs at least 28\n")
+    assert not out.exists()
+
+
+def test_wav_without_fmt_chunk_exits_1(tmp_path, capsys):
+    wav, out = tmp_path / "a.wav", tmp_path / "audio.csv"
+    wav.write_bytes(b"RIFF\x14\x00\x00\x00WAVEdata\x08\x00\x00\x00" + bytes(8))
+    assert run("extract-av", "--audio", wav, "--out-audio", out) == 1
+    assert capsys.readouterr().err == f"error: {wav}: no 'fmt ' chunk\n"
+    assert not out.exists()
 
 
 def test_padded_segment_header_exits_1(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaffect.eeg import (
     EegEpoch,
@@ -7,8 +9,10 @@ from adaffect.eeg import (
     MissingBaselineError,
     PcaModel,
     RankZeroDataError,
+    ShortEpochError,
     bandpass_filter,
     baseline_correct,
+    butter_bandpass_sos,
     pca_apply,
     pca_fit,
     vectorize,
@@ -60,6 +64,40 @@ class TestBandpass:
         combined = bandpass_filter(EegEpoch(a * x.data + b * y.data))
         separate = a * bandpass_filter(x).data + b * bandpass_filter(y).data
         assert np.allclose(combined.data, separate, atol=1e-9)
+
+    def test_short_epoch_names_stimulus_and_minimum(self):
+        epoch = EegEpoch(np.ones((14, 27)), stimulus_id="ad07")
+        with pytest.raises(ShortEpochError, match=r"^epoch 'ad07' has 27 samples; .* at least 28$"):
+            bandpass_filter(epoch)
+        assert bandpass_filter(EegEpoch(np.ones((14, 28)))).data.shape == (14, 28)
+
+    def test_repeat_calls_are_bitwise_identical(self):
+        x = EegEpoch(np.random.default_rng(3).normal(size=(14, 700)) * 40.0 + 12.0)
+        assert bandpass_filter(x).data.tobytes() == bandpass_filter(x).data.tobytes()
+
+
+class TestScipyOracle:
+    """scipy.signal stays the reference for the numpy design and filter."""
+
+    @pytest.mark.parametrize("low,high", [(0.1, 45.0), (4.0, 8.0), (0.01, 0.02), (30.0, 63.9)])
+    def test_sections_equal_butter(self, low, high):
+        from scipy import signal
+
+        expect = signal.butter(4, [low, high], btype="bandpass", fs=128, output="sos")
+        assert np.allclose(butter_bandpass_sos(low, high, 128.0), expect, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(28, 1500), low=st.floats(0.05, 40.0), width=st.floats(0.05, 1.0),
+           offset=st.floats(-1e4, 1e4), gain=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_sosfiltfilt(self, n, low, width, offset, gain, seed):
+        from scipy import signal
+
+        high = low + width * (63.9 - low)
+        x = offset + gain * np.random.default_rng(seed).normal(size=(14, n))
+        sos = signal.butter(4, [low, high], btype="bandpass", fs=128, output="sos")
+        expect = signal.sosfiltfilt(sos, x, axis=1)
+        got = bandpass_filter(EegEpoch(x), low, high).data
+        assert np.max(np.abs(got - expect)) <= 1e-8 * np.max(np.abs(x))
 
 
 class TestBaseline:

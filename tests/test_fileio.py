@@ -1,5 +1,7 @@
 import csv
 import io
+import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -71,6 +73,122 @@ class TestWav:
         loaded, sr, channels = read_wav(path)
         assert channels == 2
         assert np.allclose(loaded.reshape(-1, 2)[:, 0], left, atol=1e-7)
+
+
+def riff(*chunks, form=b"WAVE"):
+    body = form + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def chunk(chunk_id, body, size=None):
+    return chunk_id + struct.pack("<I", len(body) if size is None else size) + body
+
+
+def fmt_chunk(tag=3, channels=1, bits=32, rate=8000, block_align=None, extensible_tag=None):
+    block_align = channels * bits // 8 if block_align is None else block_align
+    body = struct.pack("<HHIIHH", tag, channels, rate, rate * block_align, block_align, bits)
+    if extensible_tag is not None:
+        guid = struct.pack("<I", extensible_tag) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        body += struct.pack("<HHI", 22, bits, 0) + guid
+    return chunk(b"fmt ", body)
+
+
+BAD_WAVS = {
+    "not_riff": (b"RIFX" + riff(fmt_chunk(), chunk(b"data", bytes(8)))[4:], r"not a RIFF/WAVE file"),
+    "not_wave": (riff(fmt_chunk(), chunk(b"data", bytes(8)), form=b"AVI "), r"not a RIFF/WAVE file"),
+    "empty_file": (b"", r"not a RIFF/WAVE file"),
+    "no_fmt": (riff(chunk(b"data", bytes(8))), r"no 'fmt ' chunk"),
+    "no_data": (riff(fmt_chunk()), r"no 'data' chunk"),
+    "short_fmt": (riff(chunk(b"fmt ", bytes(14)), chunk(b"data", bytes(8))), r"'fmt ' chunk has 14 bytes"),
+    "truncated_data": (riff(fmt_chunk(), chunk(b"data", bytes(8), size=100)),
+                       r"'data' chunk at byte 36 declares 100 bytes, only 8 remain"),
+    "truncated_header": (riff(fmt_chunk(), chunk(b"data", bytes(8)), b"LIS"), r"truncated chunk header at byte 52"),
+    "partial_frame": (riff(fmt_chunk(channels=2), chunk(b"data", bytes(12))),
+                      r"data chunk of 12 bytes is not a whole number of 8-byte frames"),
+    "zero_channels": (riff(fmt_chunk(channels=0, block_align=4), chunk(b"data", bytes(8))), r"zero channels"),
+    "pcm_8bit": (riff(fmt_chunk(tag=1, bits=8), chunk(b"data", bytes(8))), r"unsupported sample format: 8-bit PCM"),
+    "pcm_24bit": (riff(fmt_chunk(tag=1, bits=24), chunk(b"data", bytes(9))), r"unsupported sample format: 24-bit PCM"),
+    "pcm_64bit": (riff(fmt_chunk(tag=1, bits=64), chunk(b"data", bytes(8))), r"unsupported sample format: 64-bit PCM"),
+    "a_law": (riff(fmt_chunk(tag=6, bits=8), chunk(b"data", bytes(8))), r"unsupported sample format: 8-bit A-law"),
+    "extensible_a_law": (riff(fmt_chunk(tag=0xFFFE, bits=8, extensible_tag=6), chunk(b"data", bytes(8))),
+                         r"unsupported sample format: 8-bit A-law"),
+    "bad_block_align": (riff(fmt_chunk(tag=1, bits=16, block_align=4), chunk(b"data", bytes(8))),
+                        r"block align 4 does not fit 1 channels of 16-bit samples"),
+}
+
+
+class TestWavInput:
+    @pytest.mark.parametrize("name", sorted(BAD_WAVS))
+    def test_rejected_as_path_reason(self, tmp_path, name):
+        raw, reason = BAD_WAVS[name]
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {reason}"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("tag,bits,dtype,scale", [(1, 16, "<i2", 32768.0), (1, 32, "<i4", 2147483648.0),
+                                                      (3, 32, "<f4", 1.0), (3, 64, "<f8", 1.0)])
+    def test_extensible_subformats_read_as_plain(self, tmp_path, tag, bits, dtype, scale):
+        stored = (np.arange(-6, 6) * (1000 if tag == 1 else 0.125)).astype(dtype)
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff(fmt_chunk(tag=0xFFFE, channels=2, bits=bits, extensible_tag=tag),
+                              chunk(b"LIST", b"INFO"), chunk(b"data", stored.tobytes())))
+        samples, sr, channels = read_wav(path)
+        assert (sr, channels) == (8000, 2)
+        assert np.array_equal(samples, stored.astype(np.float64) / scale)
+
+
+class TestWavScipyOracle:
+    """scipy.io.wavfile stays the reference for the RIFF writer and reader."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300).flatmap(lambda n: arrays(np.float32, st.sampled_from([(n,), (n, 2)]))),
+           st.integers(1, 192000))
+    def test_write_bytes_equal_wavfile_write(self, samples, rate):
+        # Mono and stereo float32, NaN and infinities included.
+        from scipy.io import wavfile
+
+        expect = io.BytesIO()
+        wavfile.write(expect, rate, samples)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.wav"
+            write_wav(path, samples, rate)
+            assert path.read_bytes() == expect.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["int16", "int32", "float32", "float64"]), st.integers(1, 4), st.integers(0, 200),
+           st.integers(0, 2**32 - 1))
+    def test_read_equals_wavfile_read(self, dtype, channels, frames, seed):
+        from scipy.io import wavfile
+
+        rng = np.random.default_rng(seed)
+        if dtype.startswith("int"):
+            info = np.iinfo(dtype)
+            data = rng.integers(info.min, info.max, size=(frames, channels), endpoint=True, dtype=dtype)
+        else:
+            data = rng.uniform(-1.0, 1.0, size=(frames, channels)).astype(dtype)
+        data = data[:, 0] if channels == 1 else data
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.wav"
+            wavfile.write(path, 22050, data)
+            rate, expect = wavfile.read(path)
+            samples, sr, ch = read_wav(path)
+        scale = 2.0 ** (8 * expect.dtype.itemsize - 1) if dtype.startswith("int") else 1.0
+        assert (sr, ch) == (rate, channels) and samples.dtype == np.float64
+        assert np.array_equal(samples, expect.reshape(-1).astype(np.float64) / scale)
+
+    def test_synth_media_files_are_wavfile_bytes(self, tmp_path):
+        from scipy.io import wavfile
+
+        from adaffect.cli import main
+
+        assert main(["synth", "media", "--out", str(tmp_path)]) == 0
+        for name in ("tone.wav", "tone_stereo.wav", "sweep.wav"):
+            raw = (tmp_path / name).read_bytes()
+            rate, data = wavfile.read(io.BytesIO(raw))
+            expect = io.BytesIO()
+            wavfile.write(expect, rate, data)
+            assert data.dtype == np.float32 and raw == expect.getvalue()
 
 
 class TestPpm:
