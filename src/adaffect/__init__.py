@@ -6,28 +6,3 @@ ad-insertion scheduler, all runnable at desk scale on synthetic data.
 """
 
 __version__ = "0.1.0"
-
-from .core import (
-    AffectLabel,
-    Quadrant,
-    AdRecord,
-    RatingMatrix,
-    FeatureMatrix,
-    load_manifest,
-    min_max_normalize,
-    binarize_ratings,
-    quadrant_summary,
-)
-
-__all__ = [
-    "__version__",
-    "AffectLabel",
-    "Quadrant",
-    "AdRecord",
-    "RatingMatrix",
-    "FeatureMatrix",
-    "load_manifest",
-    "min_max_normalize",
-    "binarize_ratings",
-    "quadrant_summary",
-]

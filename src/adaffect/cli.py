@@ -31,7 +31,8 @@ from .core import (
 from . import fileio
 # Called by this bare name: the benchmark's tracer (bench/spans.py) wraps cli.load_ratings_csv.
 from .fileio import load_ratings_csv
-from .eeg import EegEpoch, ShortEpochError, bandpass_filter, baseline_correct, pca_apply, pca_fit, vectorize
+from .eeg import (EEG_CHANNELS, EegEpoch, ShortEpochError, bandpass_filter, baseline_correct, pca_apply, pca_fit,
+                  vectorize)
 from .evaluation import (
     MODEL_KINDS,
     ModelSpec,
@@ -41,7 +42,7 @@ from .evaluation import (
     fit_model,
     west_fuse,
 )
-from .learners import save_model
+from .learners.serialize import save_model
 from .learners.shallow import unconverged_solves
 # Unused here, but the benchmark's tracer (bench/spans.py) looks these names up on this module.
 from .learners.cnn import cnn_train
@@ -234,10 +235,14 @@ def cmd_preprocess_eeg(args) -> list:
             raise ValueError(f"{source}: {exc}") from None
         if filtered.baseline is not None:
             filtered = baseline_correct(filtered)
-        rows.append(vectorize(filtered, args.window))
-    width = min(len(r) for r in rows)
-    X = np.stack([r[:width] for r in rows])
-    if args.retain > 0:
+        row = vectorize(filtered, args.window)
+        # Channel-major rows of unequal length would put different channels in one column.
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"{source}: the {args.window!r} window holds {len(row) // EEG_CHANNELS} samples "
+                             f"per channel, but {sources[0]}'s holds {len(rows[0]) // EEG_CHANNELS}")
+        rows.append(row)
+    X = np.stack(rows)
+    if args.retain != 0:  # exactly 0 disables PCA; pca_fit rejects any value outside (0, 1]
         model = pca_fit(X, retain=args.retain, method="auto")
         X = pca_apply(model, X)
         print(f"pca: {model.k} components, retained {model.retained_fraction:.4f} of variance")

@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import check_real
+
 EEG_CHANNELS = 14
 EEG_SAMPLE_RATE = 128
 
@@ -63,9 +65,6 @@ class EegEpoch:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
-
-    def with_data(self, data: np.ndarray) -> "EegEpoch":
-        return replace(self, data=data)
 
 
 class ShortEpochError(ValueError):
@@ -216,7 +215,7 @@ def bandpass_filter(e: EegEpoch, low: float = 0.1, high: float = 45.0) -> EegEpo
     ], axis=1)
     y = _cascade(ext, ext[:, :1] * design.zi, design)
     y = _cascade(y[:, ::-1], y[:, -1:] * design.zi, design)
-    return e.with_data(np.ascontiguousarray(y[:, pad:-pad][:, ::-1]))
+    return replace(e, data=np.ascontiguousarray(y[:, pad:-pad][:, ::-1]))
 
 
 def baseline_correct(e: EegEpoch) -> EegEpoch:
@@ -224,7 +223,7 @@ def baseline_correct(e: EegEpoch) -> EegEpoch:
     if e.baseline is None or e.baseline.shape[1] == 0:
         raise MissingBaselineError(f"epoch {e.stimulus_id!r} has no baseline segment")
     means = e.baseline.mean(axis=1, keepdims=True)
-    return e.with_data(e.data - means)
+    return replace(e, data=e.data - means)
 
 
 # Sample counts of the EEG windows: ~30 s (3667 samples at 128 Hz) and
@@ -277,8 +276,7 @@ def pca_fit(rows: np.ndarray, retain: float = 0.9, method: str = "auto") -> PcaM
     X = np.asarray(rows, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need at least 2 rows")
-    if not 0.0 < retain <= 1.0:
-        raise ValueError("retain must lie in (0, 1]")
+    check_real("retain", retain, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
     if method not in ("auto", "direct", "gram"):
         raise ValueError(f"unknown method {method!r}")
     n, d = X.shape

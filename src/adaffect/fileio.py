@@ -246,7 +246,8 @@ def write_eeg_epoch(dirpath, name, data, baseline, sidecar: dict):
 
 
 def read_eeg_epoch(bin_path):
-    """Read one epoch binary + sidecar; returns (data, baseline, meta)."""
+    """Read one epoch binary + sidecar; returns (data, baseline, meta). A
+    non-finite sample fails as `path: reason`, naming its channel."""
     bin_path = Path(bin_path)
     meta = json.loads(bin_path.with_suffix(".json").read_text())
     channels = int(meta["channels"])
@@ -257,6 +258,9 @@ def read_eeg_epoch(bin_path):
     if blob.size != expected:
         raise ValueError(f"{bin_path}: expected {expected} floats, found {blob.size}")
     blob = blob.reshape(channels, samples + offset).astype(np.float64)
+    bad = ~np.isfinite(blob).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{bin_path}: channel {int(bad.argmax())} holds a non-finite sample")
     baseline = blob[:, :offset] if offset else None
     return blob[:, offset:], baseline, meta
 

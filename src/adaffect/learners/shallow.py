@@ -18,6 +18,7 @@ from ..core import check_real, stratified_folds
 
 KKT_TOL = 1e-3
 SMO_MAX_ITER = 400000
+PLATT_MAX_ITER = 100  # Newton steps of one Platt fit
 CALIBRATION_FOLDS = 3  # folds of the out-of-fold decision values that Platt scaling fits
 SHALLOW_KINDS = ("lda", "linear_svm", "rbf_svm")
 
@@ -57,12 +58,12 @@ def _rbf_kernel(A, B, gamma: float) -> np.ndarray:
 
 # ------------------------------------------------------------------ SMO
 
-def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = KKT_TOL, max_iter: int = SMO_MAX_ITER,
+def _smo(K: np.ndarray, y: np.ndarray, C: float, max_iter: int = SMO_MAX_ITER,
          alpha: np.ndarray | None = None):
     """SMO with second-order working-pair selection on a precomputed kernel.
 
     Returns (alpha, b, iters, converged). Optimality: there is a b
-    satisfying every KKT box condition within `tol`; `converged` is True
+    satisfying every KKT box condition within KKT_TOL; `converged` is True
     only when the solver stopped on that test, and `iters` counts the pair
     updates made. The state is kept as two vectors of t = y - G, the
     per-item implied bias: `up` holds t where the item may still bound b
@@ -98,6 +99,7 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = KKT_TOL, max_iter:
     # Row i is the second-order curvature diag_i + diag_j - 2 K_ij of every pair (i, j).
     eta_rows = list(np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, 1e-12))
     C_eps = C - eps
+    gap = 2.0 * KKT_TOL  # the largest t_i - t_j at which the KKT test holds
     delta = np.empty(n)  # t_i - t on the j side, -inf elsewhere
     flat = np.empty(n, dtype=bool)
     gain = np.empty(n)
@@ -108,7 +110,7 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = KKT_TOL, max_iter:
         i = int(up.argmax())
         t_i = up.item(i)
         np.subtract(t_i, lo, out=delta)
-        if delta.item(delta.argmax()) <= 2.0 * tol:  # max over j of t_i - t_j
+        if delta.item(delta.argmax()) <= gap:  # max over j of t_i - t_j
             converged = True
             break
         # Second-order partner: maximize the guaranteed objective gain
@@ -291,7 +293,7 @@ def logistic(x):
     return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
 
 
-def fit_platt(scores: np.ndarray, y: np.ndarray, max_iter: int = 100):
+def fit_platt(scores: np.ndarray, y: np.ndarray):
     """Fit P(High|f) = 1/(1 + exp(A f + B)) by Newton descent on the
     regularized log-loss with the usual prior-smoothed targets."""
     scores = np.asarray(scores, dtype=float)
@@ -309,7 +311,7 @@ def fit_platt(scores: np.ndarray, y: np.ndarray, max_iter: int = 100):
         return float(-np.sum(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)))
 
     prev = loss(A, B)
-    for _ in range(max_iter):
+    for _ in range(PLATT_MAX_ITER):
         p = apply(A, B)
         d = p - t  # dloss/dz with z = A f + B (note p = sigma(-z))
         g_a = float(np.sum(-d * scores))

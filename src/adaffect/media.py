@@ -1,7 +1,7 @@
-"""Content-centric descriptors: keyframe sampling, short-time Fourier
-spectrograms, and the classic handcrafted audio/video affect correlates
-(sound energy, pitch, shot-change frequency, motion activity,
-colorfulness), aggregated per second.
+"""Content-centric descriptors: short-time Fourier spectrograms and the
+classic handcrafted audio/video affect correlates (sound energy, pitch,
+shot-change frequency, motion activity, colorfulness), aggregated per
+second.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class AudioClip:
         if self.channels < 1 or self.samples.size % self.channels != 0:
             raise ValueError("sample count must divide evenly into channels")
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.channels / self.sample_rate
-
     def to_mono(self) -> "AudioClip":
         if self.channels == 1:
             return self
@@ -66,10 +62,6 @@ class FrameSequence:
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_frames / self.frame_rate
 
 
 @dataclass
@@ -121,18 +113,6 @@ class DescriptorSeries:
         return self.values.shape[0]
 
 
-def sample_keyframes(v: FrameSequence, period_s: float = 3.0) -> np.ndarray:
-    """Frame indices at t = 0, period, 2*period, ... strictly below the clip
-    duration."""
-    if v.n_frames == 0:
-        raise ValueError("empty frame sequence")
-    if period_s <= 0:
-        raise ValueError("period must be positive")
-    times = np.arange(0.0, v.duration_s - 1e-9, period_s)
-    idx = np.floor(times * v.frame_rate + 1e-9).astype(int)
-    return np.minimum(idx, v.n_frames - 1)
-
-
 def _frame_view(x: np.ndarray, window: int, hop: int) -> np.ndarray:
     n_frames = (len(x) - window) // hop + 1
     idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
@@ -164,21 +144,6 @@ def stft_spectrogram(
     frames = _frame_view(mono.samples, window, hop) * taper
     mags = np.abs(np.fft.rfft(frames, axis=1))
     return Spectrogram(mags, window_ms, hop_ms, mono.sample_rate)
-
-
-def split_ten_second_segments(a: AudioClip, seconds: float = 10.0) -> list[AudioClip]:
-    """Non-overlapping full blocks; a trailing partial block is dropped."""
-    mono = a.to_mono()
-    block = int(round(seconds * mono.sample_rate))
-    n_blocks = mono.samples.size // block
-    return [
-        AudioClip(mono.samples[i * block : (i + 1) * block], mono.sample_rate, 1)
-        for i in range(n_blocks)
-    ]
-
-
-def segment_spectrograms(a: AudioClip, seconds: float = 10.0, **kwargs) -> list[Spectrogram]:
-    return [stft_spectrogram(seg, **kwargs) for seg in split_ten_second_segments(a, seconds)]
 
 
 def _autocorr_pitch(frame: np.ndarray, sample_rate: int) -> float:

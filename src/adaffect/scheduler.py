@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import check_real
+
 BRUTE_FORCE_BUDGET = 10_000_000
 
 
@@ -60,8 +62,8 @@ class ScheduleProblem:
     def __post_init__(self):
         if len(self.scenes) < 2:
             raise ValueError("need at least 2 scenes to form a transition slot")
-        if self.lambda_v < 0 or self.lambda_a < 0:
-            raise ValueError("relevance weights must be nonnegative")
+        for name in ("lambda_v", "lambda_a"):
+            check_real(name, getattr(self, name), lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
         if len({a.id for a in self.ads}) != len(self.ads):
             raise ValueError("ad ids must be distinct")
         if self.k > min(self.n_slots, len(self.ads)) or self.k < 1:

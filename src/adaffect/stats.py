@@ -25,7 +25,6 @@ class NoPairableValuesError(ValueError):
 @dataclass(frozen=True)
 class AgreementResult:
     statistic: float
-    method: str
 
     def __post_init__(self):
         if not -1.0 - 1e-12 <= self.statistic <= 1.0 + 1e-12:
@@ -36,7 +35,6 @@ class AgreementResult:
 class TestResult:
     statistic: float
     p_value: float
-    method: str
 
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
@@ -65,7 +63,7 @@ def cohen_kappa(a, b) -> AgreementResult:
     p_e = float(np.sum(table.sum(axis=1) * table.sum(axis=0)) / n**2)
     if p_e >= 1.0:
         raise UndefinedKappaError("chance agreement is 1; kappa undefined")
-    return AgreementResult((p_o - p_e) / (1.0 - p_e), "cohen_kappa")
+    return AgreementResult((p_o - p_e) / (1.0 - p_e))
 
 
 def fleiss_kappa(tallies) -> AgreementResult:
@@ -90,7 +88,7 @@ def fleiss_kappa(tallies) -> AgreementResult:
     p_e = float(np.sum(p_j * p_j))
     if p_e >= 1.0:
         raise UndefinedKappaError("chance agreement is 1; kappa undefined")
-    return AgreementResult((p_bar - p_e) / (1.0 - p_e), "fleiss_kappa")
+    return AgreementResult((p_bar - p_e) / (1.0 - p_e))
 
 
 def krippendorff_alpha(m: RatingMatrix | np.ndarray, metric: str = "ordinal") -> AgreementResult:
@@ -135,7 +133,7 @@ def krippendorff_alpha(m: RatingMatrix | np.ndarray, metric: str = "ordinal") ->
     d_e = float(n_c @ delta_sq @ n_c) / (n_total * (n_total - 1.0))
     if d_e == 0.0:
         raise NoPairableValuesError("expected disagreement is zero")
-    return AgreementResult(1.0 - d_o / d_e, f"krippendorff_alpha_{metric}")
+    return AgreementResult(1.0 - d_o / d_e)
 
 
 def pearson_r(x, y) -> TestResult:
@@ -162,7 +160,7 @@ def pearson_r(x, y) -> TestResult:
     else:
         t = r * math.sqrt((n - 2) / (1.0 - r * r))
         p = 2.0 * float(stdtr(n - 2, -abs(t)))
-    return TestResult(r, min(1.0, p), "pearson_r")
+    return TestResult(r, min(1.0, p))
 
 
 def _midranks(ties: np.ndarray) -> np.ndarray:
@@ -225,7 +223,7 @@ def wilcoxon_rank_sum(x, y, method: str = "auto") -> TestResult:
         else:
             z = (w - mean_w) / math.sqrt(var_w)
             p = math.erfc(abs(z) / math.sqrt(2.0))
-    return TestResult(w, min(1.0, p), "wilcoxon_rank_sum")
+    return TestResult(w, min(1.0, p))
 
 
 def bh_fdr(p_values, q: float) -> np.ndarray:

@@ -5,11 +5,12 @@ with a dialled agreement level, and deterministic test media.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ALL_QUADRANTS, AROUSAL_SCALE, VALENCE_SCALE, AffectLabel, FeatureMatrix, RatingMatrix
+from .core import ALL_QUADRANTS, AROUSAL_SCALE, VALENCE_SCALE, AffectLabel, FeatureMatrix, RatingMatrix, check_real
 from .eeg import EEG_CHANNELS, EEG_SAMPLE_RATE, EegEpoch
 from .media import AudioClip, FrameSequence
 
@@ -32,8 +33,8 @@ class GenSpec:
     def __post_init__(self):
         if self.n_per_task < 1 or self.dims < 1:
             raise ValueError("counts must be >= 1")
-        if self.class_separation < 0 or self.noise_std < 0:
-            raise ValueError("class_separation and noise_std must be >= 0")
+        for name in ("class_separation", "noise_std"):
+            check_real(name, getattr(self, name), lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
         if not 0.0 <= self.task_correlation <= 1.0:
             raise ValueError("task_correlation must lie in [0, 1]")
 
@@ -136,6 +137,7 @@ def gen_synthetic_eeg(
     lo, hi = class_band
     if not 0.1 < lo < hi < 45.0:
         raise ValueError(f"class band [{lo}, {hi}] must sit inside (0.1, 45) Hz")
+    check_real("duration_s", duration_s, lambda v: 0.0 < v < math.inf, "a finite number > 0")
     rng = np.random.default_rng(spec.seed)
     sr = EEG_SAMPLE_RATE
     n_samples = int(round(duration_s * sr))

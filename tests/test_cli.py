@@ -9,8 +9,8 @@ import pytest
 
 import adaffect
 from adaffect.cli import main
-from adaffect.fileio import read_feature_csv, read_predictions_csv, write_eeg_epoch, write_feature_csv
-from adaffect.learners import load_model, save_model
+from adaffect.fileio import read_eeg_epoch, read_feature_csv, read_predictions_csv, write_eeg_epoch, write_feature_csv
+from adaffect.learners.serialize import load_model, save_model
 from adaffect.learners.cnn import CnnConfig, cnn_predict_proba, cnn_train
 from adaffect.learners.mtl import build_task_graph, mtl_fit, mtl_scores
 from adaffect.learners.shallow import shallow_fit, shallow_predict_proba
@@ -364,6 +364,35 @@ def test_short_eeg_epoch_exits_1_naming_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def synth_epochs(path):
+    assert run("synth", "eeg", "--seed", 3, "--n-per-class", 2, "--duration", 4, "--out", path) == 0
+
+
+def test_non_finite_eeg_sample_exits_1_naming_the_file(tmp_path, capsys):
+    synth_epochs(tmp_path / "eeg")
+    bad = sorted((tmp_path / "eeg").glob("*.f32"))[1]
+    blob = np.fromfile(bad, dtype="<f4")
+    blob[700] = np.inf
+    blob.tofile(bad)
+    out = tmp_path / "eeg.csv"
+    assert run("preprocess-eeg", "--epochs", tmp_path / "eeg", "--out", out) == 1
+    # Each channel stores 128 baseline then 512 epoch samples, so value 700 is channel 1's.
+    assert capsys.readouterr().err == f"error: {bad}: channel 1 holds a non-finite sample\n"
+    assert not out.exists()
+
+
+def test_epochs_of_unequal_length_exit_1_naming_the_odd_one(tmp_path, capsys):
+    synth_epochs(tmp_path / "eeg")
+    paths = sorted((tmp_path / "eeg").glob("*.f32"))
+    data, baseline, meta = read_eeg_epoch(paths[2])
+    write_eeg_epoch(tmp_path / "eeg", paths[2].stem, data[:, :400], baseline, meta)
+    out = tmp_path / "eeg.csv"
+    assert run("preprocess-eeg", "--epochs", tmp_path / "eeg", "--window", "all", "--out", out) == 1
+    assert capsys.readouterr().err == (f"error: {paths[2]}: the 'all' window holds 400 samples per channel, "
+                                       f"but {paths[0]}'s holds 512\n")
+    assert not out.exists()
+
+
 def test_wav_without_fmt_chunk_exits_1(tmp_path, capsys):
     wav, out = tmp_path / "a.wav", tmp_path / "audio.csv"
     wav.write_bytes(b"RIFF\x14\x00\x00\x00WAVEdata\x08\x00\x00\x00" + bytes(8))
@@ -426,6 +455,36 @@ class TestScheduleInputBoundaries:
                    "--method", "exact", "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths[which]}{where}") and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestNumericFlagBounds:
+    """A NaN, infinite or out-of-range numeric flag fails with one line naming the field and value."""
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("schedule", ("--lambda-v", "nan"), "lambda_v must be a finite number >= 0, got nan"),
+        ("schedule", ("--lambda-a", "inf", "--method", "exact"), "lambda_a must be a finite number >= 0, got inf"),
+        ("synth", ("--snr", "inf"), "class_separation must be a finite number >= 0, got inf"),
+        ("synth", ("--noise-std", "nan"), "noise_std must be a finite number >= 0, got nan"),
+        ("synth", ("--duration", "nan"), "duration_s must be a finite number > 0, got nan"),
+        ("preprocess-eeg", ("--retain", "nan"), "retain must be a number in (0, 1], got nan"),
+        ("preprocess-eeg", ("--retain", "-0.5"), "retain must be a number in (0, 1], got -0.5"),
+    ], ids=["lambda-v-nan", "lambda-a-inf", "snr-inf", "noise-std-nan", "duration-nan", "retain-nan",
+            "retain-negative"])
+    def test_bad_value_exits_1_and_writes_nothing(self, tmp_path, capsys, command, flags, message):
+        out = tmp_path / "out"
+        if command == "schedule":
+            for name, prefix in (("scenes", "scene"), ("ads", "ad")):
+                (tmp_path / f"{name}.json").write_text(json.dumps(schedule_entries(prefix)))
+            argv = ("schedule", "--scenes", tmp_path / "scenes.json", "--ads", tmp_path / "ads.json", "--k", 2)
+        elif command == "synth":
+            argv = ("synth", "eeg", "--n-per-class", 2, "--duration", 4)
+        else:
+            synth_epochs(tmp_path / "eeg")
+            argv = ("preprocess-eeg", "--epochs", tmp_path / "eeg")
+        capsys.readouterr()
+        assert run(*argv, *flags, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

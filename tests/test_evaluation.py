@@ -268,15 +268,6 @@ class TestCrossValidate:
         assert len(means) == 3 and all(m[0] == m[1] < 1.0 for m in means)
         assert finals == [grid_C[0]] * 3
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        feats = small_features()
-        spec = ModelSpec("lda")
-        serial = cross_validate(feats, spec, reps=2, folds=3, seed=11)
-        monkeypatch.setenv("ADAFFECT_THREADS", "4")
-        pooled = cross_validate(feats, spec, reps=2, folds=3, seed=11)
-        assert pooled.rows == serial.rows
-        assert np.array_equal(pooled.oof_posteriors, serial.oof_posteriors)
-
 
 class TestWestFuse:
     def test_hand_example(self):

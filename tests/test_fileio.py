@@ -252,6 +252,16 @@ class TestEegBinary:
         with pytest.raises(ValueError, match="floats"):
             read_eeg_epoch(tmp_path / "e3.f32")
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("in_baseline", [False, True])
+    def test_non_finite_sample_rejected_naming_file_and_channel(self, tmp_path, value, in_baseline):
+        data, baseline = np.zeros((14, 32), dtype=np.float32), np.zeros((14, 8), dtype=np.float32)
+        (baseline if in_baseline else data)[3, 5] = value
+        write_eeg_epoch(tmp_path, "e4", data, baseline, {})
+        with pytest.raises(ValueError) as exc:
+            read_eeg_epoch(tmp_path / "e4.f32")
+        assert str(exc.value) == f"{tmp_path / 'e4.f32'}: channel 3 holds a non-finite sample"
+
 
 class TestCsvTables:
     def test_feature_roundtrip(self, tmp_path):
@@ -447,7 +457,7 @@ class TestRoundTrips:
     @given(st.data())
     def test_eeg_epoch(self, data):
         channels = data.draw(st.integers(1, 14))
-        sample = st.floats(width=32, allow_nan=False)
+        sample = st.floats(width=32, allow_nan=False, allow_infinity=False)
         signal = data.draw(arrays(np.float32, (channels, data.draw(st.integers(0, 40))), elements=sample))
         n_base = data.draw(st.one_of(st.none(), st.integers(1, 20)))
         baseline = None if n_base is None else data.draw(arrays(np.float32, (channels, n_base), elements=sample))

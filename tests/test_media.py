@@ -8,9 +8,6 @@ from adaffect.media import (
     TooShortClipError,
     hanjalic_audio,
     hanjalic_video,
-    sample_keyframes,
-    segment_spectrograms,
-    split_ten_second_segments,
     stft_spectrogram,
     temporal_window,
 )
@@ -23,33 +20,6 @@ def tone(freq, sr=16000, seconds=10.0, amplitude=0.5):
 
 def gray_frames(n, value=0.5, h=16, w=16):
     return np.full((n, h, w, 3), value)
-
-
-class TestSampleKeyframes:
-    def test_sixty_second_clip(self):
-        v = FrameSequence(gray_frames(1500), 25.0)
-        idx = sample_keyframes(v, 3.0)
-        assert len(idx) == 20
-        assert list(idx[:3]) == [0, 75, 150]
-        assert idx[-1] == 1425
-
-    def test_short_clip_single_keyframe(self):
-        v = FrameSequence(gray_frames(50), 25.0)
-        assert list(sample_keyframes(v, 3.0)) == [0]
-
-    def test_strictly_increasing_in_range(self):
-        v = FrameSequence(gray_frames(130), 12.5)
-        idx = sample_keyframes(v, 3.0)
-        assert np.all(np.diff(idx) > 0)
-        assert idx[0] >= 0 and idx[-1] < v.n_frames
-
-    def test_dataset_scale_total(self):
-        # 25 ads per quadrant at the summary mean lengths ~ 1791 keyframes total.
-        total = 0
-        for dur in (48.16, 44.18, 60.24, 64.16):
-            v = FrameSequence(gray_frames(int(dur * 25)), 25.0)
-            total += 25 * len(sample_keyframes(v, 3.0))
-        assert abs(total / 100.0 - 17.91) <= 2.0
 
 
 class TestSpectrogram:
@@ -91,13 +61,6 @@ class TestSpectrogram:
         a = stft_spectrogram(mono)
         b = stft_spectrogram(stereo)
         assert np.allclose(a.magnitudes, b.magnitudes)
-
-    def test_ten_second_segmentation(self):
-        clip = tone(440.0, seconds=61.0)
-        segs = split_ten_second_segments(clip)
-        assert len(segs) == 6
-        sgs = segment_spectrograms(clip)
-        assert all(sg.magnitudes.shape[0] == 499 for sg in sgs)
 
 
 class TestHanjalicAudio:
