@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import WINDOW_MODES
 from .core import check_real
 
 EEG_CHANNELS = 14
@@ -237,13 +238,12 @@ def vectorize(e: EegEpoch, window: str = "all") -> np.ndarray:
     A full-length epoch yields 14 x 3667 = 51338 values for first30/last30
     and 14 x 1280 = 17920 for last10; shorter epochs clamp to what exists.
     """
-    if window == "all":
-        data = e.data
-    elif window in EEG_WINDOW_SAMPLES:
-        n = EEG_WINDOW_SAMPLES[window]
-        data = e.data[:, :n] if window == "first30" else e.data[:, -n:]
-    else:
+    if window not in WINDOW_MODES:
         raise ValueError(f"unknown window mode {window!r}")
+    data = e.data
+    if window != "all":
+        n = EEG_WINDOW_SAMPLES[window]
+        data = data[:, :n] if window == "first30" else data[:, -n:]
     return data.reshape(-1).copy()
 
 

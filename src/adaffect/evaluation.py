@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import MODEL_KINDS
 from .core import AffectLabel, FeatureMatrix, check_real, stratified_folds
 from .learners import shallow
 from .learners.cnn import CnnConfig, cnn_predict_proba, cnn_train
@@ -92,7 +93,7 @@ def _fit_cnn(kind, features, params, seed):
 
 
 #: kind -> (fit(kind, features, params, seed), posteriors(model, features),
-#: names of the kind's hyperparameters).
+#: names of the kind's hyperparameters), one entry per MODEL_KINDS in its order.
 _LEARNERS = {
     **{kind: (_fit_shallow, lambda model, f: shallow_predict_proba(model, f.X), tuple(DEFAULT_HYPERPARAMS[kind]))
        for kind in SHALLOW_KINDS},
@@ -100,8 +101,6 @@ _LEARNERS = {
     "cnn": (_fit_cnn, lambda model, f: cnn_predict_proba(model, f.X),
             tuple(c.name for c in fields(CnnConfig) if c.name != "seed")),
 }
-
-MODEL_KINDS = tuple(_LEARNERS)
 
 
 def fit_model(kind: str, features: FeatureMatrix, params: dict, seed: int):

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import WINDOW_MODES
+
 PITCH_MIN_HZ = 60.0
 PITCH_MAX_HZ = 500.0
 VOICING_THRESHOLD = 0.3
@@ -267,9 +269,6 @@ def hanjalic_video(v: FrameSequence, smooth_frames: bool = False) -> DescriptorS
         color = float(colors[lo:hi].mean())
         rows.append([shot_count, motion, color])
     return DescriptorSeries(np.asarray(rows), list(VIDEO_DESCRIPTORS))
-
-
-WINDOW_MODES = ("all", "first30", "last30", "last10")
 
 
 def temporal_window(series: DescriptorSeries, mode: str) -> DescriptorSeries:

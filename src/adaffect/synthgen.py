@@ -132,18 +132,19 @@ def gen_synthetic_eeg(
 
     Positive epochs add a tone at the band center with per-channel phases
     fixed by the seed; spec.class_separation sets the tone-to-noise
-    amplitude ratio (0 means no class signal at all).
+    amplitude ratio (0 means no class signal at all). The noise std
+    spec.noise_std must be > 0: the tone's amplitude is a multiple of it.
     """
     lo, hi = class_band
     if not 0.1 < lo < hi < 45.0:
         raise ValueError(f"class band [{lo}, {hi}] must sit inside (0.1, 45) Hz")
     check_real("duration_s", duration_s, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+    check_real("noise_std", spec.noise_std, lambda v: 0.0 < v < math.inf, "a finite number > 0")
     rng = np.random.default_rng(spec.seed)
     sr = EEG_SAMPLE_RATE
     n_samples = int(round(duration_s * sr))
     freq = 0.5 * (lo + hi)
-    noise_std = spec.noise_std if spec.noise_std > 0 else 1.0
-    amplitude = spec.class_separation * noise_std
+    amplitude = spec.class_separation * spec.noise_std
     phases = rng.uniform(0.0, 2.0 * np.pi, size=EEG_CHANNELS)
     gains = 0.5 + rng.random(EEG_CHANNELS)
     t = np.arange(n_samples) / sr
@@ -152,8 +153,8 @@ def gen_synthetic_eeg(
     epochs, labels = [], []
     for label in (AffectLabel.HIGH, AffectLabel.LOW):
         for i in range(spec.n_per_task):
-            data = _pinkish_noise(rng, (EEG_CHANNELS, n_samples), noise_std)
-            baseline = _pinkish_noise(rng, (EEG_CHANNELS, sr), noise_std)
+            data = _pinkish_noise(rng, (EEG_CHANNELS, n_samples), spec.noise_std)
+            baseline = _pinkish_noise(rng, (EEG_CHANNELS, sr), spec.noise_std)
             if label is AffectLabel.HIGH and amplitude > 0:
                 data = data + amplitude * tone
             epochs.append(

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -38,22 +40,52 @@ class TestDispatch:
         # Importing scipy takes most of a command's start-up time. Only a
         # Pearson p-value (scipy.special's t CDF) loads it: importing the CLI
         # does not, and neither do the EEG and WAV commands, whose band-pass
-        # and RIFF reader and writer are numpy code.
+        # and RIFF reader and writer are numpy code. Past that, each command
+        # runs only its own library modules, and the parser alone runs none
+        # and no numpy. The CLI puts library modules into sys.modules before
+        # they run, so a module counts as run once its entry is a plain module;
+        # the `adaffect.learners` package itself holds no code.
         src = str(Path(adaffect.__file__).resolve().parents[1])
-        code = ("import json, sys; sys.path.insert(0, %r); import adaffect.cli; "
-                "status = adaffect.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
-                "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))" % src)
+        code = ("import json, sys, types; sys.path.insert(0, %r); import adaffect.cli\n"
+                "try:\n    status = adaffect.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+                "except SystemExit as exc:\n    status = exc.code\n"
+                "ran = sorted(m for m, module in sys.modules.items() if type(module) is types.ModuleType)\n"
+                "packages = ('adaffect.cli', 'adaffect.learners')\n"
+                "library = [m for m in ran if m.startswith('adaffect.') and m not in packages]\n"
+                "print(json.dumps([status, [m for m in ran if m.split('.')[0] == 'scipy'], 'numpy' in ran, library]))"
+                % src)
+
+        def runs(*modules):  # numpy and these library modules
+            return [True, [f"adaffect.{m}" for m in modules]]
+
+        synth = runs("core", "eeg", "fileio", "media", "synthgen")
         commands = [
-            [],
-            ["synth", "eeg", "--seed", 3, "--n-per-class", 2, "--duration", 4, "--out", tmp_path / "eeg"],
-            ["preprocess-eeg", "--epochs", tmp_path / "eeg", "--out", tmp_path / "eeg.csv"],
-            ["synth", "media", "--out", tmp_path / "media"],
-            ["extract-av", "--audio", tmp_path / "media" / "tone.wav", "--out-audio", tmp_path / "audio.csv"],
+            ([], 0, [False, []]),
+            (["--version"], 0, [False, []]),
+            (["--help"], 0, [False, []]),
+            (["train", "--features", "f.csv", "--model", "bogus", "--out", "m.json"], 2, [False, []]),
+            (["synth", "ratings", "--raters", 4, "--items", 6, "--out", tmp_path / "ratings.csv"], 0, synth),
+            (["agreement", "--ratings", tmp_path / "ratings.csv"], 0, runs("core", "fileio", "stats")),
+            (["synth", "schedule-instance", "--out", tmp_path / "inst"], 0, synth),
+            (["schedule", "--scenes", tmp_path / "inst" / "scenes.json", "--ads", tmp_path / "inst" / "ads.json",
+              "--k", 2, "--generations", 2, "--out", tmp_path / "schedule.csv"], 0,
+             runs("core", "fileio", "scheduler")),
+            (["synth", "eeg", "--seed", 3, "--n-per-class", 2, "--duration", 4, "--out", tmp_path / "eeg"], 0, synth),
+            (["preprocess-eeg", "--epochs", tmp_path / "eeg", "--out", tmp_path / "eeg.csv"], 0,
+             runs("core", "eeg", "fileio")),
+            (["synth", "media", "--out", tmp_path / "media"], 0, synth),
+            (["extract-av", "--audio", tmp_path / "media" / "tone.wav", "--out-audio", tmp_path / "audio.csv"], 0,
+             runs("core", "fileio", "media")),
         ]
-        for argv in commands:
+        for argv, status, modules in commands:
             out = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
                                  capture_output=True, text=True, check=True)
-            assert json.loads(out.stdout.splitlines()[-1]) == [0, []], argv
+            assert json.loads(out.stdout.splitlines()[-1]) == [status, [], *modules], argv
+        # A library module the CLI registered still resolves as an attribute
+        # of its package, and the CLI's own names resolve from outside.
+        check = ("import sys; sys.path.insert(0, %r); import adaffect.cli; import adaffect.stats; "
+                 "adaffect.stats.krippendorff_alpha; from adaffect.cli import cross_validate" % src)
+        subprocess.run([sys.executable, "-c", check], check=True)
 
     def test_benchmark_layer_hooks_resolve(self, monkeypatch):
         # The benchmark's tracer wraps these (module, attribute) pairs in every
@@ -65,6 +97,31 @@ class TestDispatch:
         missing = [(module, attr) for module, attr, *_ in spans.LAYER_HOOKS
                    if not hasattr(importlib.import_module(module), attr)]
         assert missing == []
+
+    def test_benchmark_tracer_records_layer_spans(self, tmp_path):
+        # bench/traced_cli.py installs its hooks right after importing
+        # adaffect.cli, and hooks only modules already in sys.modules by then,
+        # fileio's readers and writers first. Each command must still record
+        # the spans of the layers it runs.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(Path(adaffect.__file__).resolve().parents[1]))
+        features, ratings = tmp_path / "f.csv", tmp_path / "ratings.csv"
+        assert run("synth", "quadrant", "--seed", 3, "--n-per-task", 6, "--dims", 9, "--out", features) == 0
+        assert run("synth", "ratings", "--raters", 4, "--items", 6, "--out", ratings) == 0
+        counts = Counter()
+        for argv, layers in (
+            (("train", "--features", features, "--model", "linear_svm", "--out", tmp_path / "m.json"),
+             {"fileio.read_csv", "fileio.write", "learners.shallow.fit", "learners.shallow.platt"}),
+            (("agreement", "--ratings", ratings, "--out", tmp_path / "agreement.csv"),
+             {"core.load_ratings", "stats.alpha", "fileio.write"}),
+        ):
+            spans_path = tmp_path / f"{argv[0]}.spans.json"
+            subprocess.run([sys.executable, str(root / "bench" / "traced_cli.py"), str(spans_path), *map(str, argv)],
+                           env=env, capture_output=True, check=True)
+            doc = json.loads(spans_path.read_text())
+            assert layers <= {name for name, *_ in doc["spans"]}, argv[0]
+            counts.update(doc["counts"])
+        assert counts["learners.shallow.fit_calls"] == 1
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -466,11 +523,12 @@ class TestNumericFlagBounds:
         ("schedule", ("--lambda-a", "inf", "--method", "exact"), "lambda_a must be a finite number >= 0, got inf"),
         ("synth", ("--snr", "inf"), "class_separation must be a finite number >= 0, got inf"),
         ("synth", ("--noise-std", "nan"), "noise_std must be a finite number >= 0, got nan"),
+        ("synth", ("--noise-std", "0"), "noise_std must be a finite number > 0, got 0.0"),
         ("synth", ("--duration", "nan"), "duration_s must be a finite number > 0, got nan"),
         ("preprocess-eeg", ("--retain", "nan"), "retain must be a number in (0, 1], got nan"),
         ("preprocess-eeg", ("--retain", "-0.5"), "retain must be a number in (0, 1], got -0.5"),
-    ], ids=["lambda-v-nan", "lambda-a-inf", "snr-inf", "noise-std-nan", "duration-nan", "retain-nan",
-            "retain-negative"])
+    ], ids=["lambda-v-nan", "lambda-a-inf", "snr-inf", "noise-std-nan", "noise-std-zero", "duration-nan",
+            "retain-nan", "retain-negative"])
     def test_bad_value_exits_1_and_writes_nothing(self, tmp_path, capsys, command, flags, message):
         out = tmp_path / "out"
         if command == "schedule":

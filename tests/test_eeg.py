@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaffect import WINDOW_MODES
 from adaffect.eeg import (
     EegEpoch,
     InvalidBandError,
@@ -134,6 +135,11 @@ class TestVectorize:
         for window, samples in (("first30", epoch.data[:, :3667]), ("last30", epoch.data[:, -3667:]),
                                 ("last10", epoch.data[:, -1280:])):
             assert np.array_equal(vectorize(epoch, window).reshape(14, -1), samples)
+
+    def test_every_window_mode_vectorizes(self):
+        # The CLI offers adaffect.WINDOW_MODES as preprocess-eeg --window choices.
+        epoch = EegEpoch(np.zeros((14, 3840)))
+        assert [vectorize(epoch, window).size for window in WINDOW_MODES] == [14 * 3840, 51338, 51338, 17920]
 
     def test_unknown_window_mode(self):
         with pytest.raises(ValueError, match="unknown window mode"):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adaffect import MODEL_KINDS, evaluation
 from adaffect.core import AffectLabel, FeatureMatrix, Quadrant
 from adaffect.evaluation import (
     CvReport,
@@ -382,6 +383,10 @@ class TestAdLevelScore:
 
 
 class TestFitModel:
+    def test_one_learner_per_model_kind_in_its_order(self):
+        # The CLI offers adaffect.MODEL_KINDS as --model choices without importing this module.
+        assert tuple(evaluation._LEARNERS) == MODEL_KINDS
+
     @pytest.mark.parametrize("kind, name", [
         ("lda", "C"), ("linear_svm", "Cc"), ("rbf_svm", "shrinkage"),
         ("mtl", "alpah"), ("cnn", "seed"),
