@@ -251,23 +251,29 @@ def cmd_preprocess_eeg(args) -> list:
     n_dirty = 0
     for p in paths:
         data, baseline, meta = fileio.read_eeg_epoch(p)
-        epoch = EegEpoch(
-            data=data,
-            sample_rate=int(meta["sample_rate"]),
-            stimulus_id=meta["stimulus_id"],
-            clean=bool(meta["clean"]),
-            baseline=baseline,
-        )
-        if not epoch.clean:
-            n_dirty += 1
-            if args.subset == "clean":
-                continue
-        if "label" not in meta or "quadrant" not in meta:
-            raise ValueError(f"{p}: sidecar lacks label/quadrant fields needed for features")
+        try:
+            epoch = EegEpoch(
+                data=data,
+                sample_rate=meta["sample_rate"],
+                stimulus_id=meta["stimulus_id"],
+                clean=meta["clean"],
+                baseline=baseline,
+            )
+            if not isinstance(epoch.clean, bool):
+                raise ValueError(f"clean must be true or false, got {epoch.clean!r}")
+            if not epoch.clean:
+                n_dirty += 1
+                if args.subset == "clean":
+                    continue
+            label, quad = AffectLabel.from_code(str(meta["label"])), Quadrant.from_code(str(meta["quadrant"]))
+        except KeyError as exc:
+            raise ValueError(f"{p.with_suffix('.json')}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{p.with_suffix('.json')}: {exc}") from None
         epochs.append(epoch)
         sources.append(p)
-        labels.append(AffectLabel.from_code(meta["label"]))
-        quads.append(Quadrant.from_code(meta["quadrant"]))
+        labels.append(label)
+        quads.append(quad)
         ids.append(meta["stimulus_id"])
     total = len(paths)
     print(f"epochs: {total} total, {total - n_dirty} clean, {n_dirty} dirty; using {len(epochs)}")

@@ -53,11 +53,11 @@ class EegEpoch:
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2 or self.data.shape[0] != EEG_CHANNELS:
-            raise ValueError(f"epoch data must be {EEG_CHANNELS} x T")
+            raise ValueError(f"epoch data must be {EEG_CHANNELS} x T, got shape {self.data.shape}")
         if self.data.shape[1] < 1:
             raise ValueError("epoch must contain at least one sample")
         if self.sample_rate != EEG_SAMPLE_RATE:
-            raise ValueError(f"sample rate must be {EEG_SAMPLE_RATE} Hz")
+            raise ValueError(f"sample rate must be {EEG_SAMPLE_RATE} Hz, got {self.sample_rate!r}")
         if self.baseline is not None:
             self.baseline = np.asarray(self.baseline, dtype=float)
             if self.baseline.ndim != 2 or self.baseline.shape[0] != EEG_CHANNELS:

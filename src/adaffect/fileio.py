@@ -184,10 +184,15 @@ def read_ppm(path) -> np.ndarray:
         pos += m.end()
     if tokens[0] != b"P6":
         raise ValueError(f"{path}: not a binary PPM (P6) file")
+    if not all(t.isdigit() for t in tokens[1:]):
+        fields = b" ".join(tokens[1:]).decode("latin-1")
+        raise ValueError(f"{path}: PPM width, height and maxval must be integers, got {fields!r}")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported")
     pos += 1  # single whitespace after maxval
+    if len(raw) - pos != w * h * 3:
+        raise ValueError(f"{path}: a {w}x{h} PPM holds {w * h * 3} pixel bytes, found {max(len(raw) - pos, 0)}")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h * 3, offset=pos)
     return pixels.reshape(h, w, 3).astype(np.float64) / 255.0
 
@@ -202,17 +207,30 @@ def write_frame_dir(dirpath, frames: np.ndarray, fps: float):
 
 
 def read_frame_dir(dirpath):
-    """Read a frame_%06d.ppm directory; returns (frames array, fps)."""
+    """Read a frame_%06d.ppm directory; returns (frames array, fps). An fps
+    that is not a finite number > 0, a PPM whose pixel bytes disagree with its
+    header, and a frame whose size differs from the first frame's each fail
+    as `path: reason`."""
     dirpath = Path(dirpath)
     fps_file = dirpath / "fps.txt"
     if not fps_file.exists():
         raise FileNotFoundError(f"{dirpath}: missing fps.txt sidecar")
-    fps = float(fps_file.read_text().strip())
+    text = fps_file.read_text().strip()
+    try:
+        fps = float(text)
+    except ValueError:
+        fps = math.nan
+    if not 0.0 < fps < math.inf:
+        raise ValueError(f"{fps_file}: frame rate {text!r} is not a finite number > 0")
     paths = sorted(dirpath.glob("frame_*.ppm"))
     if not paths:
         raise FileNotFoundError(f"{dirpath}: no frame_*.ppm files")
-    frames = np.stack([read_ppm(p) for p in paths])
-    return frames, fps
+    frames = [read_ppm(p) for p in paths]
+    for p, frame in zip(paths, frames):
+        if frame.shape != frames[0].shape:
+            (h, w, _), (h0, w0, _) = frame.shape, frames[0].shape
+            raise ValueError(f"{p}: a {w}x{h} frame, but {paths[0]} is {w0}x{h0}")
+    return np.stack(frames), fps
 
 
 # ------------------------------------------------------------ EEG epochs
@@ -247,12 +265,24 @@ def write_eeg_epoch(dirpath, name, data, baseline, sidecar: dict):
 
 def read_eeg_epoch(bin_path):
     """Read one epoch binary + sidecar; returns (data, baseline, meta). A
-    non-finite sample fails as `path: reason`, naming its channel."""
+    sidecar that is not a JSON object with integer `channels` and `samples`
+    fails as `sidecar: reason` (`sidecar:line: reason` for a JSON syntax
+    error), a non-finite sample as `path: reason`, naming its channel."""
     bin_path = Path(bin_path)
-    meta = json.loads(bin_path.with_suffix(".json").read_text())
-    channels = int(meta["channels"])
-    samples = int(meta["samples"])
-    offset = int(meta.get("baseline_offset", 0))
+    sidecar = bin_path.with_suffix(".json")
+    try:
+        meta = json.loads(sidecar.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{sidecar}:{exc.lineno}: {exc.msg}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: expected a JSON object")
+    try:
+        channels, samples = int(meta["channels"]), int(meta["samples"])
+        offset = int(meta.get("baseline_offset", 0))
+    except KeyError as exc:
+        raise ValueError(f"{sidecar}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar}: {exc}") from None
     blob = np.frombuffer(bin_path.read_bytes(), dtype="<f4")
     expected = channels * (samples + offset)
     if blob.size != expected:

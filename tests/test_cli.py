@@ -37,14 +37,13 @@ class TestDispatch:
         assert len(lines) == 1 + 3 + 1
 
     def test_import_defers_slow_scipy_modules(self, tmp_path):
-        # Importing scipy takes most of a command's start-up time. Only a
-        # Pearson p-value (scipy.special's t CDF) loads it: importing the CLI
-        # does not, and neither do the EEG and WAV commands, whose band-pass
-        # and RIFF reader and writer are numpy code. Past that, each command
-        # runs only its own library modules, and the parser alone runs none
-        # and no numpy. The CLI puts library modules into sys.modules before
-        # they run, so a module counts as run once its entry is a plain module;
-        # the `adaffect.learners` package itself holds no code.
+        # Importing scipy takes most of a command's start-up time, and the
+        # program never imports it: no command loads scipy. Each command runs
+        # only its own library modules, and the parser alone runs none and no
+        # numpy. `fuse` and `score-ads` load the learners through `evaluation`.
+        # The CLI puts library modules into sys.modules before they run, so a
+        # module counts as run once its entry is a plain module; the
+        # `adaffect.learners` package itself holds no code.
         src = str(Path(adaffect.__file__).resolve().parents[1])
         code = ("import json, sys, types; sys.path.insert(0, %r); import adaffect.cli\n"
                 "try:\n    status = adaffect.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
@@ -56,9 +55,10 @@ class TestDispatch:
                 % src)
 
         def runs(*modules):  # numpy and these library modules
-            return [True, [f"adaffect.{m}" for m in modules]]
+            return [True, [f"adaffect.{m}" for m in sorted(modules)]]
 
         synth = runs("core", "eeg", "fileio", "media", "synthgen")
+        learners = ("core", "evaluation", "fileio", "learners.cnn", "learners.mtl", "learners.shallow")
         commands = [
             ([], 0, [False, []]),
             (["--version"], 0, [False, []]),
@@ -76,6 +76,18 @@ class TestDispatch:
             (["synth", "media", "--out", tmp_path / "media"], 0, synth),
             (["extract-av", "--audio", tmp_path / "media" / "tone.wav", "--out-audio", tmp_path / "audio.csv"], 0,
              runs("core", "fileio", "media")),
+            (["synth", "quadrant", "--seed", 3, "--n-per-task", 6, "--dims", 9, "--out", tmp_path / "f.csv"], 0,
+             synth),
+            (["train", "--features", tmp_path / "f.csv", "--model", "lda", "--out", tmp_path / "m.json"], 0,
+             runs(*learners, "learners.serialize")),
+            (["evaluate", "--features", tmp_path / "f.csv", "--model", "lda", "--reps", 1, "--folds", 3,
+              "--out", tmp_path / "r.csv", "--predictions", tmp_path / "p.csv"], 0,
+             runs(*learners)),
+            (["fuse", "--a", tmp_path / "p.csv", "--b", tmp_path / "p.csv", "--f1a", 0.9, "--f1b", 0.8,
+              "--out", tmp_path / "fused.csv"], 0, runs(*learners)),
+            (["synth", "posteriors", "--out", tmp_path / "segments.csv"], 0, synth),
+            (["score-ads", "--predictions", tmp_path / "segments.csv", "--out", tmp_path / "scores.csv"], 0,
+             runs(*learners)),
         ]
         for argv, status, modules in commands:
             out = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
@@ -86,6 +98,41 @@ class TestDispatch:
         check = ("import sys; sys.path.insert(0, %r); import adaffect.cli; import adaffect.stats; "
                  "adaffect.stats.krippendorff_alpha; from adaffect.cli import cross_validate" % src)
         subprocess.run([sys.executable, "-c", check], check=True)
+
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy unimportable, a
+        # Pearson p-value and every subcommand still run.
+        commands = [
+            ["synth", "ratings", "--raters", "4", "--items", "6", "--out", "ratings.csv",
+             "--with-manifest", "ads.jsonl"],
+            ["agreement", "--ratings", "ratings.csv", "--manifest", "ads.jsonl"],
+            ["synth", "media", "--out", "media"],
+            ["extract-av", "--audio", "media/tone.wav", "--frames", "media/frames", "--out-audio", "a.csv",
+             "--out-video", "v.csv", "--spectrogram", "sg.csv"],
+            ["synth", "eeg", "--seed", "3", "--n-per-class", "2", "--duration", "4", "--out", "eeg"],
+            ["preprocess-eeg", "--epochs", "eeg", "--out", "eeg.csv"],
+            ["synth", "quadrant", "--seed", "3", "--n-per-task", "6", "--dims", "9", "--out", "f.csv"],
+            ["train", "--features", "f.csv", "--model", "linear_svm", "--out", "m.json"],
+            ["evaluate", "--features", "f.csv", "--model", "mtl", "--reps", "1", "--folds", "3", "--out", "r.csv",
+             "--predictions", "p.csv"],
+            ["fuse", "--a", "p.csv", "--b", "p.csv", "--f1a", "0.9", "--f1b", "0.8", "--out", "fused.csv"],
+            ["synth", "posteriors", "--out", "segments.csv"],
+            ["score-ads", "--predictions", "segments.csv", "--out", "scores.csv"],
+            ["synth", "schedule-instance", "--out", "inst"],
+            ["schedule", "--scenes", "inst/scenes.json", "--ads", "inst/ads.json", "--k", "2", "--generations", "2",
+             "--out", "schedule.csv"],
+        ]
+        code = ("import json, sys; sys.modules['scipy'] = None; sys.path.insert(0, %r)\n"
+                "from adaffect.cli import main; from adaffect.stats import pearson_r\n"
+                "p = pearson_r([1, 2, 3, 4], [2, 1, 4, 3]).p_value\n"
+                "print(json.dumps([p, [main(argv) for argv in json.loads(sys.argv[1])]]))"
+                % str(Path(adaffect.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], cwd=tmp_path,
+                             capture_output=True, text=True, check=True)
+        p, statuses = json.loads(out.stdout.splitlines()[-1])
+        # With 2 degrees of freedom the two-sided p of a correlation r is exactly 1 - |r|.
+        assert p == pytest.approx(0.4, rel=1e-14)
+        assert statuses == [0] * len(commands)
 
     def test_benchmark_layer_hooks_resolve(self, monkeypatch):
         # The benchmark's tracer wraps these (module, attribute) pairs in every
@@ -447,6 +494,68 @@ def test_epochs_of_unequal_length_exit_1_naming_the_odd_one(tmp_path, capsys):
     assert run("preprocess-eeg", "--epochs", tmp_path / "eeg", "--window", "all", "--out", out) == 1
     assert capsys.readouterr().err == (f"error: {paths[2]}: the 'all' window holds 400 samples per channel, "
                                        f"but {paths[0]}'s holds 512\n")
+    assert not out.exists()
+
+
+def edit_sidecar(**changes):
+    """Rewrite an epoch's sidecar with `changes`; a value of None drops the key."""
+    def edit(f32):
+        meta = json.loads(f32.with_suffix(".json").read_text())
+        meta.update(changes)
+        f32.with_suffix(".json").write_text(json.dumps({k: v for k, v in meta.items() if v is not None}))
+    return edit
+
+
+def thirteen_channels(f32):
+    data, baseline, meta = read_eeg_epoch(f32)
+    write_eeg_epoch(f32.parent, f32.stem, data[:13], baseline[:13], meta)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda f32: f32.with_suffix(".json").write_text('{\n  "channels": 14,\n}\n'),
+     ":3: Expecting property name enclosed in double quotes"),
+    (lambda f32: f32.with_suffix(".json").write_text("[14]"), ": expected a JSON object"),
+    (edit_sidecar(channels=None), ": missing key 'channels'"),
+    (edit_sidecar(samples="many"), ": invalid literal for int() with base 10: 'many'"),
+    (edit_sidecar(sample_rate=256), ": sample rate must be 128 Hz, got 256"),
+    (edit_sidecar(sample_rate=128.5), ": sample rate must be 128 Hz, got 128.5"),
+    (edit_sidecar(clean="false"), ": clean must be true or false, got 'false'"),
+    (edit_sidecar(label=None), ": missing key 'label'"),
+    (edit_sidecar(label="X"), ": affect label must be 'H' or 'L', got 'X'"),
+    (edit_sidecar(quadrant="H"), ": quadrant code must be two letters, got 'H'"),
+    (thirteen_channels, ": epoch data must be 14 x T, got shape (13, 512)"),
+], ids=["json-syntax", "not-an-object", "no-channels", "bad-samples", "sample-rate", "fractional-rate",
+        "clean-string", "no-label", "bad-label", "bad-quadrant", "13-channels"])
+def test_bad_eeg_sidecar_exits_1_naming_it(tmp_path, capsys, edit, message):
+    synth_epochs(tmp_path / "eeg")
+    bad = sorted((tmp_path / "eeg").glob("*.f32"))[1]
+    edit(bad)
+    out = tmp_path / "eeg.csv"
+    capsys.readouterr()
+    assert run("preprocess-eeg", "--epochs", tmp_path / "eeg", "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {bad.with_suffix('.json')}{message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, change, message", [
+    ("fps.txt", lambda raw: b"nan\n", ": frame rate 'nan' is not a finite number > 0"),
+    ("fps.txt", lambda raw: b"abc\n", ": frame rate 'abc' is not a finite number > 0"),
+    ("fps.txt", lambda raw: b"0\n", ": frame rate '0' is not a finite number > 0"),
+    ("fps.txt", lambda raw: b"inf\n", ": frame rate 'inf' is not a finite number > 0"),
+    ("frame_000003.ppm", lambda raw: raw[:100], ": a 16x16 PPM holds 768 pixel bytes, found 87"),
+    ("frame_000003.ppm", lambda raw: raw + b"\n", ": a 16x16 PPM holds 768 pixel bytes, found 769"),
+    ("frame_000003.ppm", lambda raw: b"P6\n16 x\n255\n",
+     ": PPM width, height and maxval must be integers, got '16 x 255'"),
+    ("frame_000005.ppm", lambda raw: b"P6\n4 2\n255\n" + bytes(24),
+     ": a 4x2 frame, but {frames}/frame_000000.ppm is 16x16"),
+], ids=["fps-nan", "fps-text", "fps-zero", "fps-inf", "truncated-frame", "long-frame", "bad-header", "frame-size"])
+def test_bad_frame_dir_exits_1_naming_the_file(tmp_path, capsys, name, change, message):
+    assert run("synth", "media", "--out", tmp_path / "media") == 0
+    frames, out = tmp_path / "media" / "frames", tmp_path / "video.csv"
+    (frames / name).write_bytes(change((frames / name).read_bytes()))
+    capsys.readouterr()
+    assert run("extract-av", "--frames", frames, "--out-video", out) == 1
+    assert capsys.readouterr().err == f"error: {frames / name}{message.format(frames=frames)}\n"
     assert not out.exists()
 
 

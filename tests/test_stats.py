@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaffect import stats
 from adaffect.stats import (
     NoPairableValuesError,
     UndefinedKappaError,
+    _t_tail,
     bh_fdr,
     cohen_kappa,
     fleiss_kappa,
@@ -213,6 +215,44 @@ class TestPearson:
         assert strongly.p_value < 1e-10
         unrelated = pearson_r(x, rng.normal(size=200))
         assert unrelated.p_value > 0.01
+
+    def test_perfect_correlation_has_p_zero(self):
+        assert pearson_r([0, 0, 2, 2], [1, 1, 5, 5]) == stats.TestResult(1.0, 0.0)
+        assert pearson_r([0, 0, 2, 2], [5, 5, 1, 1]) == stats.TestResult(-1.0, 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 500), rho=st.floats(-0.9, 0.9), seed=st.integers(0, 2**32 - 1))
+    def test_p_value_matches_scipy(self, n, rho, seed):
+        from scipy.stats import pearsonr
+
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n)
+        y = rho * x + math.sqrt(1.0 - rho * rho) * rng.normal(size=n)
+        assert pearson_r(x, y).p_value == pytest.approx(pearsonr(x, y).pvalue, rel=1e-10, abs=0.0)
+
+
+class TestStudentTail:
+    """`_t_tail` against scipy's `stdtr`, the library routine it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(df=st.one_of(st.integers(1, 100_000), st.floats(1.0, 1e5)), t=st.floats(-1e3, 1e3))
+    def test_matches_stdtr(self, df, t):
+        from scipy.special import stdtr
+
+        p = _t_tail(t, df)
+        assert p == _t_tail(-t, df) and 0.0 <= p <= 0.5
+        # stdtr's df = 1 branch loses digits at tiny |t| (6e-10 relative at
+        # |t| = 1e-9, none past 1e-10 above |t| = 5e-7); there the Cauchy tail
+        # 1/2 - atan(|t|)/pi is exact to rounding.
+        ref = 0.5 - math.atan(abs(t)) / math.pi if df == 1 and abs(t) < 1e-6 else stdtr(df, -abs(t))
+        if ref >= 1e-300:
+            assert abs(p - ref) <= 1e-10 * ref
+
+    @pytest.mark.parametrize("t, df", [(2.0, 10), (0.5, 10), (3.0, 60_000.5)])
+    def test_fraction_short_of_convergence_raises(self, monkeypatch, t, df):
+        monkeypatch.setattr(stats, "_BETA_CF_MAX_ITER", 1)
+        with pytest.raises(ArithmeticError, match="did not converge in 1 iterations"):
+            _t_tail(t, df)
 
 
 class TestWilcoxon:
