@@ -715,6 +715,8 @@ def main(argv=None) -> int:
         # win by argparse's own rules and strings pass through each type.
         try:
             defaults = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            parser.error(f"{args.config}:{exc.lineno}: {exc.msg}")
         except (OSError, ValueError) as exc:
             parser.error(f"{args.config}: {exc}")
         if not isinstance(defaults, dict):

@@ -220,7 +220,8 @@ def load_manifest(manifest_path) -> list[AdRecord]:
     """Load an ad manifest (JSON lines).
 
     Manifest lines are objects with fields id, duration_s, expert_arousal,
-    expert_valence and optional asl_score/val_score.
+    expert_valence and optional asl_score/val_score. A line that is not
+    such an object fails as `ManifestError` `path:line: reason`.
     """
     ads: list[AdRecord] = []
     seen: set[str] = set()
@@ -233,6 +234,8 @@ def load_manifest(manifest_path) -> list[AdRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"{manifest_path}:{lineno}: {exc.msg}") from None
+            if not isinstance(obj, dict):
+                raise ManifestError(f"{manifest_path}:{lineno}: expected a JSON object")
             try:
                 quad = Quadrant(
                     AffectLabel.from_code(obj["expert_arousal"]),
@@ -245,7 +248,9 @@ def load_manifest(manifest_path) -> list[AdRecord]:
                     asl_score=None if obj.get("asl_score") is None else float(obj["asl_score"]),
                     val_score=None if obj.get("val_score") is None else float(obj["val_score"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except KeyError as exc:
+                raise ManifestError(f"{manifest_path}:{lineno}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
                 raise ManifestError(f"{manifest_path}:{lineno}: {exc}") from None
             if rec.id in seen:
                 raise ManifestError(f"{manifest_path}:{lineno}: duplicate ad id {rec.id!r}")

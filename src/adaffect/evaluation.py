@@ -5,6 +5,7 @@ and ad-level score aggregation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -94,6 +95,7 @@ def _fit_cnn(kind, features, params, seed):
 
 #: kind -> (fit(kind, features, params, seed), posteriors(model, features),
 #: names of the kind's hyperparameters), one entry per MODEL_KINDS in its order.
+#: Final fold models, and the inner search's mtl and cnn points, are fitted here.
 _LEARNERS = {
     **{kind: (_fit_shallow, lambda model, f: shallow_predict_proba(model, f.X), tuple(DEFAULT_HYPERPARAMS[kind]))
        for kind in SHALLOW_KINDS},
@@ -129,8 +131,8 @@ class ModelSpec:
     """What to train inside each CV fold.
 
     `params` are fixed hyperparameters; `grid` maps a hyperparameter name
-    to candidate values searched by inner 5-fold CV (the SVMs default to
-    DEFAULT_GRIDS).
+    to one or more candidate values searched by inner 5-fold CV (the SVMs
+    default to DEFAULT_GRIDS).
     """
 
     kind: str
@@ -140,6 +142,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        for key, values in (self.grid or {}).items():
+            if len(values) == 0:
+                raise ValueError(f"{self.kind} grid {key} has no values")
         if self.grid is None and self.kind in DEFAULT_GRIDS:
             self.grid = {k: list(v) for k, v in DEFAULT_GRIDS[self.kind].items()}
 
@@ -154,14 +159,6 @@ class CvReport:
     unconverged_fits: int = 0
 
 
-def _grid_points(grid: dict) -> list[dict]:
-    items = sorted(grid.items())
-    points = [{}]
-    for key, values in items:
-        points = [dict(p, **{key: v}) for p in points for v in values]
-    return points
-
-
 def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict:
     """Pick the spec's params plus the grid point with the best mean F1
     over an inner 5-fold split of `train` (the first point wins ties).
@@ -169,8 +166,21 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
     Grid points are scored in order, and the search stops after the first
     one that scores F1 1 on every split: a later point would need a mean
     above it by 1e-12, and no F1 exceeds 1.
+
+    LDA and SVM points are ranked by the sign of their uncalibrated
+    decision value, so none of them is Platt-calibrated; other kinds by
+    their posterior argmax. On each split, the RBF points that share a
+    kernel are solved in ascending C, each starting from the solution of
+    the next smaller C (`warm_from`): alpha from a smaller C lies in the
+    larger box and keeps sum alpha y = 0. So scoring a point first solves
+    the smaller-C points of its kernel on that split that are not solved
+    yet; no (point, split) is solved twice. A linear SVM's interior-point
+    start takes no seed, so linear SVM and LDA points are each solved on
+    their own.
     """
-    candidates = [dict(spec.params, **point) for point in _grid_points(spec.grid)]
+    names = sorted(spec.grid)
+    candidates = [dict(spec.params, **dict(zip(names, values)))
+                  for values in itertools.product(*(spec.grid[k] for k in names))]
     y = train.y_signs()
     n_folds = int(min(5, np.sum(y > 0), np.sum(y < 0)))
     if len(candidates) == 1 or n_folds < 2:
@@ -182,13 +192,33 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
             splits.append((train.subset(fit_idx), train.subset(test_idx)))
     if not splits:
         return candidates[0]
-    if spec.kind in SHALLOW_KINDS:
-        labels = _shallow_labels(spec.kind, candidates, splits)
-    else:
-        def labels(i, s):
-            fit_set, test_set = splits[s]
-            model = fit_model(spec.kind, fit_set, candidates[i], seed)
-            return _argmax_signs(predict_proba(spec.kind, model, test_set))
+    kind = spec.kind
+    hypers = [shallow._hyperparams(kind, c) for c in candidates] if kind in SHALLOW_KINDS else candidates
+    warm_from = dict.fromkeys(range(len(candidates)))  # point -> next smaller C on its RBF kernel, or None
+    if kind == "rbf_svm":
+        last = {}  # kernel -> its point with the largest C so far
+        for i in sorted(warm_from, key=lambda i: hypers[i]["C"]):
+            kernel = repr(sorted((k, v) for k, v in hypers[i].items() if k != "C"))
+            warm_from[i], last[kernel] = last.get(kernel), i
+    solved = {}  # (point, split) -> (alpha of the solve, labels)
+
+    def labels(i, s):
+        fit_set, test_set = splits[s]
+        walk, m = [], i  # i and its unsolved warm-start predecessors, largest C first
+        while m is not None and (m, s) not in solved:
+            walk.append(m)
+            m = warm_from[m]
+        for m in reversed(walk):
+            if kind in SHALLOW_KINDS:
+                start = None if warm_from[m] is None else solved[warm_from[m], s][0]
+                model = shallow._fit_uncalibrated(fit_set.X, fit_set.y_signs(), kind, hypers[m], start)
+                positive = model.decision_values(test_set.X) > 0.0
+                solved[m, s] = model.train_meta.get("alpha"), np.where(positive, 1.0, -1.0)
+            else:
+                model = fit_model(kind, fit_set, hypers[m], seed)
+                solved[m, s] = None, _argmax_signs(predict_proba(kind, model, test_set))
+        return solved[i, s][1]
+
     truths = [test_set.y_signs() for _, test_set in splits]
     best_f1, best = -1.0, candidates[0]
     for i, candidate in enumerate(candidates):
@@ -201,57 +231,9 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
     return best
 
 
-def _shallow_labels(kind: str, candidates: list[dict], splits):
-    """`labels(i, s)`: +1 where candidate i's uncalibrated decision value on
-    split s's test items is positive, else -1. The search only ranks these
-    models, so none of them is Platt-calibrated.
-
-    On each split, the RBF candidates that share a kernel are solved in
-    ascending C, each starting from the previous solution: alpha from a
-    smaller C lies in the larger box and keeps sum alpha y = 0. So labelling
-    an RBF candidate first solves the smaller-C candidates of its kernel on
-    that split that are not solved yet; no (candidate, split) is solved
-    twice. A linear SVM's interior-point start takes no seed, so linear
-    SVM and LDA candidates are each solved on their own.
-    """
-    hypers = [shallow._hyperparams(kind, c) for c in candidates]
-    kernels: dict[object, list[int]] = {}
-    for i, hyper in enumerate(hypers):
-        key = repr(sorted((k, v) for k, v in hyper.items() if k != "C")) if kind == "rbf_svm" else i
-        kernels.setdefault(key, []).append(i)
-    chain = {}  # candidate -> the candidates of its kernel up to it, in ascending C
-    for members in kernels.values():
-        members.sort(key=lambda i: hypers[i].get("C", 0.0))
-        for k, i in enumerate(members):
-            chain[i] = members[:k + 1]
-    data = [(fit_set.X, fit_set.y_signs(), test_set.X) for fit_set, test_set in splits]
-    solved = {}  # (candidate, split) -> (alpha of the solve, labels)
-
-    def labels(i, s):
-        X, y, X_test = data[s]
-        alpha = None
-        for m in chain[i]:
-            if (m, s) not in solved:
-                model = shallow._fit_uncalibrated(X, y, kind, hypers[m], alpha)
-                signs = np.where(model.decision_values(X_test) > 0.0, 1.0, -1.0)
-                solved[m, s] = model.train_meta.get("alpha"), signs
-            alpha = solved[m, s][0]
-        return solved[i, s][1]
-
-    return labels
-
-
 def _argmax_signs(proba: np.ndarray) -> np.ndarray:
     """+1 where the High posterior beats the Low one, else -1."""
     return np.where(proba[:, 0] > proba[:, 1], 1.0, -1.0)
-
-
-def _fit_predict(train: FeatureMatrix, test: FeatureMatrix, spec: ModelSpec, seed: int):
-    """Returns the fold's final model and its posterior pairs (High, Low)
-    for the test items."""
-    params = _inner_grid_search(train, spec, seed) if spec.grid else dict(spec.params)
-    model = fit_model(spec.kind, train, params, seed)
-    return model, predict_proba(spec.kind, model, test)
 
 
 def cross_validate(
@@ -284,8 +266,11 @@ def cross_validate(
         for fold, test_idx in enumerate(fold_sets):
             mask = np.ones(features.n_items, dtype=bool)
             mask[test_idx] = False
-            test = features.subset(test_idx)
-            model, proba = _fit_predict(features.subset(np.flatnonzero(mask)), test, spec, int(inner_seeds[fold]))
+            train, test = features.subset(np.flatnonzero(mask)), features.subset(test_idx)
+            inner_seed = int(inner_seeds[fold])
+            params = _inner_grid_search(train, spec, inner_seed) if spec.grid else dict(spec.params)
+            model = fit_model(spec.kind, train, params, inner_seed)
+            proba = predict_proba(spec.kind, model, test)
             unconverged += any(shallow.unconverged_solves(model))
             rows.append((rep, fold, f1_score(_argmax_signs(proba), test.y_signs())))
             if rep == 0:

@@ -246,6 +246,19 @@ class TestDispatch:
         assert f"not options of synth: {key}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("text, where", [
+        ('{"dims": 9, }', ":1: Expecting property name enclosed in double quotes\n"),
+        ('{\n  "dims": 9\n  "seed": 1\n}', ":3: Expecting ',' delimiter\n"),
+    ], ids=["trailing-comma", "missing-comma"])
+    def test_config_syntax_error_exits_2_naming_path_and_line(self, tmp_path, capsys, text, where):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "quadrant", "--config", config, "--out", tmp_path / "f.csv")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {config}{where}")
+        assert list(tmp_path.iterdir()) == [config]
+
     @pytest.mark.parametrize("extra", [(), ("--method", "exact")])
     def test_config_value_outside_choices_exits_2(self, tmp_path, capsys, extra):
         run("synth", "schedule-instance", "--scenes", 4, "--ads", 3, "--out", tmp_path / "inst")
@@ -625,7 +638,7 @@ class TestScheduleInputBoundaries:
 
 
 class TestNumericFlagBounds:
-    """A NaN, infinite or out-of-range numeric flag fails with one line naming the field and value."""
+    """A NaN, infinite, out-of-range or empty numeric flag fails with one line naming the field and value."""
 
     @pytest.mark.parametrize("command, flags, message", [
         ("schedule", ("--lambda-v", "nan"), "lambda_v must be a finite number >= 0, got nan"),
@@ -636,8 +649,10 @@ class TestNumericFlagBounds:
         ("synth", ("--duration", "nan"), "duration_s must be a finite number > 0, got nan"),
         ("preprocess-eeg", ("--retain", "nan"), "retain must be a number in (0, 1], got nan"),
         ("preprocess-eeg", ("--retain", "-0.5"), "retain must be a number in (0, 1], got -0.5"),
+        ("evaluate", ("--grid", "C="), "rbf_svm grid C has no values"),
+        ("evaluate", ("--grid", "gamma=0.1", "--grid", "C=,"), "rbf_svm grid C has no values"),
     ], ids=["lambda-v-nan", "lambda-a-inf", "snr-inf", "noise-std-nan", "noise-std-zero", "duration-nan",
-            "retain-nan", "retain-negative"])
+            "retain-nan", "retain-negative", "grid-empty", "grid-only-commas"])
     def test_bad_value_exits_1_and_writes_nothing(self, tmp_path, capsys, command, flags, message):
         out = tmp_path / "out"
         if command == "schedule":
@@ -646,6 +661,9 @@ class TestNumericFlagBounds:
             argv = ("schedule", "--scenes", tmp_path / "scenes.json", "--ads", tmp_path / "ads.json", "--k", 2)
         elif command == "synth":
             argv = ("synth", "eeg", "--n-per-class", 2, "--duration", 4)
+        elif command == "evaluate":
+            run("synth", "quadrant", "--n-per-task", 6, "--dims", 9, "--out", tmp_path / "f.csv")
+            argv = ("evaluate", "--features", tmp_path / "f.csv", "--model", "rbf_svm")
         else:
             synth_epochs(tmp_path / "eeg")
             argv = ("preprocess-eeg", "--epochs", tmp_path / "eeg")

@@ -77,6 +77,18 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match=":2"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ('["ad1", 10, "H", "H"]', ":2: expected a JSON object"),
+        ('"ad1"', ":2: expected a JSON object"),
+        ('{"id": "b", "duration_s": 10, "expert_arousal": "L"}', ":2: missing key 'expert_valence'"),
+    ], ids=["list", "string", "missing-key"])
+    def test_bad_line_fails_naming_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "a", "duration_s": 10, "expert_arousal": "H", "expert_valence": "H"}\n' + line + "\n")
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(path)
+        assert str(exc.value) == f"{path}{message}"
+
     def test_scale_violation_names_cell(self, tmp_path):
         rpath = tmp_path / "ratings.csv"
         rpath.write_text("rater_id,item_id,attribute,score\nr1,a,valence,3\n")

@@ -269,6 +269,57 @@ class TestCrossValidate:
         assert len(means) == 3 and all(m[0] == m[1] < 1.0 for m in means)
         assert finals == [grid_C[0]] * 3
 
+    def test_rbf_points_start_from_the_next_smaller_c_on_their_kernel(self, monkeypatch):
+        from adaffect.evaluation import _inner_grid_search
+        from adaffect.learners import shallow
+
+        solves = {}  # (id of the split's X, gamma) -> [(C, starting alpha, solved alpha)] in call order
+        arrays = []  # keeps each X alive, so no two splits share an id
+        original = shallow._fit_uncalibrated
+
+        def spy(X, y, kind, hyper, alpha=None):
+            model = original(X, y, kind, hyper, alpha)
+            arrays.append(X)
+            solves.setdefault((id(X), hyper["gamma"]), []).append((hyper["C"], alpha, model.train_meta["alpha"]))
+            return model
+
+        monkeypatch.setattr(shallow, "_fit_uncalibrated", spy)
+        spec = ModelSpec("rbf_svm", grid={"C": [100, 1, 10, 1], "gamma": [0.1, "scale"]})
+        _inner_grid_search(weak_features(), spec, seed=6)
+        # Every point is solved once on each of the 5 inner splits; the two
+        # C=1 points of a gamma are two points, solved in grid order.
+        assert len(solves) == 5 * 2
+        for chain in solves.values():
+            Cs, starts, solved = zip(*chain)
+            assert Cs == (1, 1, 10, 100) and starts[0] is None
+            assert all(start is previous for start, previous in zip(starts[1:], solved))
+
+    def test_search_leaves_no_split_data_alive(self, monkeypatch):
+        # With the cyclic garbage collector off, every inner split's training
+        # matrix must be freed by reference counting once the search returns.
+        import gc
+        import weakref
+
+        from adaffect.evaluation import _inner_grid_search
+        from adaffect.learners import shallow
+
+        refs = []
+        original = shallow._fit_uncalibrated
+
+        def spy(X, *args):
+            refs.append(weakref.ref(X))
+            return original(X, *args)
+
+        monkeypatch.setattr(shallow, "_fit_uncalibrated", spy)
+        gc.collect()
+        gc.disable()
+        try:
+            _inner_grid_search(weak_features(), ModelSpec("rbf_svm"), seed=6)
+            alive = sum(ref() is not None for ref in refs)
+        finally:
+            gc.enable()
+        assert len(refs) == 12 * 5 and alive == 0
+
 
 class TestWestFuse:
     def test_hand_example(self):
