@@ -114,11 +114,15 @@ def fit_model(kind: str, features: FeatureMatrix, params: dict, seed: int):
     """
     if kind not in _LEARNERS:
         raise ValueError(f"unknown model kind {kind!r}")
-    fit, _, names = _LEARNERS[kind]
-    unknown = sorted(set(params) - set(names))
+    _check_hyperparameter_names(kind, params)
+    return _LEARNERS[kind][0](kind, features, params, seed)
+
+
+def _check_hyperparameter_names(kind: str, keys) -> None:
+    names = _LEARNERS[kind][2]
+    unknown = sorted(set(keys) - set(names))
     if unknown:
         raise ValueError(f"{kind} has no hyperparameter {', '.join(unknown)} (known: {', '.join(names)})")
-    return fit(kind, features, params, seed)
 
 
 def predict_proba(kind: str, model, features: FeatureMatrix) -> np.ndarray:
@@ -132,7 +136,8 @@ class ModelSpec:
 
     `params` are fixed hyperparameters; `grid` maps a hyperparameter name
     to one or more candidate values searched by inner 5-fold CV (the SVMs
-    default to DEFAULT_GRIDS).
+    default to DEFAULT_GRIDS). A key of either that is not a hyperparameter
+    of `kind` is an error here, before any fit.
     """
 
     kind: str
@@ -142,6 +147,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        _check_hyperparameter_names(self.kind, [*self.params, *(self.grid or {})])
         for key, values in (self.grid or {}).items():
             if len(values) == 0:
                 raise ValueError(f"{self.kind} grid {key} has no values")
@@ -282,6 +288,10 @@ def cross_validate(
 
 # ------------------------------------------------------------------ fusion
 
+#: Fused scores alive at once in west_fuse's grid search; no value changes a result.
+_FUSION_BLOCK = 2**16
+
+
 @dataclass
 class FusionResult:
     alpha: tuple[float, float]
@@ -311,16 +321,26 @@ def west_fuse(
     ties toward the smallest (alpha1, alpha2) lexicographically. Grid points where both effective
     weights vanish are skipped. The labels are the sign of the fused
     High-minus-Low score that the grid scores, so `tuning_f1` is their F1.
+    The search takes O(grid x items) time, and its memory does not grow
+    with the grid size. Posteriors must be finite, and `truth` must label
+    every item.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     if p1.shape != p2.shape or p1.ndim != 2 or p1.shape[1] != 2:
         raise MisalignedItemsError("posterior arrays must share one items x 2 shape")
+    for name, p in (("p1", p1), ("p2", p2)):
+        if not np.isfinite(p).all():
+            raise ValueError(f"posterior stream {name} holds a non-finite value")
     if not (0.0 <= f1_train <= 1.0 and 0.0 <= f2_train <= 1.0):
         raise ValueError("training F1 weights must lie in [0, 1]")
     if mode not in ("joint", "convex"):
         raise ValueError(f"unknown mode {mode!r}")
     check_real("grid_step", grid_step, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+    if truth is not None:
+        truth = _as_signs(truth) == 1.0
+        if len(truth) != len(p1):
+            raise MisalignedItemsError(f"truth has {len(truth)} labels for {len(p1)} items")
 
     if alphas is not None:
         grid = np.array([alphas], dtype=float)
@@ -330,7 +350,7 @@ def west_fuse(
         # k * grid_step below 1, then 1 itself, so both endpoints are tried.
         values = np.append(np.arange(int(np.ceil(1.0 / grid_step - 1e-9))) * grid_step, 1.0)
         if mode == "joint":
-            grid = np.array([(a1, a2) for a1 in values for a2 in values])
+            grid = np.column_stack([np.repeat(values, len(values)), np.tile(values, len(values))])
         else:
             grid = np.column_stack([values, 1.0 - values])
     weighted = grid * np.array([f1_train, f2_train])  # alpha_i F_i
@@ -341,15 +361,20 @@ def west_fuse(
                          else "every grid point zeroes the fusion weights")
     grid, weights = grid[keep], weighted[keep] / denom[keep, None]
     coef = grid * weights  # alpha_i t_i
-    high = coef[:, :1] * (p1[:, 0] - p1[:, 1]) + coef[:, 1:] * (p2[:, 0] - p2[:, 1]) > 0.0
+    d1, d2 = p1[:, 0] - p1[:, 1], p2[:, 0] - p2[:, 1]
+
+    def high(rows):  # High labels of grid rows `rows`, one row per grid point
+        return coef[rows, :1] * d1 + coef[rows, 1:] * d2 > 0.0
+
     best, tuning = 0, float("nan")
     if truth is not None:
-        f1s = _f1_rows(high, _as_signs(truth) == 1.0)
+        block = max(1, _FUSION_BLOCK // max(1, len(d1)))
+        f1s = np.concatenate([_f1_rows(high(slice(r, r + block)), truth) for r in range(0, len(coef), block)])
         best = int(np.argmax(f1s))  # grid is lexicographically ordered; first wins ties
         tuning = float(f1s[best])
     c1, c2 = coef[best]
     return FusionResult(tuple(map(float, grid[best])), tuple(map(float, weights[best])),
-                        c1 * p1 + c2 * p2, np.where(high[best], 1.0, -1.0), tuning)
+                        c1 * p1 + c2 * p2, np.where(high(slice(best, best + 1))[0], 1.0, -1.0), tuning)
 
 
 def ad_level_score(segment_posteriors) -> float:

@@ -5,7 +5,8 @@ exceptions are frozen copies of earlier implementations that the optimized
 ones must reproduce bit for bit: `reference_smo` and `reference_seeded_smo`
 (`shallow._smo`), `reference_cnn_train` and `reference_cnn_gradients`
 (`cnn.cnn_train` and `cnn.cnn_gradients`), `reference_mtl_fit`
-(`mtl.mtl_fit`) and `reference_ga_optimize` (`scheduler.ga_optimize`).
+(`mtl.mtl_fit`), `west_fuse_whole_grid` (`evaluation.west_fuse`) and
+`reference_ga_optimize` (`scheduler.ga_optimize`).
 """
 
 import itertools
@@ -400,6 +401,41 @@ def inner_grid_search_full(train, spec, seed):
         if mean > best_f1 + 1e-12:
             best, best_f1 = c, mean
     return candidates[best], scores
+
+
+# ------------------------------------------------------------------ fusion
+
+def west_fuse_whole_grid(p1, p2, f1_train, f2_train, truth, grid_step=0.01, mode="joint"):
+    """`evaluation.west_fuse`'s grid search as one whole-grid pass: the joint
+    grid is a list of (alpha1, alpha2) tuples, and one (grid points x items)
+    array holds every fused label at once. Returns the five FusionResult
+    fields (alpha, weights, posteriors, labels, tuning_f1), each made by the
+    same float operations in the same order as the library's, so a blocked
+    search must match it byte for byte.
+    """
+    values = np.append(np.arange(int(np.ceil(1.0 / grid_step - 1e-9))) * grid_step, 1.0)
+    if mode == "joint":
+        grid = np.array([(a1, a2) for a1 in values for a2 in values])
+    else:
+        grid = np.column_stack([values, 1.0 - values])
+    weighted = grid * np.array([f1_train, f2_train])
+    denom = weighted[:, 0] + weighted[:, 1]
+    keep = denom > 0.0
+    grid, weights = grid[keep], weighted[keep] / denom[keep, None]
+    coef = grid * weights
+    high = coef[:, :1] * (p1[:, 0] - p1[:, 1]) + coef[:, 1:] * (p2[:, 0] - p2[:, 1]) > 0.0
+    positive = np.asarray(truth, dtype=float) == 1.0
+    tp = np.count_nonzero(high & positive, axis=-1)
+    fp = np.count_nonzero(high & ~positive, axis=-1)
+    fn = np.count_nonzero(positive) - tp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+        f1s = np.where(precision + recall > 0, 2.0 * precision * recall / (precision + recall), 0.0)
+    best = int(np.argmax(f1s))
+    c1, c2 = coef[best]
+    return (tuple(map(float, grid[best])), tuple(map(float, weights[best])), c1 * p1 + c2 * p2,
+            np.where(high[best], 1.0, -1.0), float(f1s[best]))
 
 
 # --------------------------------------------------------------------- cnn

@@ -638,7 +638,8 @@ class TestScheduleInputBoundaries:
 
 
 class TestNumericFlagBounds:
-    """A NaN, infinite, out-of-range or empty numeric flag fails with one line naming the field and value."""
+    """A NaN, infinite, out-of-range or empty numeric flag, or a grid key the model lacks, fails with one
+    line naming the field and value."""
 
     @pytest.mark.parametrize("command, flags, message", [
         ("schedule", ("--lambda-v", "nan"), "lambda_v must be a finite number >= 0, got nan"),
@@ -651,8 +652,9 @@ class TestNumericFlagBounds:
         ("preprocess-eeg", ("--retain", "-0.5"), "retain must be a number in (0, 1], got -0.5"),
         ("evaluate", ("--grid", "C="), "rbf_svm grid C has no values"),
         ("evaluate", ("--grid", "gamma=0.1", "--grid", "C=,"), "rbf_svm grid C has no values"),
+        ("evaluate", ("--model", "lda", "--grid", "C=1,10"), "lda has no hyperparameter C (known: shrinkage)"),
     ], ids=["lambda-v-nan", "lambda-a-inf", "snr-inf", "noise-std-nan", "noise-std-zero", "duration-nan",
-            "retain-nan", "retain-negative", "grid-empty", "grid-only-commas"])
+            "retain-nan", "retain-negative", "grid-empty", "grid-only-commas", "grid-unknown-key"])
     def test_bad_value_exits_1_and_writes_nothing(self, tmp_path, capsys, command, flags, message):
         out = tmp_path / "out"
         if command == "schedule":

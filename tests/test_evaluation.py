@@ -17,7 +17,7 @@ from adaffect.evaluation import (
     west_fuse,
 )
 from adaffect.synthgen import GenSpec, gen_quadrant_data
-from oracles import f1_bruteforce, inner_grid_search_full
+from oracles import f1_bruteforce, inner_grid_search_full, west_fuse_whole_grid
 
 H = AffectLabel.HIGH
 L = AffectLabel.LOW
@@ -149,6 +149,26 @@ class TestCrossValidate:
     def test_rejects_degenerate_reps_and_folds(self, reps, folds):
         with pytest.raises(ValueError, match="reps >= 1 and folds >= 2"):
             cross_validate(small_features(), ModelSpec("lda"), reps=reps, folds=folds)
+
+    @pytest.mark.parametrize("kind, params, grid, name", [
+        ("lda", {}, {"C": [1, 10]}, "C"),
+        ("rbf_svm", {}, {"shrinkage": [0.1, 0.5]}, "shrinkage"),
+        ("linear_svm", {"Cc": 1}, None, "Cc"),
+    ])
+    def test_unknown_hyperparameter_fails_before_any_solve(self, monkeypatch, kind, params, grid, name):
+        from adaffect.learners import shallow
+
+        calls = []
+        original = shallow._fit_uncalibrated
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shallow, "_fit_uncalibrated", spy)
+        with pytest.raises(ValueError, match=f"^{kind} has no hyperparameter {name} \\(known: "):
+            cross_validate(weak_features(), ModelSpec(kind, params=params, grid=grid), reps=1, folds=3, seed=6)
+        assert calls == []
 
     @pytest.mark.parametrize("kind, point", [("lda", {"shrinkage": 0.9}), ("mtl", {"alpha": 0.2})])
     def test_one_point_grid_equals_fixed_params(self, kind, point):
@@ -398,6 +418,75 @@ class TestWestFuse:
         p2 = np.column_stack([truth < 0, truth > 0]).astype(float)
         res = west_fuse(p1, p2, 0.5, 0.5, truth=truth, grid_step=step, mode="convex")
         assert res.alpha == (1.0, 0.0) and res.tuning_f1 == 1.0
+
+    @pytest.mark.parametrize("alphas", [None, (0.5, 0.5)])
+    def test_truth_of_another_length_rejected(self, alphas):
+        p = np.full((5, 2), 0.5)
+        with pytest.raises(MisalignedItemsError, match="^truth has 4 labels for 5 items$"):
+            west_fuse(p, p, 0.5, 0.5, truth=[1.0, -1.0, 1.0, -1.0], alphas=alphas)
+
+    @pytest.mark.parametrize("stream", ["p1", "p2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_posterior_rejected_naming_its_stream(self, stream, bad):
+        posts = {"p1": np.full((4, 2), 0.5), "p2": np.full((4, 2), 0.5)}
+        posts[stream][2, 0] = bad
+        with pytest.raises(ValueError, match=f"^posterior stream {stream} holds a non-finite value$"):
+            west_fuse(posts["p1"], posts["p2"], 0.5, 0.5, truth=[1.0, -1.0, 1.0, -1.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), quarter=st.booleans(),
+           mode=st.sampled_from(["joint", "convex"]), step=st.sampled_from([0.01, 0.05, 0.3, 1.0]))
+    @example(n=7, seed=1, quarter=True, mode="joint", step=0.01)
+    @example(n=300, seed=2, quarter=True, mode="joint", step=0.01)
+    @example(n=300, seed=3, quarter=False, mode="joint", step=0.01)
+    @example(n=300, seed=4, quarter=True, mode="convex", step=0.01)
+    def test_blocked_search_matches_whole_grid_scoring(self, n, seed, quarter, mode, step):
+        # At step 0.01 the joint grid has 10,200 scored points, so seven or
+        # more items span at least two blocks of fused scores. Quarter-step
+        # posteriors and training F1s make exact F1 ties between grid points
+        # and fused scores that sit exactly on zero.
+        rng = np.random.default_rng(seed)
+        if quarter:
+            p1, p2 = (rng.integers(0, 5, (n, 2)) / 4 for _ in range(2))
+            f1t, f2t = (float(f) for f in rng.integers(1, 5, 2) / 4)
+        else:
+            p1, p2 = (rng.dirichlet((1, 1), size=n) for _ in range(2))
+            f1t, f2t = (float(f) for f in rng.uniform(0.01, 1.0, 2))
+        truth = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        res = west_fuse(p1, p2, f1t, f2t, truth=truth, grid_step=step, mode=mode)
+        expect = west_fuse_whole_grid(p1, p2, f1t, f2t, truth, grid_step=step, mode=mode)
+        names = ("alpha", "weights", "posteriors", "labels", "tuning_f1")
+        for name, got, want in zip(names, (getattr(res, name) for name in names), expect):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("block", [1, 7, 500, 2**20])
+    def test_block_size_changes_no_result(self, monkeypatch, block):
+        rng = np.random.default_rng(8)
+        p1, p2 = (rng.integers(0, 5, (40, 2)) / 4 for _ in range(2))
+        truth = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+        expect = west_fuse_whole_grid(p1, p2, 0.75, 0.5, truth, grid_step=0.05)
+        monkeypatch.setattr(evaluation, "_FUSION_BLOCK", block)
+        res = west_fuse(p1, p2, 0.75, 0.5, truth=truth, grid_step=0.05)
+        assert (res.alpha, res.weights, res.tuning_f1) == expect[:2] + expect[4:]
+        assert np.array_equal(res.posteriors, expect[2]) and np.array_equal(res.labels, expect[3])
+
+    def test_joint_search_memory_does_not_grow_with_the_grid(self):
+        # Scoring all 10,200 points of the default joint grid at once on 500
+        # items held three (points x items) arrays: a traced peak of ~79 MB.
+        import tracemalloc
+
+        rng = np.random.default_rng(9)
+        p1, p2 = (rng.dirichlet((1, 1), size=500) for _ in range(2))
+        truth = np.where(rng.random(500) < 0.5, 1.0, -1.0)
+        tracemalloc.start()
+        try:
+            west_fuse(p1, p2, 0.7, 0.6, truth=truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_misaligned_shapes_rejected(self):
         with pytest.raises(MisalignedItemsError):
