@@ -180,9 +180,10 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
     the next smaller C (`warm_from`): alpha from a smaller C lies in the
     larger box and keeps sum alpha y = 0. So scoring a point first solves
     the smaller-C points of its kernel on that split that are not solved
-    yet; no (point, split) is solved twice. A linear SVM's interior-point
-    start takes no seed, so linear SVM and LDA points are each solved on
-    their own.
+    yet; no (point, split) is solved twice. LDA points are each solved on
+    their own. Before a linear SVM point is scored, the interior-point
+    starts of its solves on every split are computed in one stacked
+    `_ipm_linear` run; each solve then gets its own SMO finish.
     """
     names = sorted(spec.grid)
     candidates = [dict(spec.params, **dict(zip(names, values)))
@@ -206,7 +207,9 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
         for i in sorted(warm_from, key=lambda i: hypers[i]["C"]):
             kernel = repr(sorted((k, v) for k, v in hypers[i].items() if k != "C"))
             warm_from[i], last[kernel] = last.get(kernel), i
+    fits = [(fit_set.X, fit_set.y_signs()) for fit_set, _ in splits]
     solved = {}  # (point, split) -> (alpha of the solve, labels)
+    starts = {}  # (point, split) -> a linear SVM's interior-point start
 
     def labels(i, s):
         fit_set, test_set = splits[s]
@@ -216,8 +219,8 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
             m = warm_from[m]
         for m in reversed(walk):
             if kind in SHALLOW_KINDS:
-                start = None if warm_from[m] is None else solved[warm_from[m], s][0]
-                model = shallow._fit_uncalibrated(fit_set.X, fit_set.y_signs(), kind, hypers[m], start)
+                start = starts.get((m, s)) if warm_from[m] is None else solved[warm_from[m], s][0]
+                model = shallow._fit_uncalibrated(*fits[s], kind, hypers[m], start)
                 positive = model.decision_values(test_set.X) > 0.0
                 solved[m, s] = model.train_meta.get("alpha"), np.where(positive, 1.0, -1.0)
             else:
@@ -228,6 +231,9 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
     truths = [test_set.y_signs() for _, test_set in splits]
     best_f1, best = -1.0, candidates[0]
     for i, candidate in enumerate(candidates):
+        if kind == "linear_svm":
+            stack = shallow._ipm_linear(*zip(*fits), [hypers[i]["C"]] * len(fits))
+            starts.update(((i, s), start) for s, start in enumerate(stack))
         f1s = np.array([f1_score(labels(i, s), truth) for s, truth in enumerate(truths)])
         mean = f1s.mean()
         if mean > best_f1 + 1e-12:
@@ -322,16 +328,20 @@ def west_fuse(
     weights vanish are skipped. The labels are the sign of the fused
     High-minus-Low score that the grid scores, so `tuning_f1` is their F1.
     The search takes O(grid x items) time, and its memory does not grow
-    with the grid size. Posteriors must be finite, and `truth` must label
-    every item.
+    with the grid size. There must be at least one item, posteriors must
+    be finite and in [0, 1], and `truth` must label every item.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     if p1.shape != p2.shape or p1.ndim != 2 or p1.shape[1] != 2:
         raise MisalignedItemsError("posterior arrays must share one items x 2 shape")
+    if len(p1) == 0:
+        raise ValueError("fusion needs at least one item")
     for name, p in (("p1", p1), ("p2", p2)):
         if not np.isfinite(p).all():
             raise ValueError(f"posterior stream {name} holds a non-finite value")
+        if not ((p >= 0.0) & (p <= 1.0)).all():
+            raise ValueError(f"posterior stream {name} holds a value outside [0, 1]")
     if not (0.0 <= f1_train <= 1.0 and 0.0 <= f2_train <= 1.0):
         raise ValueError("training F1 weights must lie in [0, 1]")
     if mode not in ("joint", "convex"):

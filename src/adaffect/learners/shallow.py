@@ -1,6 +1,9 @@
 """Shallow binary classifiers: shrinkage-regularized LDA, linear SVMs
 solved by a low-rank interior-point method with an SMO finish, and RBF
-SVMs trained by SMO, all with Platt-calibrated posterior output.
+SVMs trained by SMO, all with Platt-calibrated posterior output. The
+interior-point method solves a stack of linear SVM problems in one run
+(a model with its calibration solves, or an inner grid point on every
+split); each problem then gets its own SMO finish.
 
 Every SVM solve ends in `_smo`, so its KKT test (KKT_TOL) decides whether
 the solve converged. Labels are +1 (High) / -1 (Low); posterior columns
@@ -170,84 +173,130 @@ IPM_MAX_STEPS = 40
 IPM_GAP_TOL = 1e-10  # stop when the duality gap is below this fraction of the dual objective
 
 
-def _ipm_linear(X: np.ndarray, y: np.ndarray, C: float, max_steps: int = IPM_MAX_STEPS):
-    """Mehrotra predictor-corrector solve of the linear SVM dual
+def _inverse_cholesky(G: np.ndarray):
+    """(L^-1, ok) for a stack of symmetric matrices G = L L': ok marks the
+    matrices whose Cholesky factor exists; the others get L = I."""
+    ok = np.ones(len(G), dtype=bool)
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:  # factor one at a time to find the failures
+        L = np.zeros_like(G)
+        for k, g in enumerate(G):
+            try:
+                L[k] = np.linalg.cholesky(g)
+            except np.linalg.LinAlgError:
+                ok[k], L[k] = False, np.eye(len(g))
+    return np.linalg.inv(L), ok
+
+
+def _ipm_linear(Xs, ys, Cs, max_steps: int = IPM_MAX_STEPS) -> list:
+    """Mehrotra predictor-corrector solves of a stack of linear SVM duals
     min 1/2 a'Qa - sum a, s.t. y'a = 0, a + s = C, a, s >= 0, with
-    Q = Z Z' and Z = diag(y) X (Mehrotra 1992, SIAM J. Optim. 2:575;
-    Ferris & Munson 2002, SIAM J. Optim. 13:783).
+    Q = Z Z' and Z = diag(y) X, one problem per (X, y, C) of `Xs`, `ys`
+    and `Cs`, every X with the same column count d (Mehrotra 1992, SIAM
+    J. Optim. 2:575; Ferris & Munson 2002, SIAM J. Optim. 13:783).
 
-    Returns (alpha, steps): the last iterate, strictly inside the box, and
-    the Newton steps taken. The slack s = C - alpha is a variable of its
-    own, with residual C - alpha - s, so no iterate reaches a bound by
-    rounding. The solve stops when the duality gap falls below IPM_GAP_TOL
-    of the dual objective and the dual residual below 1e-8 (1 + |Qa|), and
-    early on a failed factorization, a non-finite step or `max_steps`.
+    Returns one (alpha, steps) per problem: its last iterate, strictly
+    inside the box, and the Newton steps it took. The slack s = C - alpha
+    is a variable of its own, with residual C - alpha - s, so no iterate
+    reaches a bound by rounding. A problem stops when its duality gap
+    falls below IPM_GAP_TOL of its dual objective and its dual residual
+    below 1e-8 (1 + |Qa|), and early on a failed factorization,
+    y'(Q + D)^-1 y outside (0, inf), a non-finite step or `max_steps`. A
+    stopped problem is frozen while the others step on, and each problem
+    takes its own step lengths, so its result depends on the others only
+    through rounding. The problems are padded to the largest n with zero
+    rows of Z and y, which enter no sum and never move.
 
-    Each step solves (Q + D) da + y db = r, y'da = -r_y, with D diagonal,
-    through the d x d matrix G = I + Z' D^-1 Z (Woodbury) at O(n d^2)
-    cost. One Cholesky factor L of G serves the predictor and corrector
-    solves, and G^-1 is applied as L^-T L^-1: a G^-1 formed from the
-    factor loses the digits that the last steps, where D spans 20 or more
-    orders of magnitude, need.
+    Each step solves, per problem, (Q + D) da + y db = r, y'da = -r_y,
+    with D diagonal, through the d x d matrix G = I + Z' D^-1 Z
+    (Woodbury) at O(n d^2) cost. One batched Cholesky factors the step's
+    G of every problem still stepping; each factor L serves its
+    problem's predictor and corrector solves, and G^-1 is applied as
+    L^-T L^-1: a G^-1 formed from the factor loses the digits that the
+    last steps, where D spans 20 or more orders of magnitude, need.
     """
-    n, d = X.shape
-    C = float(C)
-    Z = X * y[:, None]
-    # Rows alpha, s and their multipliers z (of alpha >= 0) and w (of s >= 0).
-    v = np.concatenate([np.full((2, n), 0.5 * C), np.ones((2, n))])
-    alpha, s, z, w = v
-    b = 0.0  # multiplier of y'alpha = 0: the SVM's bias
+    sizes = np.array([len(y) for y in ys])
+    B, n_max, d = len(sizes), int(sizes.max()), Xs[0].shape[1]
+    Z, y = np.zeros((B, n_max, d)), np.zeros((B, n_max))
+    for k, (X_k, y_k) in enumerate(zip(Xs, ys)):
+        Z[k, :len(y_k)] = X_k * y_k[:, None]
+        y[k, :len(y_k)] = y_k
+    ZT = Z.transpose(0, 2, 1).copy()
+    own = np.abs(y)  # 1 on each problem's own rows, 0 on padding: the linear term of the objective
+    C = np.asarray(Cs, dtype=float)[:, None]
+    two_n = 2.0 * sizes[:, None]
+    # Per problem, rows alpha, s and their multipliers z (of alpha >= 0) and
+    # w (of s >= 0). Padding keeps alpha = s = C/2 and z = w = 1, so its
+    # residuals r_d and r_s are exactly 0.
+    v = np.ones((B, 4, n_max))
+    v[:, :2] = 0.5 * C[:, :, None]
+    b = np.zeros((B, 1))  # multipliers of y'alpha = 0: the SVMs' biases
+    out, steps = v[:, 0].copy(), np.full(B, max_steps)
+    live = np.arange(B)  # the problems still stepping
     eye = np.eye(d)
-    for steps in range(max_steps):
-        Qa = Z @ (Z.T @ alpha)
-        r_d = Qa - 1.0 + b * y - z + w
-        r_y = float(y @ alpha)
+    for step in range(max_steps):
+        alpha, s, z, w = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
+        Qa = (Z @ (ZT @ alpha[..., None]))[..., 0]  # 0 on padding
+        r_d = Qa - own + b * y - z + w
+        r_y = (y * alpha).sum(axis=1, keepdims=True)
         r_s = C - alpha - s
-        gap = float(alpha @ z + s @ w)
-        if gap < IPM_GAP_TOL * float(alpha.sum() - 0.5 * alpha @ Qa) and np.abs(r_d).max() < 1e-8 * (
-                1.0 + np.abs(Qa).max()):
-            return alpha, steps
-        D_inv = 1.0 / (z / alpha + w / s)
-        try:
-            L_inv = np.linalg.inv(np.linalg.cholesky(eye + Z.T @ (D_inv[:, None] * Z)))
-        except np.linalg.LinAlgError:
-            return alpha, steps
+        products = v[:, :2] * v[:, 2:]  # alpha z, s w
+        gap = (products.sum(axis=1) * own).sum(axis=1, keepdims=True)
+        done = (gap[:, 0] < IPM_GAP_TOL * (alpha * (own - 0.5 * Qa)).sum(axis=1)) & (
+            np.abs(r_d).max(axis=1) < 1e-8 * (1.0 + np.abs(Qa).max(axis=1)))
+        D_inv = (1.0 / (z / alpha + w / s))[..., None]
+        L_inv, factored = _inverse_cholesky(eye + ZT @ (D_inv * Z))
 
-        def solve(r):  # (Q + D)^-1 r
-            return D_inv * (r - Z @ (L_inv.T @ (L_inv @ (Z.T @ (D_inv * r)))))
+        def solve(R):  # (Q + D)^-1 R, for R holding one right side per column
+            return D_inv * (R - Z @ (L_inv.transpose(0, 2, 1) @ (L_inv @ (ZT @ (D_inv * R)))))
 
-        u = solve(y)
-        y_u = float(y @ u)  # > 0 while the solve holds, as Q + D is positive definite
-        if not 0.0 < y_u < math.inf:
-            return alpha, steps
+        def reduced(r):  # the right side in da of the step with alpha dz + z da = r[:, 0], s dw + w ds = r[:, 1]
+            return r[:, 0] / alpha - (r[:, 1] - w * r_s) / s - r_d
 
-        def newton(r_z, r_w):
-            # The step in (v, b) with alpha dz + z da = r_z and s dw + w ds = r_w.
-            x = solve(r_z / alpha - (r_w - w * r_s) / s - r_d)
-            db = (float(y @ x) + r_y) / y_u
-            dv = np.empty((4, n))
-            da = dv[0] = x - u * db
-            ds = dv[1] = r_s - da
-            dv[2] = (r_z - z * da) / alpha
-            dv[3] = (r_w - w * ds) / s
+        # y and the predictor's right side, solved together.
+        u, x = solve(np.stack([y, reduced(-products)], axis=2)).transpose(2, 0, 1)
+        y_u = (y * u).sum(axis=1, keepdims=True)  # > 0 while the solve holds, as Q + D is positive definite
+        stop = done | ~factored | ~((0.0 < y_u[:, 0]) & (y_u[:, 0] < math.inf))
+        if stop.any():
+            steps[live[stop]], out[live[stop]] = step, alpha[stop]
+            keep = ~stop
+            if not keep.any():
+                break
+            live, Z, ZT, y, own, C, two_n, v, b, r_d, r_y, r_s, products, gap, D_inv, L_inv, u, x, y_u = (
+                a[keep] for a in (live, Z, ZT, y, own, C, two_n, v, b, r_d, r_y, r_s, products, gap, D_inv, L_inv,
+                                  u, x, y_u))
+            alpha, s, z, w = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
+
+        def newton(r, x):
+            # The step in (v, b) with alpha dz + z da = r[:, 0] and s dw + w ds = r[:, 1],
+            # from x = (Q + D)^-1 reduced(r); 0 on padding.
+            db = ((y * x).sum(axis=1, keepdims=True) + r_y) / y_u
+            dv = np.empty_like(v)
+            dv[:, 0] = (x - u * db) * own
+            dv[:, 1] = r_s - dv[:, 0]
+            dv[:, 2:] = (r - v[:, 2:] * dv[:, :2]) / v[:, :2] * own[:, None]
             return dv, db
 
-        def max_step(dv):  # largest t <= 1 keeping v >= 0
-            neg = dv < 0.0
-            return min(1.0, float(np.min(v[neg] / -dv[neg]))) if neg.any() else 1.0
+        def max_step(dv):  # per problem, the largest t <= 1 keeping v >= 0
+            return 1.0 / np.maximum((-dv / v).max(axis=(1, 2)), 1.0)[:, None, None]
 
-        affine, _ = newton(-alpha * z, -s * w)
+        affine, _ = newton(-products, x)
         trial = v + max_step(affine) * affine
-        mu, mu_aff = gap / (2 * n), float(trial[0] @ trial[2] + trial[1] @ trial[3]) / (2 * n)
-        target = (mu_aff / mu) ** 3 * mu
-        dv, db = newton(target - alpha * z - affine[0] * affine[2], target - s * w - affine[1] * affine[3])
+        mu = gap / two_n
+        mu_aff = ((trial[:, :2] * trial[:, 2:]).sum(axis=1) * own).sum(axis=1, keepdims=True) / two_n
+        r = ((mu_aff / mu) ** 3 * mu)[..., None] - products - affine[:, :2] * affine[:, 2:]
+        dv, db = newton(r, solve(reduced(r)[..., None])[..., 0])
         t = 0.99 * max_step(dv)
-        new = v + t * dv
-        if not np.isfinite(new).all() or not math.isfinite(db):
-            return alpha, steps
-        v, b = new, b + t * db
-        alpha, s, z, w = v
-    return alpha, max_steps
+        v, b = v + t * dv, b + t[..., 0] * db
+        if not (np.isfinite(v).all() and np.isfinite(b).all()):
+            finite = np.isfinite(v).all(axis=(1, 2)) & np.isfinite(b[:, 0])
+            steps[live[~finite]], out[live[~finite]] = step, alpha[~finite]
+            if not finite.any():
+                break
+            live, Z, ZT, y, own, C, two_n, v, b = (a[finite] for a in (live, Z, ZT, y, own, C, two_n, v, b))
+    out[live] = v[:, 0]
+    return [(out[k, :sizes[k]].copy(), int(steps[k])) for k in range(B)]
 
 
 def _onto_feasible(alpha: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
@@ -272,15 +321,17 @@ def _onto_feasible(alpha: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
 
 
 def _linear_dual(X: np.ndarray, y: np.ndarray, C: float, max_steps: int = IPM_MAX_STEPS,
-                 max_iter: int = SMO_MAX_ITER):
-    """The linear SVM dual: an interior-point start (`_ipm_linear`), made
-    feasible (`_onto_feasible`), then finished by `_smo` on K = X X'.
+                 max_iter: int = SMO_MAX_ITER, start: tuple | None = None):
+    """The linear SVM dual: an interior-point start, made feasible
+    (`_onto_feasible`), then finished by `_smo` on K = X X'. The start is
+    `start`, this problem's (alpha, steps) from an `_ipm_linear` run over a
+    stack of problems, or else `_ipm_linear` run on this problem alone.
 
     Returns (alpha, b, iters, converged, steps): `iters` and `converged`
     are the SMO finish's, so the KKT test is the one every SMO solve meets,
     and a start that stopped early costs SMO work, never a wrong model.
     """
-    alpha, steps = _ipm_linear(X, y, C, max_steps)
+    alpha, steps = start if start is not None else _ipm_linear([X], [y], [C], max_steps)[0]
     alpha, b, iters, converged = _smo(X @ X.T, y, C, max_iter=max_iter, alpha=_onto_feasible(alpha, y, C))
     return alpha, b, iters, converged, steps
 
@@ -425,41 +476,51 @@ def _fit_lda(X, y, shrinkage: float):
     return w, b
 
 
-def _cross_fitted_scores(X, y, kind, hyper, n_folds: int, seed: int):
-    """Out-of-fold decision values of uncalibrated `kind` models, for
-    calibration, and the `converged` flag of each fit made (None for LDA)."""
-    rng = np.random.default_rng(seed)
-    scores = np.zeros(len(y))
-    converged = []
+def _calibration_splits(y, n_folds: int, seed: int):
+    """(training mask, test indices) of each calibration fold whose
+    training part holds both classes."""
     n_folds = max(2, min(n_folds, int(min(np.sum(y > 0), np.sum(y < 0)))))
-    for test_idx in stratified_folds(y, n_folds, rng):
+    splits = []
+    for test_idx in stratified_folds(y, n_folds, np.random.default_rng(seed)):
         train_mask = np.ones(len(y), dtype=bool)
         train_mask[test_idx] = False
-        if len(np.unique(y[train_mask])) < 2:
-            scores[test_idx] = 0.0
-            continue
-        model = _fit_uncalibrated(X[train_mask], y[train_mask], kind, hyper)
+        if len(np.unique(y[train_mask])) == 2:
+            splits.append((train_mask, test_idx))
+    return splits
+
+
+def _cross_fitted_scores(X, y, kind, hyper, splits, starts):
+    """Out-of-fold decision values of uncalibrated `kind` models, one per
+    calibration split (0 on a fold left out of `splits`), and the
+    `converged` flag of each fit made (None for LDA). Each split's solve
+    begins at its entry of `starts` (see `_fit_uncalibrated`)."""
+    scores = np.zeros(len(y))
+    converged = []
+    for (train_mask, test_idx), start in zip(splits, starts):
+        model = _fit_uncalibrated(X[train_mask], y[train_mask], kind, hyper, start)
         scores[test_idx] = model.decision_values(X[test_idx])
         converged.append(model.train_meta.get("converged"))
     return scores, converged
 
 
-def _fit_uncalibrated(X, y, kind, hyper, alpha=None) -> ShallowModel:
+def _fit_uncalibrated(X, y, kind, hyper, start=None) -> ShallowModel:
     """The model without its posterior calibration. A linear SVM is solved
-    by `_linear_dual`; an RBF SVM by `_smo`, starting from `alpha` when
+    by `_linear_dual`, from `start` when given: this problem's
+    (alpha, steps) of an `_ipm_linear` run over a stack of problems. An
+    RBF SVM is solved by `_smo`, from the feasible alpha `start` when
     given."""
     if kind == "lda":
         w, b = _fit_lda(X, y, hyper["shrinkage"])
         return ShallowModel(kind, dict(hyper), X.shape[1], w=w, b=b)
     if kind == "linear_svm":
-        alpha, b, iters, converged, steps = _linear_dual(X, y, hyper["C"])
+        alpha, b, iters, converged, steps = _linear_dual(X, y, hyper["C"], start=start)
         coef = alpha * y
         return ShallowModel(kind, dict(hyper), X.shape[1], w=X.T @ coef, b=b, support_vectors=X, dual_coef=coef,
                             train_meta={"alpha": alpha, "iters": iters, "converged": converged,
                                         "ipm_steps": steps})
     gamma = hyper["gamma"]
     gamma = float(1.0 / X.shape[1] if gamma == "scale" else gamma)
-    alpha, b, iters, converged = _smo(_rbf_kernel(X, X, gamma), y, hyper["C"], alpha=alpha)
+    alpha, b, iters, converged = _smo(_rbf_kernel(X, X, gamma), y, hyper["C"], alpha=start)
     return ShallowModel(kind, dict(hyper), X.shape[1], b=b, support_vectors=X, dual_coef=alpha * y, gamma=gamma,
                         train_meta={"alpha": alpha, "iters": iters, "converged": converged})
 
@@ -501,8 +562,13 @@ def shallow_fit(X, y, kind: str, hyperparams: dict | None = None, seed: int = 0)
     """
     hyper = _hyperparams(kind, hyperparams)
     X, y = _check_training_inputs(X, y)
-    model = _fit_uncalibrated(X, y, kind, hyper)
-    scores, converged = _cross_fitted_scores(X, y, kind, hyper, CALIBRATION_FOLDS, seed)
+    splits = _calibration_splits(y, CALIBRATION_FOLDS, seed)
+    starts = [None] * (1 + len(splits))
+    if kind == "linear_svm":  # the interior points of the model's solve and its calibration solves, in one run
+        sets = [(X, y)] + [(X[mask], y[mask]) for mask, _ in splits]
+        starts = _ipm_linear(*zip(*sets), [hyper["C"]] * len(sets))
+    model = _fit_uncalibrated(X, y, kind, hyper, starts[0])
+    scores, converged = _cross_fitted_scores(X, y, kind, hyper, splits, starts[1:])
     model.calibration = fit_platt(scores, y)
     if kind != "lda":
         model.train_meta["calibration_converged"] = converged

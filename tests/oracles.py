@@ -353,8 +353,9 @@ def inner_grid_search_full(train, spec, seed):
     being the F1 of each grid point (rows, in grid order) on each split.
 
     LDA and SVM points are scored by the sign of the uncalibrated decision
-    value; on each split, the SVMs of one kernel are solved in ascending C,
-    each seeded with the previous alpha. Other kinds are scored by their
+    value; on each split, the RBF SVMs of one kernel are solved in
+    ascending C, each seeded with the previous alpha, and each linear SVM
+    is solved on its own. Other kinds are scored by their
     posterior argmax. The first point whose mean F1 beats every earlier one
     by more than 1e-12 is picked. The search fits through the library's own
     learners and F1, so only the search itself is independent.
@@ -392,7 +393,7 @@ def inner_grid_search_full(train, spec, seed):
             alpha = None
             for m in chain:
                 model = shallow._fit_uncalibrated(fit_set.X, fit_set.y_signs(), spec.kind, hypers[m], alpha)
-                alpha = model.train_meta.get("alpha")
+                alpha = model.train_meta.get("alpha") if spec.kind == "rbf_svm" else None
                 scores[m, s] = f1_score(np.where(model.decision_values(test_set.X) > 0.0, 1.0, -1.0), truth)
                 done.add(m)
     best, best_f1 = 0, -1.0

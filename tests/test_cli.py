@@ -767,7 +767,7 @@ class TestModelSerialization:
         assert capsys.readouterr().err == ""
 
         solve = shallow._linear_dual
-        monkeypatch.setattr(shallow, "_linear_dual", lambda X, y, C: solve(X, y, C, max_steps=1, max_iter=1))
+        monkeypatch.setattr(shallow, "_linear_dual", lambda X, y, C, start: solve(X, y, C, max_steps=1, max_iter=1))
         out = tmp_path / "capped.json"
         assert run("train", "--features", feats, "--model", "linear_svm", "--out", out) == 0
         err = capsys.readouterr().err
@@ -786,7 +786,7 @@ class TestModelSerialization:
         assert capsys.readouterr().err == ""
 
         solve = shallow._linear_dual
-        monkeypatch.setattr(shallow, "_linear_dual", lambda X, y, C: solve(X, y, C, max_steps=1, max_iter=1))
+        monkeypatch.setattr(shallow, "_linear_dual", lambda X, y, C, start: solve(X, y, C, max_steps=1, max_iter=1))
         assert run(*args, "--out", tmp_path / "capped.csv") == 0
         err = capsys.readouterr().err
         assert err.startswith("warning: linear_svm: 3 of 3 final fold fits stopped without meeting")
@@ -801,7 +801,7 @@ class TestModelSerialization:
         solve, cross_fitted = shallow._linear_dual, shallow._cross_fitted_scores
 
         def capped_calibration(*args):
-            monkeypatch.setattr(shallow, "_linear_dual", lambda X, y, C: solve(X, y, C, max_steps=1, max_iter=1))
+            monkeypatch.setattr(shallow, "_linear_dual", lambda X, y, C, start: solve(X, y, C, max_steps=1, max_iter=1))
             try:
                 return cross_fitted(*args)
             finally:

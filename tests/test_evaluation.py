@@ -433,6 +433,19 @@ class TestWestFuse:
         with pytest.raises(ValueError, match=f"^posterior stream {stream} holds a non-finite value$"):
             west_fuse(posts["p1"], posts["p2"], 0.5, 0.5, truth=[1.0, -1.0, 1.0, -1.0])
 
+    @pytest.mark.parametrize("alphas", [None, (0.5, 0.5)])
+    def test_zero_items_rejected(self, alphas):
+        with pytest.raises(ValueError, match="^fusion needs at least one item$"):
+            west_fuse(np.zeros((0, 2)), np.zeros((0, 2)), 0.5, 0.5, truth=[], alphas=alphas)
+
+    @pytest.mark.parametrize("stream", ["p1", "p2"])
+    @pytest.mark.parametrize("bad", [5.0, -3.0, 1.0 + 1e-12, -1e-300])
+    def test_posterior_outside_unit_interval_rejected_naming_its_stream(self, stream, bad):
+        posts = {"p1": np.full((4, 2), 0.5), "p2": np.full((4, 2), 0.5)}
+        posts[stream][1, 1] = bad
+        with pytest.raises(ValueError, match=f"^posterior stream {stream} holds a value outside \\[0, 1\\]$"):
+            west_fuse(posts["p1"], posts["p2"], 0.5, 0.5, truth=[1.0, -1.0, 1.0, -1.0])
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), quarter=st.booleans(),
            mode=st.sampled_from(["joint", "convex"]), step=st.sampled_from([0.01, 0.05, 0.3, 1.0]))

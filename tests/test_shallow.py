@@ -9,6 +9,8 @@ from adaffect.learners.shallow import (
     DimensionMismatchError,
     SingleClassError,
     _fit_uncalibrated,
+    _inverse_cholesky,
+    _ipm_linear,
     _linear_dual,
     _rbf_kernel,
     _smo,
@@ -126,9 +128,10 @@ class TestSvm:
         solve = shallow._linear_dual
         calls = []
 
-        def fail_after_first(X, y, C):  # the model's own solve comes first
+        def fail_after_first(X, y, C, start):  # the model's own solve comes first
             calls.append(len(y))
-            return solve(X, y, C) if len(calls) == 1 else solve(X, y, C, max_steps=1, max_iter=1)
+            # A capped solve drops its batched start and runs its own capped interior point.
+            return solve(X, y, C, start=start) if len(calls) == 1 else solve(X, y, C, max_steps=1, max_iter=1)
 
         monkeypatch.setattr(shallow, "_linear_dual", fail_after_first)
         model = shallow_fit(X, y, "linear_svm")
@@ -200,6 +203,21 @@ def dual_objective(alpha, y, X):
     """D(alpha) = sum alpha - 1/2 ||sum alpha_i y_i x_i||^2 of the linear SVM."""
     w = X.T @ (alpha * y)
     return float(alpha.sum() - 0.5 * w @ w)
+
+
+def random_linear_set(n, d, log_c, shift, case, seed):
+    """(X, y, C): n items in d dims, shifted apart by class; "duplicates"
+    repeats the first half under opposite labels, and "equal" makes every
+    row the same."""
+    rng = np.random.default_rng(seed)
+    y = np.where(np.arange(n) < int(rng.integers(1, n)), 1.0, -1.0)
+    X = rng.normal(size=(n, d)) + shift * y[:, None] / np.sqrt(d)
+    if case == "duplicates":
+        half = n // 2
+        X[half:2 * half], y[half:2 * half] = X[:half], -y[:half]
+    elif case == "equal":
+        X[:] = X[0]
+    return X, y, 10.0 ** log_c
 
 
 def quadrant_set(n, variant, seed):
@@ -297,8 +315,8 @@ class TestLinearDual:
     reaches at least the dual objective of a cold `_smo` solve."""
 
     @staticmethod
-    def check(X, y, C, cold_alpha):
-        model = _fit_uncalibrated(X, y, "linear_svm", {"C": C})
+    def check(X, y, C, cold_alpha, start=None):
+        model = _fit_uncalibrated(X, y, "linear_svm", {"C": C}, start)
         alpha = model.train_meta["alpha"]
         assert model.train_meta["converged"] is True
         # In the box up to the rounding of the SMO pair updates, as in a cold solve.
@@ -323,13 +341,74 @@ class TestLinearDual:
     @example(n=5, d=1, log_c=-2.0, shift=1.0, case="duplicates", seed=0)  # a flat face at small C
     @example(n=13, d=1, log_c=3.0, shift=3.0, case="equal", seed=226)  # y'(Q + D)^-1 y comes out 0
     def test_random_sets(self, n, d, log_c, shift, case, seed):
-        rng = np.random.default_rng(seed)
-        y = np.where(np.arange(n) < int(rng.integers(1, n)), 1.0, -1.0)
-        X = rng.normal(size=(n, d)) + shift * y[:, None] / np.sqrt(d)
-        if case == "duplicates":  # the first half repeated, under opposite labels
-            half = n // 2
-            X[half:2 * half], y[half:2 * half] = X[:half], -y[:half]
-        elif case == "equal":
-            X[:] = X[0]
-        C = 10.0 ** log_c
+        X, y, C = random_linear_set(n, d, log_c, shift, case, seed)
         self.check(X, y, C, _smo(X @ X.T, y, C)[0])
+
+
+class TestStackedInteriorPoint:
+    """A problem solved in a stack of `_ipm_linear` problems gets the start
+    it gets alone, up to rounding, and its finished model passes
+    `TestLinearDual.check` against the finished lone solve, which
+    `TestLinearDual.test_random_sets` holds to a cold `_smo` solve."""
+
+    # A stack rounds differently from a lone solve (padded sums, other BLAS
+    # paths). Where the optimal alphas form a flat face, rounding moves the
+    # iterate along it: over 3,000 random stacks of the test below the
+    # largest gap was 3e-6 C, and on the cv-svm sets it is below 1e-10 C.
+    START_TOL = 1e-4
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 8), members=st.lists(
+        st.tuples(st.integers(4, 60), st.floats(-2.0, 3.0), st.floats(0.0, 3.0),
+                  st.sampled_from(["random", "duplicates", "equal"]), st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=8))
+    # The third member converges at step 29 alone; in this stack its
+    # y'(Q + D)^-1 y comes out <= 0 at step 23, far from the optimum, and
+    # its SMO finish takes thousands of pair updates.
+    @example(d=7, members=[(4, 0.0005, 0.0, "random", 0), (4, 0.0, 0.0, "random", 0),
+                           (18, 2.96875, 0.0, "random", 100), (20, 0.0, 0.0, "random", 0)])
+    def test_members_match_their_lone_solves(self, d, members):
+        stack = [random_linear_set(n, d, log_c, shift, case, seed) for n, log_c, shift, case, seed in members]
+        for (X, y, C), start in zip(stack, _ipm_linear(*zip(*stack))):
+            alone = _ipm_linear([X], [y], [C])[0]
+            if start[1] == alone[1]:
+                assert np.abs(start[0] - alone[0]).max() <= self.START_TOL * C
+                TestLinearDual.check(X, y, C, _linear_dual(X, y, C, start=alone)[0], start=start)
+            else:
+                # Where y'(Q + D)^-1 y or the factorization of G breaks
+                # down, rounding decides the step, so the two runs can stop
+                # at different ones, and the SMO finishes from different
+                # starts end anywhere within the KKT tolerance.
+                model = _fit_uncalibrated(X, y, "linear_svm", {"C": C}, start)
+                assert model.train_meta["converged"] is True and model.kkt_violation(X, y) <= KKT_TOL
+
+    @pytest.mark.parametrize("d, early", [
+        # y'(Q + D)^-1 y comes out <= 0 at step 8, in a stack and alone.
+        (1, (13, 1, 3.0, 3.0, "equal", 226)),
+        # Stops at step 7 or 8, on y'(Q + D)^-1 y <= 0 or a failed
+        # factorization of G: rounding decides which comes first.
+        (2, (20, 2, 3.0, 2.0, "equal", 16)),
+    ])
+    def test_a_member_that_stops_early_stops_alone(self, d, early):
+        others = [random_linear_set(n, d, log_c, 1.0, "random", seed)
+                  for n, log_c, seed in ((40, 2.0, 1), (60, 1.0, 2), (30, 3.0, 3), (50, 0.0, 4))]
+        stack = [others[0], random_linear_set(*early), *others[1:]]
+        starts = _ipm_linear(*zip(*stack))
+        alone = [_ipm_linear([X], [y], [C])[0] for X, y, C in stack]
+        # The others take 10 to 14 steps, so they step on after it stops.
+        assert starts[1][1] <= 8 and alone[1][1] <= 8
+        assert all(start[1] == lone[1] > 8 for k, (start, lone) in enumerate(zip(starts, alone)) if k != 1)
+        for (X, y, C), start, lone in zip(stack, starts, alone):
+            assert np.abs(start[0] - lone[0]).max() <= self.START_TOL * C
+            TestLinearDual.check(X, y, C, _linear_dual(X, y, C, start=lone)[0], start=start)
+
+    def test_matrices_without_a_cholesky_factor_are_marked(self):
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(3, 4, 4))
+        G = np.eye(4) + A @ A.transpose(0, 2, 1)
+        G[1, 0, 1] = G[1, 1, 0] = 2.0 * np.sqrt(G[1, 0, 0] * G[1, 1, 1])  # indefinite
+        L_inv, ok = _inverse_cholesky(G)
+        assert ok.tolist() == [True, False, True]
+        for k in (0, 2):
+            assert np.allclose(L_inv[k], np.linalg.inv(np.linalg.cholesky(G[k])), rtol=1e-12, atol=0.0)
+        assert np.array_equal(L_inv[1], np.eye(4))
