@@ -159,7 +159,8 @@ def pearson_r(x, y) -> TestResult:
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:  # t is infinite
         return TestResult(r, 0.0)
-    return TestResult(r, 2.0 * _t_tail(r * math.sqrt((n - 2) / (1.0 - r * r)), n - 2))
+    # (1 - r)(1 + r), not 1 - r*r, which cancels to few digits near |r| = 1
+    return TestResult(r, 2.0 * _t_tail(r * math.sqrt((n - 2) / ((1.0 - r) * (1.0 + r))), n - 2))
 
 
 #: Iteration cap of `_t_tail`'s continued fraction. Over df in [1, 1e10] it

@@ -223,12 +223,31 @@ class TestPearson:
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 500), rho=st.floats(-0.9, 0.9), seed=st.integers(0, 2**32 - 1))
     def test_p_value_matches_scipy(self, n, rho, seed):
+        from scipy.special import betainc
         from scipy.stats import pearsonr
 
         rng = np.random.default_rng(seed)
         x = rng.normal(size=n)
         y = rho * x + math.sqrt(1.0 - rho * rho) * rng.normal(size=n)
-        assert pearson_r(x, y).p_value == pytest.approx(pearsonr(x, y).pvalue, rel=1e-10, abs=0.0)
+        res = pearson_r(x, y)
+        assert res.statistic == pytest.approx(pearsonr(x, y).statistic, rel=0.0, abs=1e-14)
+        # Near |r| = 1 one ulp of r moves p by about 1e-16 / (2 (1 - |r|))
+        # relative, so two r's that differ in their last digit (ours and
+        # pearsonr's, at n = 3 and 1 - |r| = 2e-6) give p's 1e-10 apart. p is
+        # therefore checked at our own r: p = I_{1-r^2}((n-2)/2, 1/2).
+        r = abs(res.statistic)
+        assert res.p_value == pytest.approx(betainc((n - 2) / 2, 0.5, (1.0 - r) * (1.0 + r)), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [3, 5, 14])
+    def test_p_value_near_perfect_correlation(self, seed):
+        # At n = 3 the null p-value is 2 acos(|r|) / pi. With 1 - |r| near 1e-8,
+        # 1 - r*r keeps only the digits of r*r past 1 - |r| and was off by
+        # 3e-10 to 7e-10 relative on these seeds; (1 - r)(1 + r) loses none.
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=3)
+        res = pearson_r(x, x + 1e-3 * rng.normal(size=3))
+        assert 1e-9 < 1.0 - res.statistic < 1e-7
+        assert res.p_value == pytest.approx(2.0 * math.acos(res.statistic) / math.pi, rel=1e-12, abs=0.0)
 
 
 class TestStudentTail:
