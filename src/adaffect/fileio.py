@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -307,17 +308,19 @@ def write_csv(path, rows, comment=None):
     reader would split a row at a carriage return, so a field holding one fails
     as `path:line: reason` and nothing is written.
 
-    A row of Python floats alone is joined directly: csv.writer renders a
-    float as its repr, which never needs quoting, and the join is faster."""
+    A row (list or tuple) of Python floats alone is joined directly, as csv.writer
+    renders a float as its repr; each run of other rows goes to csv.writer at once."""
     buf = io.StringIO()
     if comment is not None:
         buf.write(f"# {comment}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        if all(type(v) is float for v in row):  # not isinstance: np.float64's repr is "np.float64(...)"
-            buf.write(",".join(map(repr, row)) + "\n")
+    # not isinstance: np.float64's repr is "np.float64(...)"; the first field settles most rows
+    for floats, run in itertools.groupby(
+            rows, lambda row: not row or type(row[0]) is float and all(type(v) is float for v in row)):
+        if floats:
+            buf.writelines(",".join(map(repr, row)) + "\n" for row in run)
         else:
-            writer.writerow(row)
+            writer.writerows(run)
     text = buf.getvalue()
     if "\r" in text:
         line = text.count("\n", 0, text.index("\r")) + 1

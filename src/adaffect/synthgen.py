@@ -108,19 +108,24 @@ def gen_quadrant_data(spec: GenSpec) -> QuadrantDataset:
     )
 
 
-def _pinkish_noise(rng, shape, std: float) -> np.ndarray:
-    """Pink-ish noise: white noise plus two cascaded one-pole lowpasses."""
-    white = rng.standard_normal(shape)
-    out = np.array(white)
-    for pole, gain in ((0.9, 0.5), (0.99, 0.15)):
-        filt = np.empty_like(white)
-        acc = np.zeros(shape[:-1])
-        for i in range(shape[-1]):
-            acc = pole * acc + white[..., i]
-            filt[..., i] = acc
-        out = out + gain * (1.0 - pole) * filt * 5.0
-    rms = np.sqrt(np.mean(out**2))
-    return out * (std / rms) if rms > 0 else out
+def _pinkish_noise(epochs, std: float) -> None:
+    """Turn channels x samples white noise epochs, in place, into pink-ish noise:
+    white noise plus two cascaded one-pole lowpasses, each epoch scaled to rms
+    `std`. One pass over the samples filters all epochs, one second of each at a
+    time, so no array holds them all."""
+    acc1 = acc2 = np.zeros((len(epochs), *epochs[0].shape[:-1]))
+    for lo in range(0, epochs[0].shape[-1], EEG_SAMPLE_RATE):
+        slab = np.stack([epoch[:, lo : lo + EEG_SAMPLE_RATE] for epoch in epochs])
+        for i in range(slab.shape[-1]):  # each pole's output times gain * (1 - pole) * 5
+            w = slab[..., i]
+            acc1 = 0.9 * acc1 + w
+            acc2 = 0.99 * acc2 + w
+            slab[..., i] = (w + 0.5 * (1.0 - 0.9) * acc1 * 5.0) + 0.15 * (1.0 - 0.99) * acc2 * 5.0
+        for epoch, filtered in zip(epochs, slab):
+            epoch[:, lo : lo + EEG_SAMPLE_RATE] = filtered
+    for epoch in epochs:
+        rms = np.sqrt(np.mean(epoch**2))
+        epoch *= std / rms if rms > 0 else 1.0
 
 
 def gen_synthetic_eeg(
@@ -143,29 +148,28 @@ def gen_synthetic_eeg(
     rng = np.random.default_rng(spec.seed)
     sr = EEG_SAMPLE_RATE
     n_samples = int(round(duration_s * sr))
+    if n_samples < 1:
+        raise ValueError(f"duration_s {duration_s} s gives no sample at the {sr} Hz EEG sample rate")
     freq = 0.5 * (lo + hi)
     amplitude = spec.class_separation * spec.noise_std
     phases = rng.uniform(0.0, 2.0 * np.pi, size=EEG_CHANNELS)
     gains = 0.5 + rng.random(EEG_CHANNELS)
-    t = np.arange(n_samples) / sr
-    tone = gains[:, None] * np.sin(2.0 * np.pi * freq * t[None, :] + phases[:, None])
 
-    epochs, labels = [], []
-    for label in (AffectLabel.HIGH, AffectLabel.LOW):
-        for i in range(spec.n_per_task):
-            data = _pinkish_noise(rng, (EEG_CHANNELS, n_samples), spec.noise_std)
-            baseline = _pinkish_noise(rng, (EEG_CHANNELS, sr), spec.noise_std)
-            if label is AffectLabel.HIGH and amplitude > 0:
-                data = data + amplitude * tone
-            epochs.append(
-                EegEpoch(
-                    data=data,
-                    stimulus_id=f"{label.value.lower()}{i:03d}",
-                    clean=True,
-                    baseline=baseline,
-                )
-            )
-            labels.append(label)
+    n = spec.n_per_task
+    data, baseline = zip(*[  # each epoch's data draw, then its baseline draw
+        (rng.standard_normal((EEG_CHANNELS, n_samples)), rng.standard_normal((EEG_CHANNELS, sr))) for _ in range(2 * n)])
+    _pinkish_noise(data, spec.noise_std)
+    _pinkish_noise(baseline, spec.noise_std)
+    if amplitude > 0:  # amplitude * gains * sin(2 pi freq t + phases), built in place
+        tone = 2.0 * np.pi * freq * (np.arange(n_samples) / sr)[None, :] + phases[:, None]
+        np.sin(tone, out=tone)
+        tone *= gains[:, None]
+        tone *= amplitude
+        for epoch in data[:n]:
+            epoch += tone
+    labels = [AffectLabel.HIGH] * n + [AffectLabel.LOW] * n
+    epochs = [EegEpoch(data=data[e], stimulus_id=f"{label.value.lower()}{e % n:03d}", clean=True,
+                       baseline=baseline[e]) for e, label in enumerate(labels)]
     return epochs, labels
 
 

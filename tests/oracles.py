@@ -5,10 +5,14 @@ exceptions are frozen copies of earlier implementations that the optimized
 ones must reproduce bit for bit: `reference_smo` and `reference_seeded_smo`
 (`shallow._smo`), `reference_cnn_train` and `reference_cnn_gradients`
 (`cnn.cnn_train` and `cnn.cnn_gradients`), `reference_mtl_fit`
-(`mtl.mtl_fit`), `west_fuse_whole_grid` (`evaluation.west_fuse`) and
-`reference_ga_optimize` (`scheduler.ga_optimize`).
+(`mtl.mtl_fit`), `west_fuse_whole_grid` (`evaluation.west_fuse`),
+`reference_ga_optimize` (`scheduler.ga_optimize`),
+`reference_gen_synthetic_eeg` (`synthgen.gen_synthetic_eeg`) and
+`reference_csv_text` (`fileio.write_csv`).
 """
 
+import csv
+import io
 import itertools
 import math
 from collections import Counter
@@ -833,3 +837,59 @@ def reference_ga_optimize(problem, config):
     slots = np.flatnonzero(best_chrom >= 0)
     schedule = AdSchedule({int(s): problem.ads[int(best_chrom[s])].id for s in slots})
     return GaResult(schedule=schedule, fitness=best_fit, best_history=history)
+
+
+def _ref_pinkish_noise(rng, shape, std):
+    white = rng.standard_normal(shape)
+    out = np.array(white)
+    for pole, gain in ((0.9, 0.5), (0.99, 0.15)):
+        filt = np.empty_like(white)
+        acc = np.zeros(shape[:-1])
+        for i in range(shape[-1]):
+            acc = pole * acc + white[..., i]
+            filt[..., i] = acc
+        out = out + gain * (1.0 - pole) * filt * 5.0
+    rms = np.sqrt(np.mean(out**2))
+    return out * (std / rms) if rms > 0 else out
+
+
+def reference_gen_synthetic_eeg(spec, class_band=(8.0, 12.0), duration_s=30.0):
+    """The generator's earlier form, one epoch's noise per call, filtered
+    sample by sample: (data, baseline, stimulus_id, label) per epoch."""
+    from adaffect.core import AffectLabel
+    from adaffect.eeg import EEG_CHANNELS, EEG_SAMPLE_RATE
+
+    lo, hi = class_band
+    rng = np.random.default_rng(spec.seed)
+    sr = EEG_SAMPLE_RATE
+    n_samples = int(round(duration_s * sr))
+    freq = 0.5 * (lo + hi)
+    amplitude = spec.class_separation * spec.noise_std
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=EEG_CHANNELS)
+    gains = 0.5 + rng.random(EEG_CHANNELS)
+    t = np.arange(n_samples) / sr
+    tone = gains[:, None] * np.sin(2.0 * np.pi * freq * t[None, :] + phases[:, None])
+    out = []
+    for label in (AffectLabel.HIGH, AffectLabel.LOW):
+        for i in range(spec.n_per_task):
+            data = _ref_pinkish_noise(rng, (EEG_CHANNELS, n_samples), spec.noise_std)
+            baseline = _ref_pinkish_noise(rng, (EEG_CHANNELS, sr), spec.noise_std)
+            if label is AffectLabel.HIGH and amplitude > 0:
+                data = data + amplitude * tone
+            out.append((data, baseline, f"{label.value.lower()}{i:03d}", label))
+    return out
+
+
+def reference_csv_text(rows, comment=None):
+    """The text `write_csv` rendered with one all-float test and one
+    `writerow` per row."""
+    buf = io.StringIO()
+    if comment is not None:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        if all(type(v) is float for v in row):
+            buf.write(",".join(map(repr, row)) + "\n")
+        else:
+            writer.writerow(row)
+    return buf.getvalue()

@@ -481,6 +481,19 @@ def test_short_eeg_epoch_exits_1_naming_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eeg_duration_without_a_sample_exits_1_before_numpy_warns(tmp_path):
+    # 0.001 s at 128 Hz rounds to no sample; the generator must say so before
+    # it draws, which under -W error::RuntimeWarning numpy would otherwise end.
+    code = ("import sys; sys.path.insert(0, %r); from adaffect.cli import main; sys.exit(main(sys.argv[1:]))"
+            % str(Path(adaffect.__file__).resolve().parents[1]))
+    out = tmp_path / "eeg"
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+                           "synth", "eeg", "--duration", "0.001", "--out", str(out)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: duration_s 0.001 s gives no sample at the 128 Hz EEG sample rate\n"
+    assert not out.exists()
+
+
 def synth_epochs(path):
     assert run("synth", "eeg", "--seed", 3, "--n-per-class", 2, "--duration", 4, "--out", path) == 0
 

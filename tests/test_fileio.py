@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import reference_csv_text
 
 from adaffect.core import (
     ALL_QUADRANTS,
@@ -358,6 +359,23 @@ class TestFloatRows:
         with tempfile.TemporaryDirectory() as tmp:
             write_csv(Path(tmp) / "t.csv", rows)
             assert (Path(tmp) / "t.csv").read_text() == buf.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(
+        st.just([]),
+        st.lists(st.floats(), min_size=1, max_size=5),  # the joined all-float path
+        st.lists(st.one_of(
+            st.sampled_from(["item_id", "label", "score", "f0"]),
+            st.text('ab ,"\n', max_size=4),  # fields that need quoting among them
+            st.integers(), st.floats(), st.floats().map(np.float64),
+        ), min_size=1, max_size=5).map(lambda row: tuple(row) if len(row) % 2 else row),
+    ), max_size=12), st.one_of(st.none(), st.text("ab =", max_size=5)))
+    def test_write_csv_equals_per_row_writer(self, rows, comment):
+        # Runs of mixed rows go to csv.writer in one call each; the text equals
+        # one all-float test and one writerow per row, comment line included.
+        with tempfile.TemporaryDirectory() as tmp:
+            write_csv(Path(tmp) / "t.csv", rows, comment=comment)
+            assert (Path(tmp) / "t.csv").read_bytes() == reference_csv_text(rows, comment).encode()
 
 
 ID_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-,\" \n"

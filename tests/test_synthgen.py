@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import reference_gen_synthetic_eeg
 
 from adaffect.core import AffectLabel
 from adaffect.eeg import bandpass_filter
@@ -124,6 +127,45 @@ class TestSyntheticEeg:
         a, _ = gen_synthetic_eeg(spec, (8, 12), duration_s=2.0)
         b, _ = gen_synthetic_eeg(spec, (8, 12), duration_s=2.0)
         assert np.array_equal(a[0].data, b[0].data)
+
+    @pytest.mark.parametrize("seed, n_per_task, duration_s, separation, noise_std, band", [
+        (0, 1, 2.0, 1.0, 0.1, (8.0, 12.0)),
+        (1, 2, 0.5, 1.0, 1.0, (8.0, 12.0)),      # data shorter than the 1 s baseline
+        (2, 3, 1.2345, 0.0, 0.1, (4.0, 7.0)),    # 158.016 samples round to 158; no class signal
+        (3, 4, 0.004, 2.5, 3.0, (13.0, 30.0)),   # 0.512 samples round to 1
+        (4, 5, 3.3, 0.7, 0.5, (4.0, 7.0)),       # 422.4 samples round to 422
+        (5, 8, 30.0, 1.0, 1.0, (8.0, 12.0)),     # the cli-pipeline benchmark's size
+    ])
+    def test_matches_per_epoch_oracle(self, seed, n_per_task, duration_s, separation, noise_std, band):
+        # One recursion over all epochs gives the per-epoch loop's arrays, ids
+        # and labels bit for bit.
+        spec = GenSpec(seed=seed, n_per_task=n_per_task, class_separation=separation, noise_std=noise_std)
+        epochs, labels = gen_synthetic_eeg(spec, band, duration_s=duration_s)
+        expected = reference_gen_synthetic_eeg(spec, band, duration_s=duration_s)
+        assert len(epochs) == len(labels) == len(expected) == 2 * n_per_task
+        for epoch, label, (data, baseline, stimulus_id, expected_label) in zip(epochs, labels, expected):
+            assert epoch.data.shape == data.shape and epoch.data.tobytes() == data.tobytes()
+            assert epoch.baseline.shape == baseline.shape and epoch.baseline.tobytes() == baseline.tobytes()
+            assert (epoch.stimulus_id, label) == (stimulus_id, expected_label)
+
+    @pytest.mark.parametrize("duration_s", [0.001, 0.0039])
+    def test_duration_without_a_sample_rejected(self, duration_s):
+        with pytest.raises(ValueError, match=rf"^duration_s {duration_s} s gives no sample at the 128 Hz"):
+            gen_synthetic_eeg(GenSpec(n_per_task=1), duration_s=duration_s)
+
+    def test_peak_memory_is_the_returned_arrays(self):
+        # Each epoch's noise is filtered in place, one second of all epochs at
+        # a time, so the call holds little beyond the arrays it returns. A
+        # first call makes numpy's one-time imports, which are not the generator's.
+        gen_synthetic_eeg(GenSpec(n_per_task=1), duration_s=1)
+        tracemalloc.start()
+        try:
+            epochs, _ = gen_synthetic_eeg(GenSpec(n_per_task=8), duration_s=30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(e.data.nbytes + e.baseline.nbytes for e in epochs)
+        assert peak <= returned + 2**20
 
 
 class TestRatingMatrix:
