@@ -2,9 +2,19 @@
 
 Architecture: two valid-mode 1-D convolutions (64 filters of width 3 each,
 rectifier activations), one 128-unit fully connected layer with dropout,
-and a 2-way softmax readout. Training is minibatch SGD with momentum,
-L2 weight decay on the weight matrices, and early stopping once the
-validation loss has increased over five successive epochs.
+and a 2-way softmax readout. Training is minibatch SGD with momentum
+(step 0.03 by default) and L2 weight decay on the weight matrices. It
+stops early (Prechelt 1998; Goodfellow, Bengio & Courville 2016, §7.8)
+once `patience` epochs in a row have not improved on the best validation
+loss, and keeps the weights of that best epoch. The source paper's
+abstract gives no CNN training settings, so these defaults are this
+package's own.
+
+Training sees the inputs divided by one scalar, the RMS of the training
+split, so that one step size suits inputs of any units (raw EEG principal
+components reach |x| ~ 800). Conv 1 is linear in its input, so the scale
+is folded into W1 when training ends: the model predicts on raw inputs,
+and the model file holds no extra field.
 
 Each convolution multiplies a window matrix (one row per output
 position, columns ordered (channel, tap)) by the reshaped kernel: the
@@ -58,7 +68,7 @@ class CnnConfig:
     n_filters: int = 64
     filter_width: int = 3
     fc_units: int = 128
-    learning_rate: float = 0.0001
+    learning_rate: float = 0.03
     momentum: float = 0.9
     weight_decay: float = 0.0005
     dropout: float = 0.5
@@ -102,6 +112,10 @@ class CnnModel:
 
 
 _WEIGHTS = ("W1", "W2", "W3", "W4")
+
+#: Floor of cnn_train's input scale, low enough for any input worth scaling
+#: and high enough that W1 / scale stays finite in float32.
+_MIN_INPUT_SCALE = 2.0**-64
 
 
 def _flat_views(flat: np.ndarray, shapes: dict) -> dict:
@@ -294,9 +308,12 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
     """Train on items x k features with +1/-1 labels.
 
     A validation split (10% by default) is carved from the training data
-    when none is provided; training stops early once the validation loss
-    has increased over `patience` successive epochs. Training runs in
-    float32 (see the module docstring).
+    when none is provided. Training stops once `patience` epochs in a row
+    have not improved on the best validation loss, and returns the weights
+    of that best epoch (`history["best_epoch"]`, 1-based; 0 if no epoch had
+    a finite loss). It runs in float32 on inputs divided by the training
+    split's RMS, which is folded into W1 at the end (see the module
+    docstring).
     """
     X = np.asarray(X, dtype=np.float32)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -324,6 +341,11 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
         X_tr, y_tr = X[tr_idx], y[tr_idx]
         X_val, t_val = X[val_idx], _targets_from_signs(y[val_idx])
     t_tr = _targets_from_signs(y_tr)
+    # Train on inputs divided by one scale, the training split's RMS; conv 1
+    # is linear in x, so dividing W1 by it afterwards gives the same network
+    # on raw inputs.
+    scale = np.float32(max(math.sqrt(np.mean(np.square(X_tr, dtype=np.float64))), _MIN_INPUT_SCALE))
+    X_tr, X_val = X_tr / scale, X_val / scale
 
     init = _init_params(k, config, rng)
     shapes = {key: p.shape for key, p in init.items()}
@@ -344,7 +366,7 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
     val_s = _buffers_for(params, X_val)
     keep = 1.0 - config.dropout
     val_history: list[float] = []
-    streak = 0
+    best_theta, best_loss, best_epoch = theta.copy(), math.inf, 0
     stopped_epoch = config.max_epochs
     n_tr = len(y_tr)
     for epoch in range(1, config.max_epochs + 1):
@@ -367,16 +389,17 @@ def cnn_train(X, y, config: CnnConfig = CnnConfig(), val_data=None) -> CnnModel:
             theta += velocity
         val_loss = _loss_from_probs(_forward(params, X_val, val_s), t_val, params,
                                     config.weight_decay, squares)
-        if val_history and val_loss > val_history[-1]:
-            streak += 1
-        else:
-            streak = 0
         val_history.append(val_loss)
-        if streak >= config.patience:
+        if val_loss < best_loss:
+            best_theta[...] = theta
+            best_loss, best_epoch = val_loss, epoch
+        elif epoch - best_epoch >= config.patience:
             stopped_epoch = epoch
             break
 
-    model.history = {"val_loss": val_history, "stopped_epoch": stopped_epoch}
+    theta[...] = best_theta
+    params["W1"] /= scale
+    model.history = {"val_loss": val_history, "best_epoch": best_epoch, "stopped_epoch": stopped_epoch}
     return model
 
 

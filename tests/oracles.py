@@ -573,7 +573,11 @@ def _ref_targets_from_signs(y):
 def reference_cnn_train(X, y, config, val_data=None):
     """The float32 training loop that `cnn.cnn_train` must match bit for bit.
 
-    Returns (params, history) with history = {"val_loss", "stopped_epoch"}.
+    It trains on inputs divided by the training split's RMS, stops once
+    `patience` epochs have not improved on the best validation loss, and
+    returns that epoch's params with the scale divided out of W1.
+    Returns (params, history) with history = {"val_loss", "best_epoch",
+    "stopped_epoch"}.
     """
     X = np.asarray(X, dtype=np.float32)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -594,12 +598,15 @@ def reference_cnn_train(X, y, config, val_data=None):
         X_tr, y_tr = X[tr_idx], y[tr_idx]
         X_val, t_val = X[val_idx], _ref_targets_from_signs(y[val_idx])
     t_tr = _ref_targets_from_signs(y_tr)
+    scale = np.float32(max(math.sqrt(float(np.mean(X_tr.astype(np.float64) ** 2))), 2.0**-64))
+    X_tr = X_tr / scale
+    X_val = X_val / scale
 
     params = {key: value.astype(np.float32) for key, value in _ref_init_params(k, config, rng).items()}
     velocity = {key: np.zeros_like(val) for key, val in params.items()}
 
     val_history = []
-    streak = 0
+    best, best_loss, best_epoch = {key: val.copy() for key, val in params.items()}, math.inf, 0
     stopped_epoch = config.max_epochs
     n_tr = len(y_tr)
     for epoch in range(1, config.max_epochs + 1):
@@ -620,16 +627,16 @@ def reference_cnn_train(X, y, config, val_data=None):
                 params[key] += velocity[key]
         val_loss = _ref_loss_from_probs(_ref_forward(params, X_val)[0], t_val, params,
                                         config.weight_decay)
-        if val_history and val_loss > val_history[-1]:
-            streak += 1
-        else:
-            streak = 0
         val_history.append(val_loss)
-        if streak >= config.patience:
+        if val_loss < best_loss:
+            best = {key: val.copy() for key, val in params.items()}
+            best_loss, best_epoch = val_loss, epoch
+        elif epoch - best_epoch >= config.patience:
             stopped_epoch = epoch
             break
 
-    return params, {"val_loss": val_history, "stopped_epoch": stopped_epoch}
+    best["W1"] = best["W1"] / scale
+    return best, {"val_loss": val_history, "best_epoch": best_epoch, "stopped_epoch": stopped_epoch}
 
 
 # --------------------------------------------------------------------- mtl

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,67 @@ class TestTraining:
         p1 = cnn_predict_proba(model, X)
         p2 = cnn_predict_proba(model, X)
         assert np.array_equal(p1, p2)
+
+
+class TestEarlyStop:
+    """Patience counts from the best validation loss, and the fit returns
+    the weights of that epoch."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_returns_best_validation_weights(self, seed):
+        X, y = alternating_features(48, 12, seed=seed)
+        X_val, y_val = alternating_features(16, 12, seed=seed + 100)
+        config = CnnConfig(weight_decay=0.0, max_epochs=60, seed=seed)
+        model = cnn_train(X, y, config, val_data=(X_val, y_val))
+        losses = model.history["val_loss"]
+        best_epoch = model.history["best_epoch"]
+        assert best_epoch == int(np.argmin(losses)) + 1
+        # The history's losses were computed on scaled inputs with the scale
+        # still in the training copy of W1, so they agree to float32 rounding.
+        assert cnn_loss(model, X_val, np.where(y_val > 0, 0, 1)) == pytest.approx(min(losses), rel=1e-5)
+        stopped = model.history["stopped_epoch"]
+        assert stopped == len(losses)
+        if stopped < config.max_epochs:
+            assert stopped - best_epoch == config.patience
+        else:
+            assert config.max_epochs - best_epoch < config.patience
+
+    def test_default_fit_stops_before_the_cap(self):
+        X, y = separable_features(n=40, k=16, scale=2.0, seed=4)
+        model = cnn_train(X, y, CnnConfig(seed=4))
+        assert model.history["stopped_epoch"] < CnnConfig.max_epochs
+        assert model.history["stopped_epoch"] - model.history["best_epoch"] == CnnConfig.patience
+
+
+class TestInputScale:
+    """Training divides the inputs by the training split's RMS and folds that
+    scale into W1, so the fit does not depend on the inputs' units."""
+
+    @pytest.mark.parametrize("given_val", (False, True))
+    def test_power_of_two_scaled_inputs_give_identical_posteriors(self, given_val):
+        # A power-of-two factor passes exactly through the RMS, the division
+        # and the fold, so the two fits are the same network bit for bit.
+        X, y = alternating_features(40, 12, seed=21)
+        X_val, y_val = alternating_features(10, 12, seed=22)
+        config = CnnConfig(max_epochs=12, seed=21)
+        factor = 2.0**10
+        plain = cnn_train(X, y, config, (X_val, y_val) if given_val else None)
+        scaled = cnn_train(factor * X, y, config, (factor * X_val, y_val) if given_val else None)
+        assert plain.history == scaled.history
+        assert_bits_equal(cnn_predict_proba(scaled, factor * X), cnn_predict_proba(plain, X), "proba")
+
+    def test_raw_eeg_features_train_without_overflow(self):
+        # The first principal component of these features reaches |x| ~ 800;
+        # an SGD step of 3e-3 on them unscaled overflows float32.
+        from test_pipeline import eeg_pipeline_features
+
+        feats = eeg_pipeline_features(snr=10.0, seed=31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = cnn_train(feats.X, feats.y_signs())
+            proba = cnn_predict_proba(model, feats.X)
+        assert all(np.all(np.isfinite(p)) for p in model.params.values())
+        assert np.mean(_argmax_signs(proba) == feats.y_signs()) >= 0.9
 
 
 class TestPredictions:
