@@ -7,8 +7,10 @@ Jointly fits one weight column per task by minimizing
 
 where R is the incidence matrix of the task-relatedness graph (column
 e_i - e_j per related pair), so ||W R||_F^2 = sum_edges ||W_i - W_j||^2.
-Minimization uses a monotone accelerated proximal-gradient scheme with
-backtracking, soft-thresholding the l1 term.
+The smooth part is one least-squares term ||A v - b||^2 on the stacked
+unknowns v = [W_0; ...; W_{T-1}; c] (`_stacked_operator`). Minimization
+uses a monotone accelerated proximal-gradient scheme with backtracking
+(Beck & Teboulle 2009) on v, soft-thresholding the W block for the l1 term.
 """
 
 from __future__ import annotations
@@ -92,49 +94,34 @@ class MtlModel:
                    fit_intercept=bool(hyper.get("fit_intercept", False)))
 
 
-def _smooth_value(W, bias, Xs, Ys, alpha, gamma, R):
-    val = 0.0
+def _stacked_operator(Xs, Ys, alpha, gamma, R):
+    """(A, b) with the smooth part of the objective equal to ||A v - b||^2 on
+    v = [W[:, 0]; ...; W[:, T-1]; bias].
+
+    A's rows are each task's items (X_t in that task's W block, a one in its
+    bias slot), then sqrt(alpha) (R' kron I_d) and sqrt(gamma) I on the W block.
+    """
+    T, d = len(Xs), Xs[0].shape[1]
+    n_items = sum(X.shape[0] for X in Xs)
+    A = np.zeros((n_items + (R.shape[1] + T) * d, T * (d + 1)))
+    b = np.zeros(A.shape[0])
+    start = 0
     for t, (X, Y) in enumerate(zip(Xs, Ys)):
-        r = X @ W[:, t] + bias[t] - Y
-        val += float(r @ r)
-    if alpha > 0.0:
-        WR = W @ R
-        val += alpha * float(np.sum(WR * WR))
-    if gamma > 0.0:
-        val += gamma * float(np.sum(W * W))
-    return val
-
-
-def _smooth_grad(W, bias, Xs, Ys, alpha, gamma, R, RRt, fit_intercept):
-    """Gradient of the smooth part, plus its value (`_smooth_value`) from the
-    same residuals: (gW, gb, value)."""
-    gW = np.zeros_like(W)
-    gb = np.zeros_like(bias)
-    val = 0.0
-    for t, (X, Y) in enumerate(zip(Xs, Ys)):
-        r = X @ W[:, t] + bias[t] - Y
-        val += float(r @ r)
-        gW[:, t] = 2.0 * (X.T @ r)
-        if fit_intercept:
-            gb[t] = 2.0 * float(r.sum())
-    if alpha > 0.0:
-        WR = W @ R
-        val += alpha * float(np.sum(WR * WR))
-        gW += 2.0 * alpha * (W @ RRt)
-    if gamma > 0.0:
-        val += gamma * float(np.sum(W * W))
-        gW += 2.0 * gamma * W
-    return gW, gb, val
-
-
-def _soft_threshold(W, thresh):
-    return np.sign(W) * np.maximum(np.abs(W) - thresh, 0.0)
+        rows = slice(start, start + X.shape[0])
+        A[rows, t * d:(t + 1) * d] = X
+        A[rows, T * d + t] = 1.0
+        b[rows] = Y
+        start = rows.stop
+    graph_rows = start + R.shape[1] * d
+    A[start:graph_rows, :T * d] = math.sqrt(alpha) * np.kron(R.T, np.eye(d))
+    A[graph_rows:, :T * d] = math.sqrt(gamma) * np.eye(T * d)
+    return A, b
 
 
 def mtl_objective(W, bias, Xs, Ys, alpha, beta, gamma, graph: TaskGraph) -> float:
-    return _smooth_value(W, bias, Xs, Ys, alpha, gamma, graph.incidence) + beta * float(
-        np.sum(np.abs(W))
-    )
+    A, b = _stacked_operator(Xs, Ys, alpha, gamma, graph.incidence)
+    r = A @ np.concatenate([np.asarray(W, dtype=float).T.reshape(-1), bias]) - b
+    return float(r @ r) + beta * float(np.sum(np.abs(W)))
 
 
 def mtl_fit(
@@ -151,8 +138,10 @@ def mtl_fit(
     """Fit the joint weight matrix; Xs/Ys are per-task (n_t x d, n_t) pairs
     ordered like graph.tasks.
 
-    Terminates when the relative objective change drops below `tol` or
-    after `max_iter` iterations. The recorded objective history is
+    Terminates when an accepted iterate changes the objective by at most
+    `tol` relative to the previous one, or after `max_iter` iterations.
+    That is a stall test, not an optimality test: a fit can stop above the
+    minimum by more than `tol`. The recorded objective history is
     nonincreasing (monotone accelerated scheme with backtracking).
     """
     if len(Xs) != len(graph.tasks) or len(Ys) != len(Xs):
@@ -173,64 +162,49 @@ def mtl_fit(
     if not isinstance(fit_intercept, bool):
         raise ValueError(f"mtl fit_intercept must be true or false, got {fit_intercept!r}")
     T = len(Xs)
-    R = graph.incidence
-    RRt = R @ R.T
+    A, b = _stacked_operator(Xs, Ys, alpha, gamma, graph.incidence)
+    n_w = T * d  # v[:n_w] is the W block, v[n_w:] the biases
 
-    W = np.zeros((d, T))
-    bias = np.zeros(T)
-
-    # Monotone FISTA: accelerate through a search point but never accept an
-    # iterate whose objective exceeds the previous one. Each iteration forms
-    # the residuals once at the search point and once per backtracking trial.
-    x_W, x_b = W.copy(), bias.copy()
-    x_W_old, x_b_old = W.copy(), bias.copy()
-    y_W, y_b = W.copy(), bias.copy()
+    # Monotone FISTA: accelerate through a search point y but never accept
+    # an iterate whose objective exceeds the previous one.
+    x = x_old = y = np.zeros(A.shape[1])
     t_momentum = 1.0
     L = 1.0
-    history = [mtl_objective(x_W, x_b, Xs, Ys, alpha, beta, gamma, graph)]
+    history = [float(b @ b)]  # the objective at v = 0
 
     for _ in range(int(max_iter)):
-        gW, gb, f_y = _smooth_grad(y_W, y_b, Xs, Ys, alpha, gamma, R, RRt, fit_intercept)
+        r = A @ y - b
+        f_y = float(r @ r)
+        g = 2.0 * (A.T @ r)
+        if not fit_intercept:
+            g[n_w:] = 0.0
         while True:
-            z_W = _soft_threshold(y_W - gW / L, beta / L)
-            z_b = y_b - gb / L if fit_intercept else y_b
-            d_W = z_W - y_W
-            d_b = z_b - y_b
-            quad = (
-                f_y
-                + float(np.sum(d_W * gW))
-                + float(d_b @ gb)
-                + 0.5 * L * (float(np.sum(d_W * d_W)) + float(d_b @ d_b))
-            )
-            f_z = _smooth_value(z_W, z_b, Xs, Ys, alpha, gamma, R)
+            z = y - g / L
+            z[:n_w] = np.sign(z[:n_w]) * np.maximum(np.abs(z[:n_w]) - beta / L, 0.0)
+            step = z - y
+            quad = f_y + float(step @ g) + 0.5 * L * float(step @ step)
+            r = A @ z - b
+            f_z = float(r @ r)
             if f_z <= quad + 1e-12 * max(1.0, abs(quad)):
                 break
             L *= 2.0
-        f_z += beta * float(np.sum(np.abs(z_W)))
-        x_W_old, x_b_old = x_W, x_b
+        f_z += beta * float(np.sum(np.abs(z[:n_w])))
+        x_old = x
         accepted = f_z <= history[-1]
         if accepted:
-            x_W, x_b = z_W, z_b
-            f_x = f_z
-        else:
-            f_x = history[-1]
-        history.append(f_x)
+            x = z
+        history.append(f_z if accepted else history[-1])
 
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-        y_W = x_W + (t_momentum / t_next) * (z_W - x_W) + ((t_momentum - 1.0) / t_next) * (
-            x_W - x_W_old
-        )
-        y_b = x_b + (t_momentum / t_next) * (z_b - x_b) + ((t_momentum - 1.0) / t_next) * (
-            x_b - x_b_old
-        )
+        y = x + (t_momentum / t_next) * (z - x) + ((t_momentum - 1.0) / t_next) * (x - x_old)
         t_momentum = t_next
 
         if accepted and abs(history[-2] - history[-1]) <= tol * max(abs(history[-2]), 1e-12):
             break
 
     return MtlModel(
-        W=x_W,
-        bias=x_b,
+        W=np.ascontiguousarray(x[:n_w].reshape(T, d).T),
+        bias=x[n_w:].copy(),
         graph=graph,
         alpha=alpha,
         beta=beta,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from adaffect.learners.cnn import CnnModel, cnn_gradients, cnn_loss
-from adaffect.learners.mtl import TaskGraph, _smooth_grad, _smooth_value
+from adaffect.learners.mtl import TaskGraph, _stacked_operator
 
 
 def _relative_error(analytic: float, numeric: float) -> float:
@@ -57,12 +57,15 @@ def grad_check_cnn(model: CnnModel, X, y_targets, n_coords: int = 200,
 
 def grad_check_mtl_smooth(W, bias, Xs, Ys, alpha, gamma, graph: TaskGraph,
                           n_coords: int = 200, h: float = 1e-5, seed: int = 0) -> float:
-    """Max relative error of the smooth-part gradient (loss + graph + ridge)."""
-    W = np.asarray(W, dtype=float).copy()
-    bias = np.asarray(bias, dtype=float).copy()
+    """Max relative error of the smooth-part gradient (loss + graph + ridge),
+    2 A'(A v - b) for mtl_fit's stacked operator A, b on v = [W[:, 0]; ...; bias]."""
+    v = np.concatenate([np.asarray(W, dtype=float).T.reshape(-1), np.asarray(bias, dtype=float)])
     Xs = [np.asarray(X, dtype=float) for X in Xs]
     Ys = [np.asarray(Y, dtype=float).reshape(-1) for Y in Ys]
-    R = graph.incidence
-    gW, gb, _ = _smooth_grad(W, bias, Xs, Ys, alpha, gamma, R, R @ R.T, fit_intercept=True)
-    return _max_error([W, bias], [gW, gb], lambda: _smooth_value(W, bias, Xs, Ys, alpha, gamma, R),
-                      n_coords, h, seed)
+    A, b = _stacked_operator(Xs, Ys, alpha, gamma, graph.incidence)
+
+    def value():
+        r = A @ v - b
+        return float(r @ r)
+
+    return _max_error([v], [2.0 * (A.T @ (A @ v - b))], value, n_coords, h, seed)

@@ -4,11 +4,11 @@ explicit pair enumeration, dictionaries and Python loops only. The
 exceptions are frozen copies of earlier implementations that the optimized
 ones must reproduce bit for bit: `reference_smo` and `reference_seeded_smo`
 (`shallow._smo`), `reference_cnn_train` and `reference_cnn_gradients`
-(`cnn.cnn_train` and `cnn.cnn_gradients`), `reference_mtl_fit`
-(`mtl.mtl_fit`), `west_fuse_whole_grid` (`evaluation.west_fuse`),
-`reference_ga_optimize` (`scheduler.ga_optimize`),
+(`cnn.cnn_train` and `cnn.cnn_gradients`), `west_fuse_whole_grid`
+(`evaluation.west_fuse`), `reference_ga_optimize` (`scheduler.ga_optimize`),
 `reference_gen_synthetic_eeg` (`synthgen.gen_synthetic_eeg`) and
-`reference_csv_text` (`fileio.write_csv`).
+`reference_csv_text` (`fileio.write_csv`). `mtl.mtl_fit` must take
+`reference_mtl_fit`'s iterations with iterates equal up to summation order.
 """
 
 import csv
@@ -641,7 +641,7 @@ def reference_cnn_train(X, y, config, val_data=None):
 
 # --------------------------------------------------------------------- mtl
 # The monotone FISTA loop that `mtl.mtl_fit` replaced, which forms the
-# residuals four times per iteration.
+# residuals task by task, four times per iteration.
 
 def _ref_smooth_value(W, bias, Xs, Ys, alpha, gamma, R):
     val = 0.0
@@ -676,8 +676,9 @@ def _ref_soft_threshold(W, thresh):
 
 
 def reference_mtl_fit(Xs, Ys, alpha, beta, gamma, R, fit_intercept=False, tol=1e-6, max_iter=10000):
-    """The fitting loop that `mtl.mtl_fit` must match bit for bit; R is the
-    task graph's incidence matrix. Returns (W, bias, objective_history)."""
+    """The fitting loop whose iterations `mtl.mtl_fit` must take, with iterates
+    equal up to summation order; R is the task graph's incidence matrix.
+    Returns (W, bias, objective_history)."""
     Xs = [np.asarray(X, dtype=float) for X in Xs]
     Ys = [np.asarray(Y, dtype=float).reshape(-1) for Y in Ys]
     d = Xs[0].shape[1]

@@ -2,13 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import reference_mtl_fit
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import _ref_smooth_value, reference_mtl_fit
 
 from adaffect.core import ALL_QUADRANTS, Quadrant
 from adaffect.learners.mtl import (
     EmptyTaskError,
-    _smooth_grad,
-    _smooth_value,
     build_task_graph,
     mtl_fit,
     mtl_objective,
@@ -131,9 +131,27 @@ class TestMtlFit:
         value = mtl_objective(model.W, model.bias, Xs, Ys, 0.3, 0.2, 0.1, g)
         assert value == pytest.approx(model.objective_history[-1], rel=1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 12), min_size=4, max_size=4), d=st.integers(1, 8),
+           regs=st.tuples(*[st.floats(0.0, 10.0)] * 3), with_bias=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_objective_is_its_definition(self, sizes, d, regs, with_bias, seed):
+        # The stacked operator's ||A v - b||^2 against the per-task sums.
+        rng = np.random.default_rng(seed)
+        g = build_task_graph()
+        alpha, beta, gamma = regs
+        Xs = [rng.normal(size=(n, d)) for n in sizes]
+        Ys = [np.sign(rng.normal(size=n)) for n in sizes]
+        W = rng.normal(size=(d, 4))
+        bias = rng.normal(size=4) if with_bias else np.zeros(4)
+        value = mtl_objective(W, bias, Xs, Ys, alpha, beta, gamma, g)
+        expected = _ref_smooth_value(W, bias, Xs, Ys, alpha, gamma, g.incidence) + beta * float(np.sum(np.abs(W)))
+        assert abs(value - expected) <= 1e-13 * expected
+
 
 class TestReferenceIdentity:
-    """mtl_fit reproduces the loop kept in tests/oracles.py bit for bit."""
+    """mtl_fit takes the iterations of the per-task loop kept in
+    tests/oracles.py, with iterates equal up to summation order (one dot
+    product over all of the stacked operator's rows against one per task)."""
 
     @pytest.mark.parametrize("fit_intercept, regs", itertools.product(
         (True, False), ((0.0, 0.0, 0.0), (1.0, 0.01, 0.1), (0.3, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.2))))
@@ -145,20 +163,22 @@ class TestReferenceIdentity:
         model = mtl_fit(Xs, Ys, *regs, g, fit_intercept=fit_intercept, max_iter=3000)
         W, bias, history = reference_mtl_fit(Xs, Ys, *regs, g.incidence, fit_intercept=fit_intercept,
                                              max_iter=3000)
-        assert model.objective_history == history
-        assert model.W.tobytes() == W.tobytes() and model.W.shape == W.shape
-        assert model.bias.tobytes() == bias.tobytes()
+        assert len(model.objective_history) == len(history)
+        np.testing.assert_allclose(model.objective_history, history, rtol=1e-13, atol=0.0)
+        scale = 1e-13 * (1.0 + np.max(np.abs(W)))
+        assert model.W.shape == W.shape
+        assert np.max(np.abs(model.W - W)) <= scale
+        assert np.max(np.abs(model.bias - bias)) <= scale
 
-    def test_smooth_grad_value_is_smooth_value(self):
+    def test_refit_is_byte_equal(self):
         rng = np.random.default_rng(12)
         g = build_task_graph()
-        R = g.incidence
-        Xs = [rng.normal(size=(7, 5)) for _ in range(4)]
-        Ys = [np.sign(rng.normal(size=7)) for _ in range(4)]
-        W, bias = rng.normal(size=(5, 4)), rng.normal(size=4)
-        for alpha, gamma in ((0.0, 0.0), (0.7, 0.3)):
-            *_, value = _smooth_grad(W, bias, Xs, Ys, alpha, gamma, R, R @ R.T, fit_intercept=True)
-            assert value == _smooth_value(W, bias, Xs, Ys, alpha, gamma, R)
+        Xs = [rng.normal(size=(n, 5)) for n in (7, 3, 9, 5)]
+        Ys = [np.sign(rng.normal(size=len(X))) for X in Xs]
+        first, second = (mtl_fit(Xs, Ys, 0.7, 0.05, 0.3, g, fit_intercept=True) for _ in range(2))
+        assert first.objective_history == second.objective_history
+        assert first.W.tobytes() == second.W.tobytes()
+        assert first.bias.tobytes() == second.bias.tobytes()
 
 
 class TestMtlPredict:
