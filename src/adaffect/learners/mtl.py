@@ -7,10 +7,12 @@ Jointly fits one weight column per task by minimizing
 
 where R is the incidence matrix of the task-relatedness graph (column
 e_i - e_j per related pair), so ||W R||_F^2 = sum_edges ||W_i - W_j||^2.
-The smooth part is one least-squares term ||A v - b||^2 on the stacked
-unknowns v = [W_0; ...; W_{T-1}; c] (`_stacked_operator`). Minimization
-uses a monotone accelerated proximal-gradient scheme with backtracking
-(Beck & Teboulle 2009) on v, soft-thresholding the W block for the l1 term.
+The smooth part is a function of the stacked unknowns
+v = [W_0; ...; W_{T-1}; c] (`_smooth_part`): the loss is one least-squares
+term ||A v - b||^2, A block diagonal over the tasks' items, and the graph
+and ridge terms act on the W block. Minimization uses a monotone
+accelerated proximal-gradient scheme with backtracking (Beck & Teboulle
+2009) on v, soft-thresholding the W block for the l1 term.
 """
 
 from __future__ import annotations
@@ -94,34 +96,48 @@ class MtlModel:
                    fit_intercept=bool(hyper.get("fit_intercept", False)))
 
 
-def _stacked_operator(Xs, Ys, alpha, gamma, R):
-    """(A, b) with the smooth part of the objective equal to ||A v - b||^2 on
-    v = [W[:, 0]; ...; W[:, T-1]; bias].
+def _smooth_part(Xs, Ys, alpha, gamma, R):
+    """The smooth part of the objective as a function of the stacked unknowns
+    v = [W[:, 0]; ...; W[:, T-1]; c].
 
-    A's rows are each task's items (X_t in that task's W block, a one in its
-    bias slot), then sqrt(alpha) (R' kron I_d) and sqrt(gamma) I on the W block.
+    The loss is ||A v - b||^2 for the block-diagonal A whose block t is
+    [X_t, 1] (acting on W_t and c_t) and b = [Y_0; ...; Y_{T-1}]. A is stored
+    as its T blocks, each padded with zero rows to the largest task's n_max
+    items (`live` masks the bias on the padding), so A v is one batched
+    product and storage is T n_max d, the data's size when the tasks are
+    balanced. The graph and ridge terms act on the W block viewed as
+    W' = v[:T d].reshape(T, d). Returns smooth(v, grad=False), which gives the
+    value, or (value, gradient) with grad=True.
     """
     T, d = len(Xs), Xs[0].shape[1]
-    n_items = sum(X.shape[0] for X in Xs)
-    A = np.zeros((n_items + (R.shape[1] + T) * d, T * (d + 1)))
-    b = np.zeros(A.shape[0])
-    start = 0
+    n_w = T * d
+    n_max = max(X.shape[0] for X in Xs)
+    X3 = np.zeros((T, n_max, d))
+    Y3 = np.zeros((T, n_max))
+    live = np.zeros((T, n_max))
     for t, (X, Y) in enumerate(zip(Xs, Ys)):
-        rows = slice(start, start + X.shape[0])
-        A[rows, t * d:(t + 1) * d] = X
-        A[rows, T * d + t] = 1.0
-        b[rows] = Y
-        start = rows.stop
-    graph_rows = start + R.shape[1] * d
-    A[start:graph_rows, :T * d] = math.sqrt(alpha) * np.kron(R.T, np.eye(d))
-    A[graph_rows:, :T * d] = math.sqrt(gamma) * np.eye(T * d)
-    return A, b
+        X3[t, :len(X)] = X
+        Y3[t, :len(X)] = Y
+        live[t, :len(X)] = 1.0
+    Q = 2.0 * (alpha * (R @ R.T) + gamma * np.eye(T))  # the penalties' gradient is Q W'
+
+    def smooth(v, grad=False):
+        Wt = v[:n_w].reshape(T, d)
+        r = (X3 @ Wt[:, :, None]).reshape(T, n_max) + live * v[n_w:, None] - Y3
+        WR = R.T @ Wt
+        value = float(np.vdot(r, r)) + alpha * float(np.sum(WR * WR)) + gamma * float(np.sum(Wt * Wt))
+        if not grad:
+            return value
+        gW = 2.0 * (r[:, None, :] @ X3).reshape(T, d) + Q @ Wt
+        return value, np.concatenate([gW.reshape(-1), 2.0 * r.sum(axis=1)])
+
+    return smooth
 
 
 def mtl_objective(W, bias, Xs, Ys, alpha, beta, gamma, graph: TaskGraph) -> float:
-    A, b = _stacked_operator(Xs, Ys, alpha, gamma, graph.incidence)
-    r = A @ np.concatenate([np.asarray(W, dtype=float).T.reshape(-1), bias]) - b
-    return float(r @ r) + beta * float(np.sum(np.abs(W)))
+    W = np.asarray(W, dtype=float)
+    v = np.concatenate([W.T.reshape(-1), bias])
+    return _smooth_part(Xs, Ys, alpha, gamma, graph.incidence)(v) + beta * float(np.sum(np.abs(W)))
 
 
 def mtl_fit(
@@ -162,20 +178,18 @@ def mtl_fit(
     if not isinstance(fit_intercept, bool):
         raise ValueError(f"mtl fit_intercept must be true or false, got {fit_intercept!r}")
     T = len(Xs)
-    A, b = _stacked_operator(Xs, Ys, alpha, gamma, graph.incidence)
+    smooth = _smooth_part(Xs, Ys, alpha, gamma, graph.incidence)
     n_w = T * d  # v[:n_w] is the W block, v[n_w:] the biases
 
     # Monotone FISTA: accelerate through a search point y but never accept
     # an iterate whose objective exceeds the previous one.
-    x = x_old = y = np.zeros(A.shape[1])
+    x = x_old = y = np.zeros(n_w + T)
     t_momentum = 1.0
     L = 1.0
-    history = [float(b @ b)]  # the objective at v = 0
+    history = [smooth(x)]
 
     for _ in range(int(max_iter)):
-        r = A @ y - b
-        f_y = float(r @ r)
-        g = 2.0 * (A.T @ r)
+        f_y, g = smooth(y, grad=True)
         if not fit_intercept:
             g[n_w:] = 0.0
         while True:
@@ -183,8 +197,7 @@ def mtl_fit(
             z[:n_w] = np.sign(z[:n_w]) * np.maximum(np.abs(z[:n_w]) - beta / L, 0.0)
             step = z - y
             quad = f_y + float(step @ g) + 0.5 * L * float(step @ step)
-            r = A @ z - b
-            f_z = float(r @ r)
+            f_z = smooth(z)
             if f_z <= quad + 1e-12 * max(1.0, abs(quad)):
                 break
             L *= 2.0

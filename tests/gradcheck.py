@@ -8,9 +8,10 @@ coordinates; the returned figure is the maximum relative error
 from __future__ import annotations
 
 import numpy as np
+from oracles import _ref_smooth_value
 
 from adaffect.learners.cnn import CnnModel, cnn_gradients, cnn_loss
-from adaffect.learners.mtl import TaskGraph, _stacked_operator
+from adaffect.learners.mtl import TaskGraph, _smooth_part
 
 
 def _relative_error(analytic: float, numeric: float) -> float:
@@ -57,15 +58,16 @@ def grad_check_cnn(model: CnnModel, X, y_targets, n_coords: int = 200,
 
 def grad_check_mtl_smooth(W, bias, Xs, Ys, alpha, gamma, graph: TaskGraph,
                           n_coords: int = 200, h: float = 1e-5, seed: int = 0) -> float:
-    """Max relative error of the smooth-part gradient (loss + graph + ridge),
-    2 A'(A v - b) for mtl_fit's stacked operator A, b on v = [W[:, 0]; ...; bias]."""
-    v = np.concatenate([np.asarray(W, dtype=float).T.reshape(-1), np.asarray(bias, dtype=float)])
+    """Max relative error of the smooth-part gradient (loss + graph + ridge)
+    that mtl_fit forms on v = [W[:, 0]; ...; W[:, T-1]; bias], against central
+    differences of the per-task definition (`oracles._ref_smooth_value`)."""
+    W = np.asarray(W, dtype=float)
+    d, T = W.shape
+    v = np.concatenate([W.T.reshape(-1), np.asarray(bias, dtype=float)])
     Xs = [np.asarray(X, dtype=float) for X in Xs]
     Ys = [np.asarray(Y, dtype=float).reshape(-1) for Y in Ys]
-    A, b = _stacked_operator(Xs, Ys, alpha, gamma, graph.incidence)
-
-    def value():
-        r = A @ v - b
-        return float(r @ r)
-
-    return _max_error([v], [2.0 * (A.T @ (A @ v - b))], value, n_coords, h, seed)
+    R = graph.incidence
+    _, grad = _smooth_part(Xs, Ys, alpha, gamma, R)(v, grad=True)
+    return _max_error([v], [grad],
+                      lambda: _ref_smooth_value(v[:T * d].reshape(T, d).T, v[T * d:], Xs, Ys, alpha, gamma, R),
+                      n_coords, h, seed)

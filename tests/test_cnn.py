@@ -213,8 +213,8 @@ class TestGradCheck:
     def test_mtl_smooth_gradients(self):
         rng = np.random.default_rng(9)
         g = build_task_graph()
-        Xs = [rng.normal(size=(7, 5)) for _ in range(4)]
-        Ys = [np.sign(rng.normal(size=7)) for _ in range(4)]
+        Xs = [rng.normal(size=(n, 5)) for n in (7, 3, 9, 5)]  # unequal, so some tasks are padded
+        Ys = [np.sign(rng.normal(size=len(X))) for X in Xs]
         W = rng.normal(size=(5, 4))
         bias = rng.normal(size=4)
         err = grad_check_mtl_smooth(W, bias, Xs, Ys, alpha=0.7, gamma=0.3, graph=g)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ class TestMtlFit:
     @given(sizes=st.lists(st.integers(1, 12), min_size=4, max_size=4), d=st.integers(1, 8),
            regs=st.tuples(*[st.floats(0.0, 10.0)] * 3), with_bias=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_objective_is_its_definition(self, sizes, d, regs, with_bias, seed):
-        # The stacked operator's ||A v - b||^2 against the per-task sums.
+        # The block-diagonal ||A v - b||^2 plus the penalties against the per-task sums.
         rng = np.random.default_rng(seed)
         g = build_task_graph()
         alpha, beta, gamma = regs
@@ -146,6 +147,25 @@ class TestMtlFit:
         value = mtl_objective(W, bias, Xs, Ys, alpha, beta, gamma, g)
         expected = _ref_smooth_value(W, bias, Xs, Ys, alpha, gamma, g.incidence) + beta * float(np.sum(np.abs(W)))
         assert abs(value - expected) <= 1e-13 * expected
+
+    def test_wide_features_fit_in_memory_linear_in_the_data(self):
+        # `preprocess-eeg --retain 0` writes ~5e4 dims for a few dozen items.
+        # The fit's working memory must grow with n d, not with d^2 (a dense
+        # graph or ridge operator on the T d weights would need d^2 T^2 floats:
+        # 3.2 GB here).
+        rng = np.random.default_rng(3)
+        d = 5000
+        Xs = [rng.normal(size=(n, d)) for n in (3, 4, 2, 3)]
+        Ys = [np.sign(rng.normal(size=len(X))) for X in Xs]
+        data_bytes = sum(X.nbytes for X in Xs)
+        tracemalloc.start()
+        try:
+            model = mtl_fit(Xs, Ys, 1.0, 0.01, 0.1, build_task_graph(), fit_intercept=True, max_iter=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.W.shape == (d, 4)
+        assert peak < 16 * data_bytes
 
 
 class TestReferenceIdentity:
