@@ -5,6 +5,7 @@ and ad-level score aggregation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, fields
 
@@ -15,13 +16,8 @@ from .core import AffectLabel, FeatureMatrix, check_real, stratified_folds
 from .learners import shallow
 from .learners.cnn import CnnConfig, cnn_predict_proba, cnn_train
 from .learners.mtl import build_task_graph, mtl_fit, mtl_predict_proba
-from .learners.shallow import DEFAULT_HYPERPARAMS, SHALLOW_KINDS, shallow_fit, shallow_predict_proba
-
-#: Default inner-search grids for the SVMs ("scale" resolves to 1/dims).
-DEFAULT_GRIDS = {
-    "linear_svm": {"C": [0.1, 1.0, 10.0, 100.0]},
-    "rbf_svm": {"C": [0.1, 1.0, 10.0, 100.0], "gamma": ["scale", 0.01, 0.1]},
-}
+from .learners.shallow import (DEFAULT_GRIDS, DEFAULT_HYPERPARAMS, SHALLOW_KINDS, shallow_fit,
+                               shallow_predict_proba)
 
 #: mtl_fit's regularizer weights and solver limits; model params override them key by key.
 MTL_DEFAULTS = {"alpha": 1.0, "beta": 0.01, "gamma": 0.1, "fit_intercept": True, "tol": 1e-6, "max_iter": 10000}
@@ -71,13 +67,14 @@ def _as_signs(labels) -> np.ndarray:
 # Each kind's learners are looked up in this module's globals at call time,
 # so a caller that replaces `evaluation.shallow_fit` (or another learner
 # name) sees every fit and prediction made here. The inner search's
-# uncalibrated shallow fits are looked up on `learners.shallow` likewise.
+# shallow solves run in `learners.shallow`, which looks up its solvers
+# at call time likewise.
 
 def _fit_shallow(kind, features, params, seed):
     return shallow_fit(features.X, features.y_signs(), kind, params, seed=seed)
 
 
-def _fit_mtl(kind, features, params, seed):
+def _fit_mtl(features, params, seed):
     graph = build_task_graph()
     y = features.y_signs()
     Xs, Ys = [], []
@@ -89,16 +86,16 @@ def _fit_mtl(kind, features, params, seed):
     return mtl_fit(Xs, Ys, graph=graph, **dict(MTL_DEFAULTS, **params))
 
 
-def _fit_cnn(kind, features, params, seed):
+def _fit_cnn(features, params, seed):
     return cnn_train(features.X, features.y_signs(), CnnConfig(**dict(params, seed=seed)))
 
 
-#: kind -> (fit(kind, features, params, seed), posteriors(model, features),
+#: kind -> (fit(features, params, seed), posteriors(model, features),
 #: names of the kind's hyperparameters), one entry per MODEL_KINDS in its order.
 #: Final fold models, and the inner search's mtl and cnn points, are fitted here.
 _LEARNERS = {
-    **{kind: (_fit_shallow, lambda model, f: shallow_predict_proba(model, f.X), tuple(DEFAULT_HYPERPARAMS[kind]))
-       for kind in SHALLOW_KINDS},
+    **{kind: (functools.partial(_fit_shallow, kind), lambda model, f: shallow_predict_proba(model, f.X),
+              tuple(DEFAULT_HYPERPARAMS[kind])) for kind in SHALLOW_KINDS},
     "mtl": (_fit_mtl, lambda model, f: mtl_predict_proba(model, f.X, f.quadrants), tuple(MTL_DEFAULTS)),
     "cnn": (_fit_cnn, lambda model, f: cnn_predict_proba(model, f.X),
             tuple(c.name for c in fields(CnnConfig) if c.name != "seed")),
@@ -115,7 +112,7 @@ def fit_model(kind: str, features: FeatureMatrix, params: dict, seed: int):
     if kind not in _LEARNERS:
         raise ValueError(f"unknown model kind {kind!r}")
     _check_hyperparameter_names(kind, params)
-    return _LEARNERS[kind][0](kind, features, params, seed)
+    return _LEARNERS[kind][0](features, params, seed)
 
 
 def _check_hyperparameter_names(kind: str, keys) -> None:
@@ -136,8 +133,9 @@ class ModelSpec:
 
     `params` are fixed hyperparameters; `grid` maps a hyperparameter name
     to one or more candidate values searched by inner 5-fold CV (the SVMs
-    default to DEFAULT_GRIDS). A key of either that is not a hyperparameter
-    of `kind` is an error here, before any fit.
+    default to DEFAULT_GRIDS less the keys `params` fixes). A key of either
+    that is not a hyperparameter of `kind`, or a key of both, is an error
+    here, before any fit.
     """
 
     kind: str
@@ -151,8 +149,11 @@ class ModelSpec:
         for key, values in (self.grid or {}).items():
             if len(values) == 0:
                 raise ValueError(f"{self.kind} grid {key} has no values")
+        both = sorted(set(self.params) & set(self.grid or {}))
+        if both:
+            raise ValueError(f"{self.kind} {', '.join(both)} is both fixed by params and searched by the grid")
         if self.grid is None and self.kind in DEFAULT_GRIDS:
-            self.grid = {k: list(v) for k, v in DEFAULT_GRIDS[self.kind].items()}
+            self.grid = {k: list(v) for k, v in DEFAULT_GRIDS[self.kind].items() if k not in self.params}
 
 
 @dataclass
@@ -169,21 +170,11 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
     """Pick the spec's params plus the grid point with the best mean F1
     over an inner 5-fold split of `train` (the first point wins ties).
 
-    Grid points are scored in order, and the search stops after the first
-    one that scores F1 1 on every split: a later point would need a mean
-    above it by 1e-12, and no F1 exceeds 1.
-
     LDA and SVM points are ranked by the sign of their uncalibrated
-    decision value, so none of them is Platt-calibrated; other kinds by
-    their posterior argmax. On each split, the RBF points that share a
-    kernel are solved in ascending C, each starting from the solution of
-    the next smaller C (`warm_from`): alpha from a smaller C lies in the
-    larger box and keeps sum alpha y = 0. So scoring a point first solves
-    the smaller-C points of its kernel on that split that are not solved
-    yet; no (point, split) is solved twice. LDA points are each solved on
-    their own. Before a linear SVM point is scored, the interior-point
-    starts of its solves on every split are computed in one stacked
-    `_ipm_linear` run; each solve then gets its own SMO finish.
+    decision value (`learners.shallow` schedules their solves), other
+    kinds by their posterior argmax. Grid points are scored in order, and
+    the search stops after the first one that scores F1 1 on every split:
+    a later point would need a mean above it by 1e-12, and no F1 exceeds 1.
     """
     names = sorted(spec.grid)
     candidates = [dict(spec.params, **dict(zip(names, values)))
@@ -192,49 +183,22 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
     n_folds = int(min(5, np.sum(y > 0), np.sum(y < 0)))
     if len(candidates) == 1 or n_folds < 2:
         return candidates[0]
-    splits = []
-    for test_idx in stratified_folds(y, n_folds, np.random.default_rng(seed)):
-        fit_idx = np.setdiff1d(np.arange(len(y)), test_idx)
-        if len(test_idx) and len(np.unique(y[fit_idx])) == 2:
-            splits.append((train.subset(fit_idx), train.subset(test_idx)))
-    if not splits:
-        return candidates[0]
+    # Each class holds at least n_folds items, so every split has items on
+    # its test side and both classes on its training side.
+    splits = [(train.subset(np.setdiff1d(np.arange(len(y)), test_idx)), train.subset(test_idx))
+              for test_idx in stratified_folds(y, n_folds, np.random.default_rng(seed))]
     kind = spec.kind
-    hypers = [shallow._hyperparams(kind, c) for c in candidates] if kind in SHALLOW_KINDS else candidates
-    warm_from = dict.fromkeys(range(len(candidates)))  # point -> next smaller C on its RBF kernel, or None
-    if kind == "rbf_svm":
-        last = {}  # kernel -> its point with the largest C so far
-        for i in sorted(warm_from, key=lambda i: hypers[i]["C"]):
-            kernel = repr(sorted((k, v) for k, v in hypers[i].items() if k != "C"))
-            warm_from[i], last[kernel] = last.get(kernel), i
-    fits = [(fit_set.X, fit_set.y_signs()) for fit_set, _ in splits]
-    solved = {}  # (point, split) -> (alpha of the solve, labels)
-    starts = {}  # (point, split) -> a linear SVM's interior-point start
-
-    def labels(i, s):
-        fit_set, test_set = splits[s]
-        walk, m = [], i  # i and its unsolved warm-start predecessors, largest C first
-        while m is not None and (m, s) not in solved:
-            walk.append(m)
-            m = warm_from[m]
-        for m in reversed(walk):
-            if kind in SHALLOW_KINDS:
-                start = starts.get((m, s)) if warm_from[m] is None else solved[warm_from[m], s][0]
-                model = shallow._fit_uncalibrated(*fits[s], kind, hypers[m], start)
-                positive = model.decision_values(test_set.X) > 0.0
-                solved[m, s] = model.train_meta.get("alpha"), np.where(positive, 1.0, -1.0)
-            else:
-                model = fit_model(kind, fit_set, hypers[m], seed)
-                solved[m, s] = None, _argmax_signs(predict_proba(kind, model, test_set))
-        return solved[i, s][1]
-
+    if kind in SHALLOW_KINDS:
+        models = shallow._grid_models([(fit_set.X, fit_set.y_signs()) for fit_set, _ in splits], kind, candidates)
+        points = ([np.where(model.decision_values(test_set.X) > 0.0, 1.0, -1.0)
+                   for model, (_, test_set) in zip(point, splits)] for point in models)
+    else:
+        points = ([_argmax_signs(predict_proba(kind, fit_model(kind, fit_set, candidate, seed), test_set))
+                   for fit_set, test_set in splits] for candidate in candidates)
     truths = [test_set.y_signs() for _, test_set in splits]
     best_f1, best = -1.0, candidates[0]
-    for i, candidate in enumerate(candidates):
-        if kind == "linear_svm":
-            stack = shallow._ipm_linear(*zip(*fits), [hypers[i]["C"]] * len(fits))
-            starts.update(((i, s), start) for s, start in enumerate(stack))
-        f1s = np.array([f1_score(labels(i, s), truth) for s, truth in enumerate(truths)])
+    for candidate, labels in zip(candidates, points):
+        f1s = np.array([f1_score(pred, truth) for pred, truth in zip(labels, truths)])
         mean = f1s.mean()
         if mean > best_f1 + 1e-12:
             best_f1, best = float(mean), candidate

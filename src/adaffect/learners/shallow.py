@@ -1,9 +1,11 @@
 """Shallow binary classifiers: shrinkage-regularized LDA, linear SVMs
 solved by a low-rank interior-point method with an SMO finish, and RBF
-SVMs trained by SMO, all with Platt-calibrated posterior output. The
-interior-point method solves a stack of linear SVM problems in one run
-(a model with its calibration solves, or an inner grid point on every
-split); each problem then gets its own SMO finish.
+SVMs trained by SMO, all with Platt-calibrated posterior output. This
+module alone schedules the solves: `_fit_stack` solves a stack of
+training sets at one hyperparameter point (a model with its calibration
+folds, or an inner grid point on every inner split, whose RBF points
+`_grid_models` chains in ascending C). A stack's linear SVM problems
+share one interior-point run; each problem then gets its own SMO finish.
 
 Every SVM solve ends in `_smo`, so its KKT test (KKT_TOL) decides whether
 the solve converged. Labels are +1 (High) / -1 (Low); posterior columns
@@ -477,30 +479,17 @@ def _fit_lda(X, y, shrinkage: float):
 
 
 def _calibration_splits(y, n_folds: int, seed: int):
-    """(training mask, test indices) of each calibration fold whose
-    training part holds both classes."""
+    """(training mask, test indices) of each calibration fold that holds an
+    item and whose training part holds both classes (a 2-item set deals
+    both items into one of its 2 folds)."""
     n_folds = max(2, min(n_folds, int(min(np.sum(y > 0), np.sum(y < 0)))))
     splits = []
     for test_idx in stratified_folds(y, n_folds, np.random.default_rng(seed)):
         train_mask = np.ones(len(y), dtype=bool)
         train_mask[test_idx] = False
-        if len(np.unique(y[train_mask])) == 2:
+        if len(test_idx) and len(np.unique(y[train_mask])) == 2:
             splits.append((train_mask, test_idx))
     return splits
-
-
-def _cross_fitted_scores(X, y, kind, hyper, splits, starts):
-    """Out-of-fold decision values of uncalibrated `kind` models, one per
-    calibration split (0 on a fold left out of `splits`), and the
-    `converged` flag of each fit made (None for LDA). Each split's solve
-    begins at its entry of `starts` (see `_fit_uncalibrated`)."""
-    scores = np.zeros(len(y))
-    converged = []
-    for (train_mask, test_idx), start in zip(splits, starts):
-        model = _fit_uncalibrated(X[train_mask], y[train_mask], kind, hyper, start)
-        scores[test_idx] = model.decision_values(X[test_idx])
-        converged.append(model.train_meta.get("converged"))
-    return scores, converged
 
 
 def _fit_uncalibrated(X, y, kind, hyper, start=None) -> ShallowModel:
@@ -525,10 +514,25 @@ def _fit_uncalibrated(X, y, kind, hyper, start=None) -> ShallowModel:
                         train_meta={"alpha": alpha, "iters": iters, "converged": converged})
 
 
+def _fit_stack(sets, kind, hyper, starts=None) -> list:
+    """The uncalibrated `kind` models at `hyper` of a stack of (X, y) sets,
+    in order. Linear SVMs start from one `_ipm_linear` run over the stack;
+    RBF SVMs from `starts`, one feasible alpha per set, when given."""
+    if kind == "linear_svm":
+        starts = _ipm_linear(*zip(*sets), [hyper["C"]] * len(sets))
+    return [_fit_uncalibrated(X, y, kind, hyper, start) for (X, y), start in zip(sets, starts or [None] * len(sets))]
+
+
 DEFAULT_HYPERPARAMS = {
     "lda": {"shrinkage": 0.1},
     "linear_svm": {"C": 1.0},
     "rbf_svm": {"C": 1.0, "gamma": "scale"},
+}
+
+#: Default inner-search grids for the SVMs ("scale" resolves to 1/dims).
+DEFAULT_GRIDS = {
+    "linear_svm": {"C": [0.1, 1.0, 10.0, 100.0]},
+    "rbf_svm": {"C": [0.1, 1.0, 10.0, 100.0], "gamma": ["scale", 0.01, 0.1]},
 }
 
 #: Allowed values of the shallow hyperparameters: (test, description).
@@ -552,6 +556,36 @@ def _hyperparams(kind: str, hyperparams: dict | None) -> dict:
     return hyper
 
 
+def _grid_models(sets, kind, candidates):
+    """Yield the uncalibrated `kind` models of each hyperparameter point of
+    `candidates` on the stack of (X, y) `sets`, point by point in order.
+
+    Every point is checked (see `_hyperparams`) before the first solve.
+    The RBF points that share a kernel are solved in ascending C, each
+    starting from the solution at the next smaller C on the same set: alpha
+    from a smaller C lies in the larger box and keeps sum alpha y = 0. So
+    yielding a point first solves the smaller-C points of its kernel that
+    are not solved yet, and no point is solved twice.
+    """
+    hypers = [_hyperparams(kind, c) for c in candidates]
+    warm_from = dict.fromkeys(range(len(hypers)))  # point -> next smaller C on its RBF kernel, or None
+    if kind == "rbf_svm":
+        last = {}  # kernel -> its point with the largest C so far
+        for i in sorted(warm_from, key=lambda i: hypers[i]["C"]):
+            kernel = repr(sorted((k, v) for k, v in hypers[i].items() if k != "C"))
+            warm_from[i], last[kernel] = last.get(kernel), i
+    solved = {}  # point -> its models, one per set, until yielded and no larger C starts from them
+    for i in range(len(hypers)):
+        walk, m = [], i  # i and its unsolved warm-start predecessors, largest C first
+        while m is not None and m not in solved:
+            walk.append(m)
+            m = warm_from[m]
+        for m in reversed(walk):
+            warm = solved.get(warm_from[m])
+            solved[m] = _fit_stack(sets, kind, hypers[m], warm and [model.train_meta["alpha"] for model in warm])
+        yield solved[i] if i in warm_from.values() else solved.pop(i)
+
+
 def shallow_fit(X, y, kind: str, hyperparams: dict | None = None, seed: int = 0) -> ShallowModel:
     """Fit one shallow classifier and calibrate its posterior output.
 
@@ -563,15 +597,13 @@ def shallow_fit(X, y, kind: str, hyperparams: dict | None = None, seed: int = 0)
     hyper = _hyperparams(kind, hyperparams)
     X, y = _check_training_inputs(X, y)
     splits = _calibration_splits(y, CALIBRATION_FOLDS, seed)
-    starts = [None] * (1 + len(splits))
-    if kind == "linear_svm":  # the interior points of the model's solve and its calibration solves, in one run
-        sets = [(X, y)] + [(X[mask], y[mask]) for mask, _ in splits]
-        starts = _ipm_linear(*zip(*sets), [hyper["C"]] * len(sets))
-    model = _fit_uncalibrated(X, y, kind, hyper, starts[0])
-    scores, converged = _cross_fitted_scores(X, y, kind, hyper, splits, starts[1:])
+    model, *folds = _fit_stack([(X, y)] + [(X[mask], y[mask]) for mask, _ in splits], kind, hyper)
+    scores = np.zeros(len(y))
+    for fold, (_, test_idx) in zip(folds, splits):
+        scores[test_idx] = fold.decision_values(X[test_idx])
     model.calibration = fit_platt(scores, y)
     if kind != "lda":
-        model.train_meta["calibration_converged"] = converged
+        model.train_meta["calibration_converged"] = [fold.train_meta["converged"] for fold in folds]
     return model
 
 

@@ -806,21 +806,29 @@ class TestModelSerialization:
         assert err.count("\n") == 1
 
     def test_train_and_evaluate_warn_on_unconverged_calibration(self, tmp_path, capsys, monkeypatch):
-        # Only the Platt calibration solves stop short: the linear solver is
-        # capped at one interior-point step and one SMO pair update while
-        # `_cross_fitted_scores` runs.
+        # Only the Platt calibration solves stop short: in each shallow_fit,
+        # the model's own solve comes first and runs as usual, and every
+        # later solve is capped at one interior-point step and one SMO pair
+        # update.
+        from adaffect import evaluation
         from adaffect.learners import shallow
 
-        solve, cross_fitted = shallow._linear_dual, shallow._cross_fitted_scores
+        solve, fit = shallow._linear_dual, evaluation.shallow_fit
 
-        def capped_calibration(*args):
-            monkeypatch.setattr(shallow, "_linear_dual", lambda X, y, C, start: solve(X, y, C, max_steps=1, max_iter=1))
+        def capped_calibration(*args, **kwargs):
+            solves = []
+
+            def capped_after_first(X, y, C, start):
+                solves.append(C)
+                return solve(X, y, C, start=start) if len(solves) == 1 else solve(X, y, C, max_steps=1, max_iter=1)
+
+            monkeypatch.setattr(shallow, "_linear_dual", capped_after_first)
             try:
-                return cross_fitted(*args)
+                return fit(*args, **kwargs)
             finally:
                 monkeypatch.setattr(shallow, "_linear_dual", solve)
 
-        monkeypatch.setattr(shallow, "_cross_fitted_scores", capped_calibration)
+        monkeypatch.setattr(evaluation, "shallow_fit", capped_calibration)
         feats = self.write_features(tmp_path, self.features().features)
         assert run("train", "--features", feats, "--model", "linear_svm", "--out", tmp_path / "m.json") == 0
         err = capsys.readouterr().err
@@ -831,6 +839,31 @@ class TestModelSerialization:
         err = capsys.readouterr().err
         assert err.startswith("warning: linear_svm: 3 of 3 final fold fits stopped without meeting")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["linear_svm", "rbf_svm"])
+    def test_evaluate_hyper_is_not_searched_over(self, tmp_path, monkeypatch, kind):
+        # The SVMs' default grids search C, so a fixed C leaves the grid.
+        from adaffect import evaluation
+
+        fit, Cs = evaluation.shallow_fit, []
+
+        def fit_spy(X, y, kind, params, seed):
+            Cs.append(params["C"])
+            return fit(X, y, kind, params, seed=seed)
+
+        monkeypatch.setattr(evaluation, "shallow_fit", fit_spy)
+        feats = self.write_features(tmp_path, self.features().features)
+        assert run("evaluate", "--features", feats, "--model", kind, "--hyper", "C=5",
+                   "--reps", 1, "--folds", 3, "--out", tmp_path / "r.csv") == 0
+        assert Cs == [5] * 3
+
+    def test_evaluate_hyper_also_in_grid_exits_1(self, tmp_path, capsys):
+        feats = self.write_features(tmp_path, self.features().features)
+        out = tmp_path / "r.csv"
+        assert run("evaluate", "--features", feats, "--model", "linear_svm", "--hyper", "C=5", "--grid", "C=1,10",
+                   "--reps", 1, "--folds", 3, "--out", out) == 1
+        assert capsys.readouterr().err == "error: linear_svm C is both fixed by params and searched by the grid\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("hyper, field", [
         ("dropout=1.0", "dropout"),

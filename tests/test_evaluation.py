@@ -228,6 +228,30 @@ class TestCrossValidate:
         cross_validate(weak_features(), ModelSpec(kind), reps=1, folds=3, seed=6)
         assert len(calls) == 3 * per_fold
 
+    def test_linear_svm_stacks_each_grid_point_and_each_final_model(self, monkeypatch):
+        # One interior-point run per grid point over its 5 inner splits, then
+        # one per final model over it and its 3 calibration folds.
+        from adaffect.learners import shallow
+
+        stacks = []
+        original = shallow._ipm_linear
+
+        def spy(Xs, ys, Cs, *args):
+            stacks.append(len(Xs))
+            return original(Xs, ys, Cs, *args)
+
+        monkeypatch.setattr(shallow, "_ipm_linear", spy)
+        cross_validate(weak_features(), ModelSpec("linear_svm"), reps=1, folds=3, seed=6)
+        assert stacks == 3 * ([5] * 4 + [4])
+
+    @pytest.mark.parametrize("kind, params, grid", [
+        ("linear_svm", {"C": 5.0}, {}),
+        ("rbf_svm", {"C": 5.0}, {"gamma": ["scale", 0.01, 0.1]}),
+        ("rbf_svm", {"gamma": 0.1}, {"C": [0.1, 1.0, 10.0, 100.0]}),
+    ])
+    def test_fixed_params_leave_the_default_grid(self, kind, params, grid):
+        assert ModelSpec(kind, params=params).grid == grid
+
     @pytest.mark.parametrize("kind", ["linear_svm", "rbf_svm"])
     def test_search_stops_at_the_first_perfect_grid_point(self, monkeypatch, kind):
         # On a well-separated set the first default grid point scores F1 1 on

@@ -140,6 +140,27 @@ class TestSvm:
         assert model.train_meta["calibration_converged"] == [False] * 3
         assert unconverged_solves(model) == (False, 3)
 
+    @pytest.mark.parametrize("kind", ["linear_svm", "rbf_svm"])
+    def test_two_item_set_has_no_calibration_solve(self, monkeypatch, kind):
+        # Both items fall into one of the two calibration folds: that fold
+        # trains on no item and the other scores none, so no fold is solved.
+        from adaffect.learners import shallow
+
+        y = np.array([1.0, -1.0])
+        assert shallow._calibration_splits(y, 3, 0) == []
+        calls = []
+        original = shallow._fit_uncalibrated
+
+        def spy(*args):
+            calls.append(len(args[1]))
+            return original(*args)
+
+        monkeypatch.setattr(shallow, "_fit_uncalibrated", spy)
+        model = shallow_fit(np.array([[1.0, 0.5], [-1.0, 0.0]]), y, kind)
+        assert calls == [2]
+        assert model.train_meta["calibration_converged"] == []
+        assert unconverged_solves(model) == (False, 0)
+
     def test_iteration_cap_reports_not_converged(self):
         X, y = gaussian_clouds(n=30, separation=1.5, seed=13)
         alpha, b, iters, converged = _smo(X @ X.T, y, 1.0, max_iter=1)
