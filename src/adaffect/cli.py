@@ -277,6 +277,8 @@ def cmd_preprocess_eeg(args) -> list:
         ids.append(meta["stimulus_id"])
     total = len(paths)
     print(f"epochs: {total} total, {total - n_dirty} clean, {n_dirty} dirty; using {len(epochs)}")
+    if not epochs:
+        raise ValueError(f"{args.epochs}: no clean epoch; --subset all uses the dirty ones too")
 
     rows = []
     for epoch, source in zip(epochs, sources):

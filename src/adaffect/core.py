@@ -198,15 +198,15 @@ class FeatureMatrix:
         )
 
 
-def stratified_folds(y_signs: np.ndarray, n_folds: int, rng) -> list[np.ndarray]:
-    """Deal each class's shuffled indices round-robin into n_folds test sets."""
-    folds = [[] for _ in range(n_folds)]
+def stratified_splits(y_signs: np.ndarray, n_folds: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(training indices, test indices), both sorted, of each of n_folds folds:
+    each class's shuffled indices (High, then Low) are dealt round-robin into
+    the test sides, and an item in neither class is on every training side."""
+    fold_of = np.full(len(y_signs), -1)
     for cls in (1.0, -1.0):
         idx = np.flatnonzero(y_signs == cls)
-        idx = idx[rng.permutation(len(idx))]
-        for pos, item in enumerate(idx):
-            folds[pos % n_folds].append(int(item))
-    return [np.array(sorted(f), dtype=int) for f in folds]
+        fold_of[idx[rng.permutation(len(idx))]] = np.arange(len(idx)) % n_folds
+    return [(np.flatnonzero(fold_of != k), np.flatnonzero(fold_of == k)) for k in range(n_folds)]
 
 
 def check_real(name: str, value, ok, bound: str) -> None:

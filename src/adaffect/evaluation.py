@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import MODEL_KINDS
-from .core import AffectLabel, FeatureMatrix, check_real, stratified_folds
+from .core import AffectLabel, FeatureMatrix, check_real, stratified_splits
 from .learners import shallow
 from .learners.cnn import CnnConfig, cnn_predict_proba, cnn_train
 from .learners.mtl import build_task_graph, mtl_fit, mtl_predict_proba
@@ -185,8 +185,8 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
         return candidates[0]
     # Each class holds at least n_folds items, so every split has items on
     # its test side and both classes on its training side.
-    splits = [(train.subset(np.setdiff1d(np.arange(len(y)), test_idx)), train.subset(test_idx))
-              for test_idx in stratified_folds(y, n_folds, np.random.default_rng(seed))]
+    splits = [(train.subset(fit_idx), train.subset(test_idx))
+              for fit_idx, test_idx in stratified_splits(y, n_folds, np.random.default_rng(seed))]
     kind = spec.kind
     if kind in SHALLOW_KINDS:
         models = shallow._grid_models([(fit_set.X, fit_set.y_signs()) for fit_set, _ in splits], kind, candidates)
@@ -237,12 +237,10 @@ def cross_validate(
     oof = np.zeros((features.n_items, 2))
     for rep, seq in enumerate(np.random.SeedSequence(seed).spawn(reps)):
         rng = np.random.default_rng(seq)
-        fold_sets = stratified_folds(y, folds, rng)
+        fold_sets = stratified_splits(y, folds, rng)
         inner_seeds = rng.integers(0, 2**31 - 1, size=folds)
-        for fold, test_idx in enumerate(fold_sets):
-            mask = np.ones(features.n_items, dtype=bool)
-            mask[test_idx] = False
-            train, test = features.subset(np.flatnonzero(mask)), features.subset(test_idx)
+        for fold, (train_idx, test_idx) in enumerate(fold_sets):
+            train, test = features.subset(train_idx), features.subset(test_idx)
             inner_seed = int(inner_seeds[fold])
             params = _inner_grid_search(train, spec, inner_seed) if spec.grid else dict(spec.params)
             model = fit_model(spec.kind, train, params, inner_seed)

@@ -372,6 +372,8 @@ def read_feature_csv(path) -> FeatureMatrix:
     def row_parser(header):
         if header[:3] != ["item_id", "label", "quadrant"]:
             raise ValueError(f"{path}: expected header item_id,label,quadrant,...")
+        if len(header) == 3:
+            raise ValueError(f"{path}:1: header names no feature column after item_id,label,quadrant")
         return parse
 
     def parse(row):
@@ -385,7 +387,9 @@ def read_feature_csv(path) -> FeatureMatrix:
         return row[0], AffectLabel.from_code(row[1]), Quadrant.from_code(row[2]), values
 
     rows = _read_rows(path, row_parser)
-    ids, labels, quads, X = zip(*rows) if rows else ((), (), (), ())
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    ids, labels, quads, X = zip(*rows)
     return FeatureMatrix(np.asarray(X, dtype=float), list(labels), list(quads), list(ids))
 
 

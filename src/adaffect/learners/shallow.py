@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..core import check_real, stratified_folds
+from ..core import check_real, stratified_splits
 
 KKT_TOL = 1e-3
 SMO_MAX_ITER = 400000
@@ -479,17 +479,12 @@ def _fit_lda(X, y, shrinkage: float):
 
 
 def _calibration_splits(y, n_folds: int, seed: int):
-    """(training mask, test indices) of each calibration fold that holds an
-    item and whose training part holds both classes (a 2-item set deals
+    """(training indices, test indices) of each calibration fold that holds
+    an item and whose training side holds both classes (a 2-item set deals
     both items into one of its 2 folds)."""
     n_folds = max(2, min(n_folds, int(min(np.sum(y > 0), np.sum(y < 0)))))
-    splits = []
-    for test_idx in stratified_folds(y, n_folds, np.random.default_rng(seed)):
-        train_mask = np.ones(len(y), dtype=bool)
-        train_mask[test_idx] = False
-        if len(test_idx) and len(np.unique(y[train_mask])) == 2:
-            splits.append((train_mask, test_idx))
-    return splits
+    return [(fit_idx, test_idx) for fit_idx, test_idx in stratified_splits(y, n_folds, np.random.default_rng(seed))
+            if len(test_idx) and len(np.unique(y[fit_idx])) == 2]
 
 
 def _fit_uncalibrated(X, y, kind, hyper, start=None) -> ShallowModel:
@@ -597,7 +592,7 @@ def shallow_fit(X, y, kind: str, hyperparams: dict | None = None, seed: int = 0)
     hyper = _hyperparams(kind, hyperparams)
     X, y = _check_training_inputs(X, y)
     splits = _calibration_splits(y, CALIBRATION_FOLDS, seed)
-    model, *folds = _fit_stack([(X, y)] + [(X[mask], y[mask]) for mask, _ in splits], kind, hyper)
+    model, *folds = _fit_stack([(X, y)] + [(X[idx], y[idx]) for idx, _ in splits], kind, hyper)
     scores = np.zeros(len(y))
     for fold, (_, test_idx) in zip(folds, splits):
         scores[test_idx] = fold.decision_values(X[test_idx])

@@ -27,7 +27,8 @@ class InstanceTooLargeError(ValueError):
 
 
 @dataclass(frozen=True)
-class SceneRecord:
+class _AffectRecord:
+    """An id with arousal (asl) and valence (val) scores in [0, 1]; errors name it by `noun`."""
     id: str
     asl: float
     val: float
@@ -35,19 +36,15 @@ class SceneRecord:
     def __post_init__(self):
         for name, v in (("asl", self.asl), ("val", self.val)):
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"scene {self.id!r}: {name} must lie in [0,1], got {v}")
+                raise ValueError(f"{self.noun} {self.id!r}: {name} must lie in [0,1], got {v}")
 
 
-@dataclass(frozen=True)
-class AdItem:
-    id: str
-    asl: float
-    val: float
+class SceneRecord(_AffectRecord):
+    noun = "scene"
 
-    def __post_init__(self):
-        for name, v in (("asl", self.asl), ("val", self.val)):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"ad {self.id!r}: {name} must lie in [0,1], got {v}")
+
+class AdItem(_AffectRecord):
+    noun = "ad"
 
 
 @dataclass

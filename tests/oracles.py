@@ -6,8 +6,9 @@ ones must reproduce bit for bit: `reference_smo` and `reference_seeded_smo`
 (`shallow._smo`), `reference_cnn_train` and `reference_cnn_gradients`
 (`cnn.cnn_train` and `cnn.cnn_gradients`), `west_fuse_whole_grid`
 (`evaluation.west_fuse`), `reference_ga_optimize` (`scheduler.ga_optimize`),
-`reference_gen_synthetic_eeg` (`synthgen.gen_synthetic_eeg`) and
-`reference_csv_text` (`fileio.write_csv`). `mtl.mtl_fit` must take
+`reference_gen_synthetic_eeg` (`synthgen.gen_synthetic_eeg`),
+`reference_csv_text` (`fileio.write_csv`) and `reference_stratified_folds`
+(the test sides of `core.stratified_splits`). `mtl.mtl_fit` must take
 `reference_mtl_fit`'s iterations with iterates equal up to summation order.
 """
 
@@ -351,6 +352,18 @@ def reference_seeded_smo(K, y, C, tol=1e-3, max_iter=400000, alpha=None):
     return np.array(a), float(b), iters, converged
 
 
+def reference_stratified_folds(y_signs, n_folds, rng):
+    """Test indices of each of n_folds folds: each class's shuffled indices
+    (High, then Low) dealt one item at a time, round-robin."""
+    folds = [[] for _ in range(n_folds)]
+    for cls in (1.0, -1.0):
+        idx = np.flatnonzero(y_signs == cls)
+        idx = idx[rng.permutation(len(idx))]
+        for pos, item in enumerate(idx):
+            folds[pos % n_folds].append(int(item))
+    return [np.array(sorted(f), dtype=int) for f in folds]
+
+
 def inner_grid_search_full(train, spec, seed):
     """`evaluation._inner_grid_search` without its early stop: every grid
     point is scored on every inner split. Returns (params, scores), scores
@@ -364,7 +377,6 @@ def inner_grid_search_full(train, spec, seed):
     by more than 1e-12 is picked. The search fits through the library's own
     learners and F1, so only the search itself is independent.
     """
-    from adaffect.core import stratified_folds
     from adaffect.evaluation import f1_score, fit_model, predict_proba
     from adaffect.learners import shallow
 
@@ -374,7 +386,7 @@ def inner_grid_search_full(train, spec, seed):
     y = train.y_signs()
     n_folds = int(min(5, np.sum(y > 0), np.sum(y < 0)))
     splits = []
-    for test_idx in stratified_folds(y, n_folds, np.random.default_rng(seed)):
+    for test_idx in reference_stratified_folds(y, n_folds, np.random.default_rng(seed)):
         fit_idx = np.setdiff1d(np.arange(len(y)), test_idx)
         if len(test_idx) and len(np.unique(y[fit_idx])) == 2:
             splits.append((train.subset(fit_idx), train.subset(test_idx)))

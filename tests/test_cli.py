@@ -427,7 +427,8 @@ RATINGS = "rater_id,item_id,attribute,score\nr1,a,valence,1\nr1,b,valence,-1\nr2
 
 
 class TestReaderBoundaries:
-    """A bad row in a CSV input fails the command with one `path:line:` line."""
+    """A bad row or header in a CSV input fails the command with one
+    `path:line:` line, a feature file without data rows with one `path:` line."""
 
     @pytest.mark.parametrize("command, text, old, new, line", [
         ("fuse", PREDICTIONS, "c,H,0.7,0.3", "c,H,nan,0.3", 4),
@@ -467,6 +468,25 @@ class TestReaderBoundaries:
         assert run(command, *argv, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("model", ["lda", "linear_svm", "rbf_svm", "mtl"])
+    def test_feature_header_without_feature_column_exits_1(self, tmp_path, capsys, command, model):
+        bad, out = tmp_path / "bad.csv", tmp_path / "out.csv"
+        quads = ["HH", "HL", "LH", "LL"]
+        bad.write_text("item_id,label,quadrant\n" + "".join(f"x{i},{'HL'[i % 2]},{quads[i % 4]}\n" for i in range(40)))
+        assert run(command, "--features", bad, "--model", model, "--out", out) == 1
+        assert capsys.readouterr().err == (f"error: {bad}:1: header names no feature column "
+                                           "after item_id,label,quadrant\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_feature_file_without_data_rows_exits_1_naming_it(self, tmp_path, capsys, command):
+        bad, out = tmp_path / "bad.csv", tmp_path / "out.csv"
+        bad.write_text(FEATURES.splitlines()[0] + "\n")
+        assert run(command, "--features", bad, "--model", "lda", "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {bad}: no data rows\n"
         assert not out.exists()
 
 
@@ -520,6 +540,20 @@ def test_epochs_of_unequal_length_exit_1_naming_the_odd_one(tmp_path, capsys):
     assert run("preprocess-eeg", "--epochs", tmp_path / "eeg", "--window", "all", "--out", out) == 1
     assert capsys.readouterr().err == (f"error: {paths[2]}: the 'all' window holds 400 samples per channel, "
                                        f"but {paths[0]}'s holds 512\n")
+    assert not out.exists()
+
+
+def test_clean_subset_without_a_clean_epoch_exits_1_naming_the_directory(tmp_path, capsys):
+    synth_epochs(tmp_path / "eeg")
+    for sidecar in (tmp_path / "eeg").glob("*.json"):
+        meta = json.loads(sidecar.read_text())
+        if "clean" in meta:
+            sidecar.write_text(json.dumps({**meta, "clean": False}))
+    out = tmp_path / "eeg.csv"
+    assert run("preprocess-eeg", "--epochs", tmp_path / "eeg", "--subset", "clean", "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "epochs: 4 total, 0 clean, 4 dirty; using 0\n"
+    assert captured.err == f"error: {tmp_path / 'eeg'}: no clean epoch; --subset all uses the dirty ones too\n"
     assert not out.exists()
 
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaffect.core import (
     ALL_QUADRANTS,
@@ -17,8 +19,10 @@ from adaffect.core import (
     load_manifest,
     min_max_normalize,
     quadrant_summary,
+    stratified_splits,
 )
 from adaffect.fileio import load_ratings_csv
+from oracles import reference_stratified_folds
 
 H = AffectLabel.HIGH
 L = AffectLabel.LOW
@@ -50,6 +54,36 @@ class TestQuadrant:
     def test_code_roundtrip(self):
         for q in ALL_QUADRANTS:
             assert Quadrant.from_code(q.code) == q
+
+
+class TestStratifiedSplits:
+    @settings(max_examples=300, deadline=None)
+    @given(signs=st.lists(st.sampled_from([1.0, -1.0]), max_size=40), n_folds=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_item_dealing(self, signs, n_folds, seed):
+        # Fold counts above a class's size leave some test sides without
+        # that class, or empty.
+        y = np.array(signs)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        splits = stratified_splits(y, n_folds, rng)
+        expect = reference_stratified_folds(y, n_folds, ref_rng)
+        assert len(splits) == n_folds
+        everyone = np.arange(len(y))
+        for (train_idx, test_idx), ref in zip(splits, expect):
+            assert np.array_equal(test_idx, ref)
+            assert np.array_equal(train_idx, np.setdiff1d(everyone, test_idx))
+        assert np.array_equal(np.sort(np.concatenate([test_idx for _, test_idx in splits])), everyone)
+        for cls in (1.0, -1.0):
+            counts = [int(np.sum(y[test_idx] == cls)) for _, test_idx in splits]
+            assert max(counts) - min(counts) <= 1
+        # Both consumed the same draws, so what the caller draws next agrees.
+        assert rng.integers(0, 2**31 - 1) == ref_rng.integers(0, 2**31 - 1)
+
+    def test_unlabelled_item_is_on_every_training_side(self):
+        y = np.array([1.0, 0.0, -1.0, 1.0, -1.0])
+        splits = stratified_splits(y, 2, np.random.default_rng(0))
+        assert all(1 in train_idx and 1 not in test_idx for train_idx, test_idx in splits)
+        assert sorted(np.concatenate([test_idx for _, test_idx in splits])) == [0, 2, 3, 4]
 
 
 def write_manifest(tmp_path, rows):

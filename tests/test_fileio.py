@@ -296,6 +296,20 @@ class TestCsvTables:
         groups = read_segment_posteriors_csv(path)
         assert groups == {"x": [0.2, 0.4], "y": [0.9]}
 
+    def test_feature_header_without_feature_column_names_line_1(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("item_id,label,quadrant\nx0,H,HH\nx1,L,LL\n")
+        with pytest.raises(ValueError) as err:
+            read_feature_csv(path)
+        assert str(err.value) == f"{path}:1: header names no feature column after item_id,label,quadrant"
+
+    def test_feature_file_without_data_rows_names_the_file(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("item_id,label,quadrant,f0\n\n")
+        with pytest.raises(ValueError) as err:
+            read_feature_csv(path)
+        assert str(err.value) == f"{path}: no data rows"
+
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, 1.0 / 3.0, float("inf"), float("-inf"), float("nan")]
 

@@ -52,6 +52,20 @@ def ga_cases(draw):
     return problem, config
 
 
+class TestRecords:
+    @pytest.mark.parametrize("record, noun", [(SceneRecord, "scene"), (AdItem, "ad")])
+    @pytest.mark.parametrize("asl, val, name, bad", [(1.5, 0.0, "asl", 1.5), (0.0, -1.0, "val", -1.0)])
+    def test_score_outside_unit_interval_names_the_record(self, record, noun, asl, val, name, bad):
+        with pytest.raises(ValueError) as err:
+            record("x", asl, val)
+        assert str(err.value) == f"{noun} 'x': {name} must lie in [0,1], got {bad}"
+
+    def test_scene_and_ad_with_equal_fields_differ(self):
+        scene, ad = SceneRecord("x", 0.25, 0.5), AdItem(id="x", asl=0.25, val=0.5)
+        assert scene != ad and scene == SceneRecord("x", 0.25, 0.5)
+        assert repr(ad) == "AdItem(id='x', asl=0.25, val=0.5)"
+
+
 class TestFitness:
     def test_perfect_match_hits_bound(self):
         scenes = [SceneRecord(f"s{i}", 0.25 * i, 1.0 - 0.25 * i) for i in range(4)]
