@@ -212,6 +212,35 @@ def _argmax_signs(proba: np.ndarray) -> np.ndarray:
     return np.where(proba[:, 0] > proba[:, 1], 1.0, -1.0)
 
 
+def fold_plan(y_signs: np.ndarray, reps: int, folds: int, seed: int) -> list[tuple]:
+    """(rep, fold, training indices, test indices, inner seed) per outer fold,
+    in report order. Each rep draws its stratified folds, then one inner seed
+    per fold, from its own SeedSequence(seed) child; no other CV step draws."""
+    if reps < 1 or folds < 2:
+        raise ValueError(f"need reps >= 1 and folds >= 2, got reps={reps}, folds={folds}")
+    n_pos, n_neg = int(np.sum(y_signs > 0)), int(np.sum(y_signs < 0))
+    if min(n_pos, n_neg) < folds:
+        raise InsufficientClassCountError(f"need at least {folds} items per class, "
+                                          f"have {n_pos} positive / {n_neg} negative")
+    plan = []
+    for rep, seq in enumerate(np.random.SeedSequence(seed).spawn(reps)):
+        rng = np.random.default_rng(seq)
+        splits = stratified_splits(y_signs, folds, rng)
+        plan += [(rep, fold, *split, int(inner_seed))
+                 for fold, (split, inner_seed) in enumerate(zip(splits, rng.integers(0, 2**31 - 1, size=folds)))]
+    return plan
+
+
+def _fit_unit(features: FeatureMatrix, spec: ModelSpec, unit: tuple) -> tuple[np.ndarray, bool]:
+    """The test-side posteriors of the model `spec` fits on one plan unit, and
+    whether that fit stopped short of its solver tolerance."""
+    _, _, train_idx, test_idx, inner_seed = unit
+    train = features.subset(train_idx)
+    params = _inner_grid_search(train, spec, inner_seed) if spec.grid else dict(spec.params)
+    model = fit_model(spec.kind, train, params, inner_seed)
+    return predict_proba(spec.kind, model, features.subset(test_idx)), any(shallow.unconverged_solves(model))
+
+
 def cross_validate(
     features: FeatureMatrix,
     spec: ModelSpec,
@@ -221,37 +250,19 @@ def cross_validate(
 ) -> CvReport:
     """Repeated stratified k-fold evaluation; F1 per (repetition, fold).
 
-    Reproducible for a fixed seed.
+    Reproducible for a fixed seed; the outer folds are `fold_plan`'s.
     """
-    if reps < 1 or folds < 2:
-        raise ValueError(f"need reps >= 1 and folds >= 2, got reps={reps}, folds={folds}")
     y = features.y_signs()
-    n_pos, n_neg = int(np.sum(y > 0)), int(np.sum(y < 0))
-    if min(n_pos, n_neg) < folds:
-        raise InsufficientClassCountError(
-            f"need at least {folds} items per class, have {n_pos} positive / {n_neg} negative"
-        )
-    rows = []
-    unconverged = 0
-    # Out-of-fold posteriors from the first repetition, for downstream fusion.
-    oof = np.zeros((features.n_items, 2))
-    for rep, seq in enumerate(np.random.SeedSequence(seed).spawn(reps)):
-        rng = np.random.default_rng(seq)
-        fold_sets = stratified_splits(y, folds, rng)
-        inner_seeds = rng.integers(0, 2**31 - 1, size=folds)
-        for fold, (train_idx, test_idx) in enumerate(fold_sets):
-            train, test = features.subset(train_idx), features.subset(test_idx)
-            inner_seed = int(inner_seeds[fold])
-            params = _inner_grid_search(train, spec, inner_seed) if spec.grid else dict(spec.params)
-            model = fit_model(spec.kind, train, params, inner_seed)
-            proba = predict_proba(spec.kind, model, test)
-            unconverged += any(shallow.unconverged_solves(model))
-            rows.append((rep, fold, f1_score(_argmax_signs(proba), test.y_signs())))
-            if rep == 0:
-                oof[test_idx] = proba
+    plan = fold_plan(y, reps, folds, seed)
+    fitted = [_fit_unit(features, spec, unit) for unit in plan]
+    rows, oof = [], np.zeros((features.n_items, 2))
+    for (rep, fold, _, test_idx, _), (proba, _) in zip(plan, fitted):
+        rows.append((rep, fold, f1_score(_argmax_signs(proba), y[test_idx])))
+        if rep == 0:
+            oof[test_idx] = proba
     values = np.array([f1 for _, _, f1 in rows])
     return CvReport(rows=rows, mean=float(values.mean()), std=float(values.std()), oof_posteriors=oof,
-                    unconverged_fits=unconverged)
+                    unconverged_fits=sum(unconverged for _, unconverged in fitted))
 
 
 # ------------------------------------------------------------------ fusion

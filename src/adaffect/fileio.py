@@ -339,23 +339,25 @@ def write_feature_csv(path, features: FeatureMatrix):
 
 def _read_rows(path, row_parser):
     """Each non-empty data row of CSV `path`, parsed by the function that
-    `row_parser(header)` returns after checking the header. A row with the
-    wrong field count, or that the parser rejects, fails as `path:line: why`,
-    an error of the parser's own class."""
+    `row_parser(header)` returns after checking the header. A rejected header
+    or row, or a row with the wrong field count, fails as `path:line: why`
+    (line 1 for an empty file), an error of the parser's own class."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        parse = row_parser(header)
         out = []
-        for row in reader:
-            if not row:
-                continue
-            try:
+        try:
+            header = next(reader, [])
+            parse = row_parser(header)
+            for row in reader:
+                if not row:
+                    continue
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} fields, found {len(row)}")
                 out.append(parse(row))
-            except ValueError as exc:
-                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:  # decoded ahead of csv's line count, so it has no line to name
+            raise
+        except ValueError as exc:
+            raise type(exc)(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
     return out
 
 
@@ -371,9 +373,9 @@ def read_feature_csv(path) -> FeatureMatrix:
 
     def row_parser(header):
         if header[:3] != ["item_id", "label", "quadrant"]:
-            raise ValueError(f"{path}: expected header item_id,label,quadrant,...")
+            raise ValueError("expected header item_id,label,quadrant,...")
         if len(header) == 3:
-            raise ValueError(f"{path}:1: header names no feature column after item_id,label,quadrant")
+            raise ValueError("header names no feature column after item_id,label,quadrant")
         return parse
 
     def parse(row):
@@ -428,7 +430,7 @@ def load_ratings_csv(path) -> dict[str, RatingMatrix]:
 
     def row_parser(header):
         if header[:4] != ["rater_id", "item_id", "attribute", "score"]:
-            raise ValueError(f"{path}:1: expected header rater_id,item_id,attribute,score")
+            raise ValueError("expected header rater_id,item_id,attribute,score")
         return parse
 
     def parse(row):
@@ -462,7 +464,7 @@ def read_segment_posteriors_csv(path):
     def row_parser(header):
         cols = {name: k for k, name in enumerate(header)}
         if "ad_id" not in cols or "p_high" not in cols:
-            raise ValueError(f"{path}: need ad_id and p_high columns")
+            raise ValueError("need ad_id and p_high columns")
         return lambda row: (row[cols["ad_id"]], _posterior(row[cols["p_high"]]))
 
     out: dict[str, list[float]] = {}
@@ -483,8 +485,10 @@ def write_predictions_csv(path, item_ids, truths, posteriors):
 def read_predictions_csv(path):
     def row_parser(header):
         if header != ["item_id", "truth", "p_high", "p_low"]:
-            raise ValueError(f"{path}: expected header item_id,truth,p_high,p_low")
+            raise ValueError("expected header item_id,truth,p_high,p_low")
         return lambda row: (row[0], AffectLabel.from_code(row[1]), (_posterior(row[2]), _posterior(row[3])))
 
     rows = _read_rows(path, row_parser)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     return [r[0] for r in rows], [r[1] for r in rows], np.asarray([r[2] for r in rows], dtype=float)

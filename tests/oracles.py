@@ -8,7 +8,8 @@ ones must reproduce bit for bit: `reference_smo` and `reference_seeded_smo`
 (`evaluation.west_fuse`), `reference_ga_optimize` (`scheduler.ga_optimize`),
 `reference_gen_synthetic_eeg` (`synthgen.gen_synthetic_eeg`),
 `reference_csv_text` (`fileio.write_csv`) and `reference_stratified_folds`
-(the test sides of `core.stratified_splits`). `mtl.mtl_fit` must take
+(the test sides of `core.stratified_splits`; `reference_fold_plan` builds
+`evaluation.fold_plan` from it). `mtl.mtl_fit` must take
 `reference_mtl_fit`'s iterations with iterates equal up to summation order.
 """
 
@@ -362,6 +363,23 @@ def reference_stratified_folds(y_signs, n_folds, rng):
         for pos, item in enumerate(idx):
             folds[pos % n_folds].append(int(item))
     return [np.array(sorted(f), dtype=int) for f in folds]
+
+
+def reference_fold_plan(y_signs, reps, folds, seed):
+    """(rep, fold, training indices, test indices, inner seed) of every outer
+    fold, rep by rep: the rep's own SeedSequence(seed) child deals its test
+    sides with `reference_stratified_folds`, then draws one inner seed per
+    fold; each training side is every item not on the test side."""
+    plan = []
+    for rep, seq in enumerate(np.random.SeedSequence(seed).spawn(reps)):
+        rng = np.random.default_rng(seq)
+        test_sides = reference_stratified_folds(y_signs, folds, rng)
+        inner_seeds = rng.integers(0, 2**31 - 1, size=folds)
+        for fold, test_idx in enumerate(test_sides):
+            held_out = set(test_idx.tolist())
+            train_idx = np.array([i for i in range(len(y_signs)) if i not in held_out], dtype=int)
+            plan.append((rep, fold, train_idx, test_idx, int(inner_seeds[fold])))
+    return plan
 
 
 def inner_grid_search_full(train, spec, seed):

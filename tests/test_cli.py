@@ -428,7 +428,8 @@ RATINGS = "rater_id,item_id,attribute,score\nr1,a,valence,1\nr1,b,valence,-1\nr2
 
 class TestReaderBoundaries:
     """A bad row or header in a CSV input fails the command with one
-    `path:line:` line, a feature file without data rows with one `path:` line."""
+    `path:line:` line, a feature or predictions file without data rows with
+    one `path:` line."""
 
     @pytest.mark.parametrize("command, text, old, new, line", [
         ("fuse", PREDICTIONS, "c,H,0.7,0.3", "c,H,nan,0.3", 4),
@@ -449,11 +450,17 @@ class TestReaderBoundaries:
         ("agreement", RATINGS, "r2,a,valence,2", "r2,a,valence,inf", 4),
         ("agreement", RATINGS, "r2,b,valence,0", "r2,a,valence,0", 5),
         ("agreement", RATINGS, "r2,a,valence,2", "r2,a,valence,3", 4),
+        ("fuse", PREDICTIONS, "p_low", "p_lo", 1),
+        ("score-ads", SEGMENTS, "ad_id,", "ad,", 1),
+        ("train", FEATURES, "label,", "labels,", 1),
+        ("agreement", RATINGS, "score", "value", 1),
+        ("agreement", RATINGS, RATINGS, "", 1),
     ], ids=["fuse-nan", "fuse-above-one", "predictions-short-row", "score-ads-above-one",
             "score-ads-negative", "score-ads-nan", "segments-short-row", "features-ragged",
             "features-non-numeric", "features-duplicate-id", "features-nan", "features-inf",
             "ratings-short-row", "ratings-long-row", "ratings-nan", "ratings-inf", "ratings-duplicate-cell",
-            "ratings-off-scale"])
+            "ratings-off-scale", "predictions-header", "segments-header", "features-header", "ratings-header",
+            "ratings-empty"])
     def test_bad_row_exits_1_with_path_line(self, tmp_path, capsys, command, text, old, new, line):
         good, bad, out = tmp_path / "good.csv", tmp_path / "bad.csv", tmp_path / "out.csv"
         assert old in text
@@ -479,6 +486,23 @@ class TestReaderBoundaries:
         assert run(command, "--features", bad, "--model", model, "--out", out) == 1
         assert capsys.readouterr().err == (f"error: {bad}:1: header names no feature column "
                                            "after item_id,label,quadrant\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tune", [(), ("--tune-on-eval",)], ids=["split", "tune-on-eval"])
+    def test_predictions_file_without_data_rows_exits_1_naming_it(self, tmp_path, capsys, tune):
+        preds, out = tmp_path / "p.csv", tmp_path / "fused.csv"
+        preds.write_text(PREDICTIONS.splitlines()[0] + "\n")
+        assert run("fuse", "--a", preds, "--b", preds, "--f1a", 0.8, "--f1b", 0.7, *tune, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {preds}: no data rows\n"
+        assert not out.exists()
+
+    def test_undecodable_bytes_exit_1_with_one_line(self, tmp_path, capsys):
+        # The decoder reads ahead of csv's line count, so its error is no row's.
+        preds, out = tmp_path / "p.csv", tmp_path / "fused.csv"
+        preds.write_bytes(PREDICTIONS.replace("b,L", "\xff,L").encode("latin-1"))
+        assert run("fuse", "--a", preds, "--b", preds, "--f1a", 0.8, "--f1b", 0.7, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "can't decode byte 0xff" in err and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -632,7 +656,7 @@ def test_padded_segment_header_exits_1(tmp_path, capsys):
     segments, out = tmp_path / "segments.csv", tmp_path / "scores.csv"
     segments.write_text(SEGMENTS.replace("ad_id,segment_id,p_high", " ad_id,segment_id, p_high"))
     assert run("score-ads", "--predictions", segments, "--out", out) == 1
-    assert capsys.readouterr().err == f"error: {segments}: need ad_id and p_high columns\n"
+    assert capsys.readouterr().err == f"error: {segments}:1: need ad_id and p_high columns\n"
     assert not out.exists()
 
 

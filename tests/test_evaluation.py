@@ -14,10 +14,11 @@ from adaffect.evaluation import (
     cross_validate,
     f1_score,
     fit_model,
+    fold_plan,
     west_fuse,
 )
 from adaffect.synthgen import GenSpec, gen_quadrant_data
-from oracles import f1_bruteforce, inner_grid_search_full, west_fuse_whole_grid
+from oracles import f1_bruteforce, inner_grid_search_full, reference_fold_plan, west_fuse_whole_grid
 
 H = AffectLabel.HIGH
 L = AffectLabel.LOW
@@ -149,6 +150,8 @@ class TestCrossValidate:
     def test_rejects_degenerate_reps_and_folds(self, reps, folds):
         with pytest.raises(ValueError, match="reps >= 1 and folds >= 2"):
             cross_validate(small_features(), ModelSpec("lda"), reps=reps, folds=folds)
+        with pytest.raises(ValueError, match="^need reps >= 1 and folds >= 2"):
+            fold_plan(small_features().y_signs(), reps, folds, 0)
 
     @pytest.mark.parametrize("kind, params, grid, name", [
         ("lda", {}, {"C": [1, 10]}, "C"),
@@ -363,6 +366,84 @@ class TestCrossValidate:
         finally:
             gc.enable()
         assert len(refs) == 12 * 5 and alive == 0
+
+
+@st.composite
+def plan_draws(draw):
+    """(±1 labels with at least 2 of each class, reps, folds, seed), folds at
+    most the minority class's count."""
+    y = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=4, max_size=40)))
+    y[:2], y[2:4] = 1.0, -1.0
+    y = y[draw(st.permutations(range(len(y))))]
+    minority = int(min(np.sum(y > 0), np.sum(y < 0)))
+    return y, draw(st.integers(1, 3)), draw(st.integers(2, minority)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestFoldPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(draws=plan_draws())
+    def test_matches_the_reference_plan(self, draws):
+        y, reps, folds, seed = draws
+        plan = fold_plan(y, reps, folds, seed)
+        expect = reference_fold_plan(y, reps, folds, seed)
+        assert [unit[:2] for unit in plan] == [(rep, fold) for rep in range(reps) for fold in range(folds)]
+        assert len(plan) == len(expect)
+        for (rep, fold, train_idx, test_idx, inner_seed), ref in zip(plan, expect):
+            assert (rep, fold, inner_seed) == (ref[0], ref[1], ref[4])
+            assert np.array_equal(train_idx, ref[2]) and np.array_equal(test_idx, ref[3])
+            assert type(inner_seed) is int and 0 <= inner_seed < 2**31 - 1
+        everyone = np.arange(len(y))
+        for rep in range(reps):
+            units = plan[rep * folds:(rep + 1) * folds]
+            assert np.array_equal(np.sort(np.concatenate([test_idx for *_, test_idx, _ in units])), everyone)
+            for _, _, train_idx, test_idx, _ in units:
+                assert np.array_equal(train_idx, np.setdiff1d(everyone, test_idx))
+            for cls in (1.0, -1.0):
+                counts = [int(np.sum(y[test_idx] == cls)) for *_, test_idx, _ in units]
+                assert max(counts) - min(counts) <= 1
+
+    def test_rejects_a_class_smaller_than_the_fold_count(self):
+        with pytest.raises(InsufficientClassCountError, match="^need at least 3 items per class, have 4 positive"):
+            fold_plan(np.array([1.0] * 4 + [-1.0] * 2), 1, 3, 0)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("lda"), ModelSpec("linear_svm"), ModelSpec("rbf_svm"),
+        ModelSpec("mtl", grid={"alpha": [0.1, 1.0, 10.0]}), ModelSpec("cnn", params={"max_epochs": 5}),
+    ], ids=["lda", "linear_svm", "rbf_svm", "mtl-grid", "cnn"])
+    def test_the_plan_alone_fixes_every_number(self, spec):
+        # Fitting the plan's units in reverse order gives each row's F1 and
+        # the first rep's out-of-fold posteriors byte for byte.
+        feats = weak_features()
+        report = cross_validate(feats, spec, reps=2, folds=3, seed=6)
+        plan = fold_plan(feats.y_signs(), 2, 3, 6)
+        rows = dict(((rep, fold), f1) for rep, fold, f1 in report.rows)
+        assert len(rows) == len(plan) == 6
+        for unit in reversed(plan):
+            rep, fold, _, test_idx, _ = unit
+            proba, _ = evaluation._fit_unit(feats, spec, unit)
+            pred = np.where(proba[:, 0] > proba[:, 1], 1.0, -1.0)
+            assert f1_score(pred, feats.subset(test_idx).y_signs()) == rows[rep, fold]
+            if rep == 0:
+                assert proba.tobytes() == report.oof_posteriors[test_idx].tobytes()
+
+    def test_calls_with_one_seed_share_their_folds(self, monkeypatch):
+        # Reports of two kinds on one seed pair row by row over the same folds.
+        units, fit_unit = [], evaluation._fit_unit
+
+        def spy(features, spec, unit):
+            units.append((spec.kind, unit))
+            return fit_unit(features, spec, unit)
+
+        monkeypatch.setattr(evaluation, "_fit_unit", spy)
+        feats = weak_features()
+        lda = cross_validate(feats, ModelSpec("lda"), reps=2, folds=3, seed=4)
+        mtl = cross_validate(feats, ModelSpec("mtl"), reps=2, folds=3, seed=4)
+        assert [row[:2] for row in lda.rows] == [row[:2] for row in mtl.rows]
+        by_kind = {kind: [u for k, u in units if k == kind] for kind in ("lda", "mtl")}
+        assert len(by_kind["lda"]) == len(by_kind["mtl"]) == 6
+        for a, b in zip(by_kind["lda"], by_kind["mtl"]):
+            assert a[:2] == b[:2] and a[4] == b[4]
+            assert np.array_equal(a[2], b[2]) and np.array_equal(a[3], b[3])
 
 
 class TestWestFuse:
