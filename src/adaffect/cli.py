@@ -26,9 +26,9 @@ from . import MODEL_KINDS, WINDOW_MODES, __version__
 #: `--help` and usage errors load no numpy.
 _COMMAND_NAMES = {
     "agreement": {
-        "core": ("AffectLabel", "binarize_ratings", "load_manifest"),
+        "core": ("AffectLabel", "binarize_ratings"),
         # Called by this bare name: the benchmark's tracer (bench/spans.py) wraps cli.load_ratings_csv.
-        "fileio": ("load_ratings_csv",),
+        "fileio": ("load_manifest", "load_ratings_csv"),
         "stats": ("cohen_kappa", "fleiss_kappa", "krippendorff_alpha"),
     },
     "extract-av": {
@@ -251,7 +251,7 @@ def cmd_preprocess_eeg(args) -> list:
     n_dirty = 0
     for p in paths:
         data, baseline, meta = fileio.read_eeg_epoch(p)
-        try:
+        with fileio.field_errors(p.with_suffix(".json")):
             epoch = EegEpoch(
                 data=data,
                 sample_rate=meta["sample_rate"],
@@ -266,10 +266,6 @@ def cmd_preprocess_eeg(args) -> list:
                 if args.subset == "clean":
                     continue
             label, quad = AffectLabel.from_code(str(meta["label"])), Quadrant.from_code(str(meta["quadrant"]))
-        except KeyError as exc:
-            raise ValueError(f"{p.with_suffix('.json')}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{p.with_suffix('.json')}: {exc}") from None
         epochs.append(epoch)
         sources.append(p)
         labels.append(label)
@@ -565,12 +561,18 @@ def cmd_synth(args) -> list:
 # ----------------------------------------------------------------- parser
 
 class _Parser(argparse.ArgumentParser):
-    """argparse checks `choices` only for values given on the command line;
-    this parser also checks the option defaults that --config sets."""
+    """argparse checks `choices` only for values given on the command line, and
+    passes only string defaults through `type`; this parser also checks the --config
+    defaults, and gives a typed option a JSON number, boolean or null as its JSON text."""
 
     def __init__(self, *args, **kwargs):
         self.choice_actions = []
         super().__init__(*args, **kwargs)
+
+    def set_defaults(self, **kwargs):
+        typed = {action.dest for action in self._actions if action.type is not None}
+        super().set_defaults(**{k: json.dumps(v) if k in typed and not isinstance(v, (str, list, dict)) else v
+                                for k, v in kwargs.items()})
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
@@ -714,15 +716,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.config:
         # Parse again with the config's values as option defaults, so flags
-        # win by argparse's own rules and strings pass through each type.
+        # win by argparse's own rules and scalars pass through each type.
         try:
-            defaults = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            parser.error(f"{args.config}:{exc.lineno}: {exc.msg}")
-        except (OSError, ValueError) as exc:
-            parser.error(f"{args.config}: {exc}")
-        if not isinstance(defaults, dict):
-            parser.error(f"{args.config}: config must be a JSON object")
+            defaults = fileio.read_json(args.config, dict)
+        except (OSError, ValueError) as exc:  # each names the file
+            parser.error(str(exc))
         defaults = {key.replace("-", "_"): value for key, value in defaults.items()}
         options = set(vars(args)) - {"func", "subcommand"}
         unknown = sorted(set(defaults) - options)

@@ -9,7 +9,6 @@ missing) on a declared scale.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -214,49 +213,6 @@ def check_real(name: str, value, ok, bound: str) -> None:
     number, not a bool, for which `ok(value)` holds; `bound` says which are."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
         raise ValueError(f"{name} must be {bound}, got {value!r}")
-
-
-def load_manifest(manifest_path) -> list[AdRecord]:
-    """Load an ad manifest (JSON lines).
-
-    Manifest lines are objects with fields id, duration_s, expert_arousal,
-    expert_valence and optional asl_score/val_score. A line that is not
-    such an object fails as `ManifestError` `path:line: reason`.
-    """
-    ads: list[AdRecord] = []
-    seen: set[str] = set()
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"{manifest_path}:{lineno}: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise ManifestError(f"{manifest_path}:{lineno}: expected a JSON object")
-            try:
-                quad = Quadrant(
-                    AffectLabel.from_code(obj["expert_arousal"]),
-                    AffectLabel.from_code(obj["expert_valence"]),
-                )
-                rec = AdRecord(
-                    id=str(obj["id"]),
-                    duration_s=float(obj["duration_s"]),
-                    expert_quadrant=quad,
-                    asl_score=None if obj.get("asl_score") is None else float(obj["asl_score"]),
-                    val_score=None if obj.get("val_score") is None else float(obj["val_score"]),
-                )
-            except KeyError as exc:
-                raise ManifestError(f"{manifest_path}:{lineno}: missing key {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ManifestError(f"{manifest_path}:{lineno}: {exc}") from None
-            if rec.id in seen:
-                raise ManifestError(f"{manifest_path}:{lineno}: duplicate ad id {rec.id!r}")
-            seen.add(rec.id)
-            ads.append(rec)
-    return ads
 
 
 def min_max_normalize(x) -> np.ndarray:

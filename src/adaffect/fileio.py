@@ -1,10 +1,10 @@
-"""On-disk formats: WAV audio, binary PPM frame directories, EEG binary
-epochs with JSON sidecars, atomic writes, and the CSV tables every stage
-passes on, all written by `write_csv` and read by `_read_rows`.
-"""
+"""On-disk formats: WAV audio, binary PPM frame directories, EEG binary epochs
+with JSON sidecars, the ad manifest, atomic writes, and the CSV tables every stage
+passes on (`write_csv`, `_read_rows`). `read_text` decodes every text input."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    AROUSAL_SCALE, VALENCE_SCALE, AffectLabel, FeatureMatrix, Quadrant, RatingMatrix, ScaleViolationError,
+    AROUSAL_SCALE, VALENCE_SCALE, AdRecord, AffectLabel, FeatureMatrix, ManifestError, Quadrant, RatingMatrix,
+    ScaleViolationError,
 )
 
 
@@ -40,6 +41,45 @@ def atomic_write_bytes(path, data: bytes):
 
 def atomic_write_text(path, text: str):
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_text(path) -> str:
+    """The text of `path` as UTF-8, the encoding `atomic_write_text` writes.
+    A byte that is not UTF-8 fails as `path:line: byte 0xNN is not UTF-8`,
+    the line counted from the byte's offset."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: byte {raw[exc.start]:#04x} is not UTF-8") from None
+
+
+def read_json(path, expect: type, line: tuple[int, str] | None = None, error=ValueError):
+    """The JSON value of `path`, or of `line` = (number, text), one line of a
+    JSON-lines file, which must be an `expect` (dict or list). A syntax error
+    fails as `path:line: msg`, a value of another type as `path: expected a
+    JSON object|list` (`path:line: ...` for a line), both as `error`."""
+    where, text = (path, read_text(path)) if line is None else (f"{path}:{line[0]}", line[1])
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno if line is None else line[0]}: {exc.msg}") from None
+    if not isinstance(value, expect):
+        raise error(f"{where}: expected a JSON {'object' if expect is dict else 'list'}")
+    return value
+
+
+@contextlib.contextmanager
+def field_errors(where, error=ValueError):
+    """Re-raise a KeyError from the block as `where: missing key 'k'`, and a
+    TypeError or ValueError as `where: reason`, both as `error`."""
+    try:
+        yield
+    except KeyError as exc:
+        raise error(f"{where}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise error(f"{where}: {exc}") from None
 
 
 def fmt(x) -> str:
@@ -216,7 +256,7 @@ def read_frame_dir(dirpath):
     fps_file = dirpath / "fps.txt"
     if not fps_file.exists():
         raise FileNotFoundError(f"{dirpath}: missing fps.txt sidecar")
-    text = fps_file.read_text().strip()
+    text = read_text(fps_file).strip()
     try:
         fps = float(text)
     except ValueError:
@@ -265,25 +305,15 @@ def write_eeg_epoch(dirpath, name, data, baseline, sidecar: dict):
 
 
 def read_eeg_epoch(bin_path):
-    """Read one epoch binary + sidecar; returns (data, baseline, meta). A
-    sidecar that is not a JSON object with integer `channels` and `samples`
-    fails as `sidecar: reason` (`sidecar:line: reason` for a JSON syntax
-    error), a non-finite sample as `path: reason`, naming its channel."""
+    """Read one epoch binary + sidecar; returns (data, baseline, meta). A sidecar
+    that is not a JSON object with integer `channels` and `samples` fails as
+    `sidecar[:line]: reason`, a non-finite sample as `path: reason`, naming its channel."""
     bin_path = Path(bin_path)
     sidecar = bin_path.with_suffix(".json")
-    try:
-        meta = json.loads(sidecar.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{sidecar}:{exc.lineno}: {exc.msg}") from None
-    if not isinstance(meta, dict):
-        raise ValueError(f"{sidecar}: expected a JSON object")
-    try:
+    meta = read_json(sidecar, dict)
+    with field_errors(sidecar):
         channels, samples = int(meta["channels"]), int(meta["samples"])
         offset = int(meta.get("baseline_offset", 0))
-    except KeyError as exc:
-        raise ValueError(f"{sidecar}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{sidecar}: {exc}") from None
     blob = np.frombuffer(bin_path.read_bytes(), dtype="<f4")
     expected = channels * (samples + offset)
     if blob.size != expected:
@@ -300,6 +330,32 @@ def list_eeg_epochs(dirpath):
     return sorted(Path(dirpath).glob("*.f32"))
 
 
+# ------------------------------------------------------------ ad manifest
+
+def load_manifest(manifest_path) -> list[AdRecord]:
+    """Load an ad manifest (JSON lines).
+
+    Manifest lines are objects with fields id, duration_s, expert_arousal,
+    expert_valence and optional asl_score/val_score. A line that is not
+    such an object fails as `ManifestError` `path:line: reason`.
+    """
+    ads, seen = [], set()
+    for lineno, line in enumerate(io.StringIO(read_text(manifest_path), newline=None), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        obj = read_json(manifest_path, dict, line=(lineno, line), error=ManifestError)
+        with field_errors(f"{manifest_path}:{lineno}", ManifestError):
+            quad = Quadrant(AffectLabel.from_code(obj["expert_arousal"]), AffectLabel.from_code(obj["expert_valence"]))
+            scores = (None if obj.get(key) is None else float(obj[key]) for key in ("asl_score", "val_score"))
+            rec = AdRecord(str(obj["id"]), float(obj["duration_s"]), quad, *scores)
+        if rec.id in seen:
+            raise ManifestError(f"{manifest_path}:{lineno}: duplicate ad id {rec.id!r}")
+        seen.add(rec.id)
+        ads.append(rec)
+    return ads
+
+
 # ------------------------------------------------------------- CSV tables
 
 def write_csv(path, rows, comment=None):
@@ -309,8 +365,9 @@ def write_csv(path, rows, comment=None):
     as `path:line: reason` and nothing is written.
 
     A row (list or tuple) of Python floats alone is joined directly, as csv.writer
-    renders a float as its repr; each run of other rows goes to csv.writer at once."""
-    buf = io.StringIO()
+    renders a float as its repr; each run of other rows goes to csv.writer at once,
+    encoded as it is written, so the table is held once, as bytes."""
+    buf = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
     if comment is not None:
         buf.write(f"# {comment}\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -321,11 +378,11 @@ def write_csv(path, rows, comment=None):
             buf.writelines(",".join(map(repr, row)) + "\n" for row in run)
         else:
             writer.writerows(run)
-    text = buf.getvalue()
-    if "\r" in text:
-        line = text.count("\n", 0, text.index("\r")) + 1
+    data = buf.detach().getvalue()  # BytesIO.getvalue shares its buffer
+    if b"\r" in data:
+        line = data.count(b"\n", 0, data.index(b"\r")) + 1
         raise ValueError(f"{path}:{line}: a field holds a carriage return, which the CSV tables cannot carry")
-    atomic_write_text(path, text)
+    atomic_write_bytes(path, data)
 
 
 def write_feature_csv(path, features: FeatureMatrix):
@@ -342,22 +399,19 @@ def _read_rows(path, row_parser):
     `row_parser(header)` returns after checking the header. A rejected header
     or row, or a row with the wrong field count, fails as `path:line: why`
     (line 1 for an empty file), an error of the parser's own class."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        out = []
-        try:
-            header = next(reader, [])
-            parse = row_parser(header)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, found {len(row)}")
-                out.append(parse(row))
-        except UnicodeDecodeError:  # decoded ahead of csv's line count, so it has no line to name
-            raise
-        except ValueError as exc:
-            raise type(exc)(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    out = []
+    try:
+        header = next(reader, [])
+        parse = row_parser(header)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, found {len(row)}")
+            out.append(parse(row))
+    except ValueError as exc:
+        raise type(exc)(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
     return out
 
 

@@ -174,7 +174,7 @@ def mtl_fit(
         raise ValueError("all tasks must share one feature dimensionality")
     for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("tol", tol)):
         check_real(f"mtl {name}", value, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
-    check_real("mtl max_iter", max_iter, lambda v: 1 <= v < math.inf, "a finite number >= 1")
+    check_real("mtl max_iter", max_iter, lambda v: isinstance(v, (int, np.integer)) and v >= 1, "an integer >= 1")
     if not isinstance(fit_intercept, bool):
         raise ValueError(f"mtl fit_intercept must be true or false, got {fit_intercept!r}")
     T = len(Xs)
@@ -188,7 +188,7 @@ def mtl_fit(
     L = 1.0
     history = [smooth(x)]
 
-    for _ in range(int(max_iter)):
+    for _ in range(max_iter):
         f_y, g = smooth(y, grad=True)
         if not fit_intercept:
             g[n_w:] = 0.0

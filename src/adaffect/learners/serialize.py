@@ -9,11 +9,10 @@ picks the class from the file's kind.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
-from ..fileio import atomic_write_text
+from ..fileio import atomic_write_text, field_errors, read_json
 from .cnn import CnnModel
 from .mtl import MtlModel
 from .shallow import SHALLOW_KINDS, ShallowModel
@@ -30,10 +29,12 @@ def save_model(model, path):
 
 
 def load_model(path):
-    doc = json.loads(Path(path).read_text())
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
-    if doc["kind"] not in _MODEL_CLASSES:
-        raise ValueError(f"unknown model kind {doc['kind']!r}")
-    return _MODEL_CLASSES[doc["kind"]].from_dict(doc)
+    """The model saved at `path`; a malformed file fails as `path[:line]: reason`."""
+    doc = read_json(path, dict)
+    with field_errors(path):
+        version = doc.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {version!r}")
+        if doc["kind"] not in _MODEL_CLASSES:
+            raise ValueError(f"unknown model kind {doc['kind']!r}")
+        return _MODEL_CLASSES[doc["kind"]].from_dict(doc)

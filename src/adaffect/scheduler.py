@@ -6,14 +6,13 @@ scene, by exhaustive search (exact oracle) or a genetic algorithm.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .core import check_real
+from .fileio import field_errors, read_json
 
 BRUTE_FORCE_BUDGET = 10_000_000
 
@@ -294,23 +293,14 @@ def ga_optimize(problem: ScheduleProblem, config: GaConfig = GaConfig()) -> GaRe
 # ------------------------------------------------------------- file formats
 
 def _load_records(path, record) -> list:
-    """Each entry of the JSON list at `path` as `record(id, asl, val)`. A
-    syntax error fails as `path:line: why`, a bad entry as `path: entry N: why`
-    (N counts from 1)."""
-    try:
-        docs = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    if not isinstance(docs, list):
-        raise ValueError(f"{path}: expected a JSON list of {{id, asl, val}} entries")
+    """Each entry of the JSON list at `path` as `record(id, asl, val)`; a bad entry
+    fails as `path: entry N: why`, N counted from 1."""
     out = []
-    for n, d in enumerate(docs, start=1):
-        try:
+    for n, d in enumerate(read_json(path, list), start=1):
+        with field_errors(f"{path}: entry {n}"):
+            if not isinstance(d, dict):
+                raise TypeError("expected a JSON object")
             out.append(record(str(d["id"]), float(d["asl"]), float(d["val"])))
-        except KeyError as exc:
-            raise ValueError(f"{path}: entry {n}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: entry {n}: {exc}") from None
     return out
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -11,7 +12,9 @@ import pytest
 
 import adaffect
 from adaffect.cli import main
-from adaffect.fileio import read_eeg_epoch, read_feature_csv, read_predictions_csv, write_eeg_epoch, write_feature_csv
+from adaffect.fileio import (
+    read_eeg_epoch, read_feature_csv, read_predictions_csv, write_eeg_epoch, write_feature_csv, write_frame_dir,
+)
 from adaffect.learners.serialize import load_model, save_model
 from adaffect.learners.cnn import CnnConfig, cnn_predict_proba, cnn_train
 from adaffect.learners.mtl import build_task_graph, mtl_fit, mtl_scores
@@ -283,6 +286,32 @@ class TestDispatch:
         meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
         assert (meta["config"]["reps"], meta["config"]["folds"]) == (2, 3)
 
+    @pytest.mark.parametrize("value, text", [(True, "true"), (2.5, "2.5"), (1e20, "1e+20"), (None, "null")])
+    def test_config_scalars_go_through_option_types(self, tmp_path, capsys, value, text):
+        # As a flag would: `--reps true` and `--reps 2.5` are usage errors naming --reps.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"reps": value}))
+        with pytest.raises(SystemExit) as exc:
+            run("evaluate", "--config", config, "--features", tmp_path / "f.csv", "--model", "lda",
+                "--out", tmp_path / "r.csv")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --reps: invalid int value: '{text}'\n")
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_config_scalars_keep_their_values(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n-per-task": 6, "dims": 9, "class-separation": 3, "noise-std": 0.25}))
+        assert run("synth", "quadrant", "--config", config, "--out", tmp_path / "f.csv") == 0
+        meta = json.loads((tmp_path / "f.csv.meta.json").read_text())["config"]
+        assert [meta[k] for k in ("n_per_task", "dims", "class_separation", "noise_std")] == [6, 9, 3.0, 0.25]
+        assert type(meta["class_separation"]) is float
+        config.write_text(json.dumps({"normalize": True}))  # an on/off flag takes a JSON boolean
+        assert run("synth", "posteriors", "--ads", 3, "--segments", 2, "--out", tmp_path / "segs.csv") == 0
+        assert run("score-ads", "--config", config, "--predictions", tmp_path / "segs.csv",
+                   "--out", tmp_path / "scores.csv") == 0
+        scores = [float(line.split(",")[1]) for line in (tmp_path / "scores.csv").read_text().splitlines()[1:]]
+        assert (min(scores), max(scores)) == (0.0, 1.0)
+
     def test_config_hyper_then_flags_append(self, tmp_path):
         feats = tmp_path / "f.csv"
         run("synth", "quadrant", "--seed", 2, "--n-per-task", 6, "--dims", 9, "--out", feats)
@@ -497,12 +526,11 @@ class TestReaderBoundaries:
         assert not out.exists()
 
     def test_undecodable_bytes_exit_1_with_one_line(self, tmp_path, capsys):
-        # The decoder reads ahead of csv's line count, so its error is no row's.
+        # The whole file is decoded before csv reads a row; the line comes from the byte's offset.
         preds, out = tmp_path / "p.csv", tmp_path / "fused.csv"
         preds.write_bytes(PREDICTIONS.replace("b,L", "\xff,L").encode("latin-1"))
         assert run("fuse", "--a", preds, "--b", preds, "--f1a", 0.8, "--f1b", 0.7, "--out", out) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "can't decode byte 0xff" in err and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {preds}:3: byte 0xff is not UTF-8\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -693,7 +721,9 @@ class TestScheduleInputBoundaries:
         (lambda entries: json.dumps(entries, indent=2).split('"asl"')[0], ":4: Expecting"),
         (lambda entries: json.dumps({"entries": entries}), ": expected a JSON list"),
         (out_of_range, ": entry 2: "),
-    ], ids=["missing-key", "truncated", "top-level-object", "out-of-range"])
+        (lambda entries: json.dumps([entries[0], ["x", 0.5, 0.5], *entries[2:]]),
+         ": entry 2: expected a JSON object\n"),
+    ], ids=["missing-key", "truncated", "top-level-object", "out-of-range", "entry-not-an-object"])
     def test_bad_file_exits_1_naming_it(self, tmp_path, capsys, which, make_bad, where):
         paths = {}
         for name, prefix in (("scenes", "scene"), ("ads", "ad")):
@@ -706,6 +736,98 @@ class TestScheduleInputBoundaries:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths[which]}{where}") and err.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def text_inputs(tmp_path_factory):
+    """A directory holding one valid file of each text input the program reads."""
+    d = tmp_path_factory.mktemp("text_inputs")
+    for argv in (("synth", "ratings", "--raters", 4, "--items", 6, "--out", d / "ratings.csv",
+                  "--with-manifest", d / "ads.jsonl"),
+                 ("synth", "quadrant", "--seed", 3, "--n-per-task", 6, "--dims", 9, "--out", d / "f.csv"),
+                 ("synth", "posteriors", "--ads", 3, "--segments", 2, "--out", d / "segments.csv"),
+                 ("synth", "schedule-instance", "--scenes", 4, "--ads", 3, "--out", d / "inst"),
+                 ("synth", "eeg", "--seed", 3, "--n-per-class", 2, "--duration", 4, "--out", d / "eeg"),
+                 ("train", "--features", d / "f.csv", "--model", "lda", "--out", d / "m.json")):
+        assert run(*argv) == 0
+    (d / "p.csv").write_text(PREDICTIONS)
+    (d / "cfg.json").write_text('{\n  "dims": 9\n}\n')
+    write_frame_dir(d / "frames", np.zeros((2, 4, 4, 3)), 25.0)
+    return d
+
+
+# input: (the file given a 0xff byte, its line, the command reading it given the inputs and an output path)
+UNDECODABLE_INPUTS = {
+    "ratings": (lambda d: d / "ratings.csv", 3, lambda d, out: ("agreement", "--ratings", d / "ratings.csv",
+                                                                "--out", out)),
+    "features": (lambda d: d / "f.csv", 2, lambda d, out: ("train", "--features", d / "f.csv", "--model", "lda",
+                                                           "--out", out)),
+    "predictions": (lambda d: d / "p.csv", 4, lambda d, out: ("fuse", "--a", d / "p.csv", "--b", d / "p.csv",
+                                                              "--f1a", 0.8, "--f1b", 0.7, "--out", out)),
+    "segments": (lambda d: d / "segments.csv", 5, lambda d, out: ("score-ads", "--predictions", d / "segments.csv",
+                                                                  "--out", out)),
+    "manifest": (lambda d: d / "ads.jsonl", 4, lambda d, out: ("agreement", "--ratings", d / "ratings.csv",
+                                                               "--manifest", d / "ads.jsonl", "--out", out)),
+    "scenes": (lambda d: d / "inst" / "scenes.json", 3, lambda d, out: (
+        "schedule", "--scenes", d / "inst" / "scenes.json", "--ads", d / "inst" / "ads.json", "--k", 2,
+        "--method", "exact", "--out", out)),
+    "ads": (lambda d: d / "inst" / "ads.json", 7, lambda d, out: (
+        "schedule", "--scenes", d / "inst" / "scenes.json", "--ads", d / "inst" / "ads.json", "--k", 2,
+        "--method", "exact", "--out", out)),
+    "eeg-sidecar": (lambda d: sorted((d / "eeg").glob("*.f32"))[0].with_suffix(".json"), 6,
+                    lambda d, out: ("preprocess-eeg", "--epochs", d / "eeg", "--out", out)),
+    "fps": (lambda d: d / "frames" / "fps.txt", 1, lambda d, out: ("extract-av", "--frames", d / "frames",
+                                                                   "--out-video", out)),
+    "config": (lambda d: d / "cfg.json", 2, lambda d, out: ("synth", "quadrant", "--config", d / "cfg.json",
+                                                            "--out", out)),
+    "model": (lambda d: d / "m.json", 1, None),
+}
+
+
+@pytest.mark.parametrize("name", list(UNDECODABLE_INPUTS))
+def test_undecodable_text_input_fails_with_one_path_line(tmp_path, capsys, text_inputs, name):
+    # Every text input is UTF-8: one 0xff byte fails naming the file and the byte's line, and nothing is written.
+    target, line, argv = UNDECODABLE_INPUTS[name]
+    d = tmp_path / "inputs"
+    shutil.copytree(text_inputs, d)
+    path = target(d)
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:1] + b"\xff" + lines[line - 1][1:]
+    path.write_bytes(b"\n".join(lines))
+    before = sorted(tmp_path.rglob("*"))
+    message = f"error: {path}:{line}: byte 0xff is not UTF-8"
+    if argv is None:  # no command reads a model file yet
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert f"error: {exc.value}" == message
+    elif name == "config":  # a usage error: argparse prints its usage line first
+        with pytest.raises(SystemExit) as exc:
+            run(*argv(d, tmp_path / "out"))
+        assert exc.value.code == 2
+        assert [x for x in capsys.readouterr().err.splitlines() if "error: " in x] == [f"adaffect: {message}"]
+    else:
+        capsys.readouterr()
+        assert run(*argv(d, tmp_path / "out")) == 1
+        assert capsys.readouterr().err == message + "\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_non_ascii_ids_round_trip_under_an_ascii_locale(tmp_path):
+    # Inputs are decoded as UTF-8 whatever the locale's encoding is.
+    scenes = [{"id": f"scène{i}", "asl": 0.2 * i, "val": 0.5} for i in range(4)]
+    ads = [{"id": f"annonce-é{i}", "asl": 0.3 * i, "val": 0.4} for i in range(3)]
+    for name, entries in (("scenes", scenes), ("ads", ads)):
+        (tmp_path / f"{name}.json").write_bytes(json.dumps(entries, ensure_ascii=False).encode("utf-8"))
+    code = ("import sys; sys.path.insert(0, %r); from adaffect.cli import main; sys.exit(main(sys.argv[1:]))"
+            % str(Path(adaffect.__file__).resolve().parents[1]))
+    env = {**os.environ, "LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    out = tmp_path / "sched.csv"
+    proc = subprocess.run([sys.executable, "-c", code, "schedule", "--scenes", str(tmp_path / "scenes.json"),
+                           "--ads", str(tmp_path / "ads.json"), "--k", "2", "--method", "exact", "--out", str(out)],
+                          env=env, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    rows = out.read_bytes().decode("utf-8").splitlines()
+    assert {row.split(",")[1] for row in rows[1:-1]} <= {ad["id"] for ad in ads} and len(rows) == 4
 
 
 class TestNumericFlagBounds:
@@ -807,6 +929,19 @@ class TestModelSerialization:
         save_model(loaded, second)
         assert second.read_bytes() == first.read_bytes()
         assert np.array_equal(predict_proba(kind, loaded, features), predict_proba(kind, model, features))
+
+    @pytest.mark.parametrize("text, message", [
+        ('[{"kind": "lda"}]', ": expected a JSON object"),
+        ('{"format_version": 1}', ": missing key 'kind'"),
+        ('{"format_version": 1, "kind": ["lda"]}', ": unhashable type: 'list'"),
+        ('{"format_version": 1, "kind": "lda"}', ": missing key "),
+    ], ids=["list", "no-kind", "list-kind", "no-fields"])
+    def test_malformed_model_file_fails_naming_it(self, tmp_path, text, message):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}{message}")
 
     def test_edited_mtl_edges_rejected(self, tmp_path):
         data = self.features()
@@ -946,7 +1081,7 @@ class TestModelSerialization:
         ("rbf_svm", "gamma=nan"), ("rbf_svm", "gamma=-1"), ("rbf_svm", "gamma=auto"),
         ("lda", "shrinkage=nan"), ("lda", "shrinkage=-1"), ("lda", "shrinkage=2"),
         ("mtl", "alpha=nan"), ("mtl", "beta=inf"), ("mtl", "gamma=-1"), ("mtl", "tol=nan"),
-        ("mtl", "max_iter=-5"), ("mtl", "fit_intercept=3"),
+        ("mtl", "max_iter=-5"), ("mtl", "max_iter=2.5"), ("mtl", "fit_intercept=3"),
     ])
     def test_train_hyper_out_of_bounds_exits_1(self, tmp_path, capsys, kind, hyper):
         feats = self.write_features(tmp_path, self.features().features)

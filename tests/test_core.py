@@ -16,12 +16,11 @@ from adaffect.core import (
     RatingMatrix,
     ScaleViolationError,
     binarize_ratings,
-    load_manifest,
     min_max_normalize,
     quadrant_summary,
     stratified_splits,
 )
-from adaffect.fileio import load_ratings_csv
+from adaffect.fileio import load_manifest, load_ratings_csv
 from oracles import reference_stratified_folds
 
 H = AffectLabel.HIGH

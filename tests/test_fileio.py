@@ -3,6 +3,7 @@ import io
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,20 @@ class TestCsvTables:
         with pytest.raises(ValueError) as err:
             read_feature_csv(path)
         assert str(err.value) == f"{path}: no data rows"
+
+    def test_write_csv_holds_the_table_once(self, tmp_path):
+        # Rows are encoded as they are written; a str buffer, its text and the
+        # encoded bytes held at once would peak at over four times the file's size.
+        rows = [["rater_id", "item_id", "attribute", "score"],
+                *([f"r{i % 50}", f"item{i}", "valence", 1.0] for i in range(40000))]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_csv(tmp_path / "t.csv", rows)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (tmp_path / "t.csv").stat().st_size
 
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, 1.0 / 3.0, float("inf"), float("-inf"), float("nan")]

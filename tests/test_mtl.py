@@ -123,6 +123,15 @@ class TestMtlFit:
                 0.0, 0.0, 0.0, g,
             )
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, 0, np.int64(0)])
+    def test_max_iter_must_be_an_integer_of_at_least_one(self, max_iter):
+        rng = np.random.default_rng(0)
+        Xs, Ys = [rng.normal(size=(5, 3)) for _ in range(4)], [rng.normal(size=5) for _ in range(4)]
+        with pytest.raises(ValueError, match=r"^mtl max_iter must be an integer >= 1, got "):
+            mtl_fit(Xs, Ys, 0.0, 0.0, 0.0, build_task_graph(), max_iter=max_iter)
+        model = mtl_fit(Xs, Ys, 0.0, 0.0, 0.0, build_task_graph(), tol=0.0, max_iter=np.int64(2))
+        assert len(model.objective_history) == 3
+
     def test_objective_helper_matches_history_tail(self):
         rng = np.random.default_rng(5)
         g = build_task_graph()
