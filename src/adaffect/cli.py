@@ -563,10 +563,13 @@ def cmd_synth(args) -> list:
 class _Parser(argparse.ArgumentParser):
     """argparse checks `choices` only for values given on the command line, and
     passes only string defaults through `type`; this parser also checks the --config
-    defaults, and gives a typed option a JSON number, boolean or null as its JSON text."""
+    defaults, and gives a typed option a JSON number, boolean or null as its JSON text.
+    A --config list for a typed option that takes `nargs` values must hold that many,
+    and each goes through `type` as one value on the command line would."""
 
     def __init__(self, *args, **kwargs):
         self.choice_actions = []
+        self.list_actions = []
         super().__init__(*args, **kwargs)
 
     def set_defaults(self, **kwargs):
@@ -578,6 +581,8 @@ class _Parser(argparse.ArgumentParser):
         action = super().add_argument(*args, **kwargs)
         if action.choices is not None:
             self.choice_actions.append(action)
+        if action.type is not None and action.nargs not in (None, "?"):
+            self.list_actions.append(action)
         return action
 
     def parse_known_args(self, args=None, namespace=None):
@@ -585,9 +590,28 @@ class _Parser(argparse.ArgumentParser):
         for action in self.choice_actions:
             value = self.get_default(action.dest)
             if value is not None and value not in action.choices:
-                self.error(f"argument {'/'.join(action.option_strings) or action.dest}: invalid choice "
+                self.error(f"argument {_option_name(action)}: invalid choice "
                            f"{value!r} from --config (choose from {', '.join(map(repr, action.choices))})")
+        for action in self.list_actions:
+            values = getattr(namespace, action.dest)
+            if not isinstance(values, list) or values is not self.get_default(action.dest):
+                continue  # given on the command line, or not from --config
+            if isinstance(action.nargs, int) and len(values) != action.nargs:
+                self.error(f"argument {_option_name(action)}: expected {action.nargs} values from --config, "
+                           f"got {len(values)}")
+            typed = []
+            for value in values:
+                text = value if isinstance(value, str) else json.dumps(value)
+                try:
+                    typed.append(action.type(text))
+                except (TypeError, ValueError):
+                    self.error(f"argument {_option_name(action)}: invalid {action.type.__name__} value: {text!r}")
+            setattr(namespace, action.dest, typed)
         return namespace, extras
+
+
+def _option_name(action) -> str:
+    return "/".join(action.option_strings) or action.dest
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -742,5 +766,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def console_main() -> int:
+    """`main` as a process's entry point (the `adaffect` script and
+    `python -m adaffect.cli`): numpy, loaded later, gets one BLAS thread
+    unless the environment already sets a count."""
+    if "numpy" not in sys.modules:
+        from ._workers import one_blas_thread
+
+        one_blas_thread()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -7,13 +7,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
+import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import MODEL_KINDS
 from .core import AffectLabel, FeatureMatrix, check_real, stratified_splits
-from .learners import shallow
+from .learners import cnn, mtl, shallow
 from .learners.cnn import CnnConfig, cnn_predict_proba, cnn_train
 from .learners.mtl import build_task_graph, mtl_fit, mtl_predict_proba
 from .learners.shallow import (DEFAULT_GRIDS, DEFAULT_HYPERPARAMS, SHALLOW_KINDS, shallow_fit,
@@ -68,7 +70,9 @@ def _as_signs(labels) -> np.ndarray:
 # so a caller that replaces `evaluation.shallow_fit` (or another learner
 # name) sees every fit and prediction made here. The inner search's
 # shallow solves run in `learners.shallow`, which looks up its solvers
-# at call time likewise.
+# at call time likewise. A worker process cannot see such a replacement,
+# so cross_validate fits a kind in this process whenever a name its fold
+# fits look up has been replaced since import (`_call_path_is_own`).
 
 def _fit_shallow(kind, features, params, seed):
     return shallow_fit(features.X, features.y_signs(), kind, params, seed=seed)
@@ -254,7 +258,7 @@ def cross_validate(
     """
     y = features.y_signs()
     plan = fold_plan(y, reps, folds, seed)
-    fitted = [_fit_unit(features, spec, unit) for unit in plan]
+    fitted = _fit_units(features, spec, plan)
     rows, oof = [], np.zeros((features.n_items, 2))
     for (rep, fold, _, test_idx, _), (proba, _) in zip(plan, fitted):
         rows.append((rep, fold, f1_score(_argmax_signs(proba), y[test_idx])))
@@ -263,6 +267,68 @@ def cross_validate(
     values = np.array([f1 for _, _, f1 in rows])
     return CvReport(rows=rows, mean=float(values.mean()), std=float(values.std()), oof_posteriors=oof,
                     unconverged_fits=sum(unconverged for _, unconverged in fitted))
+
+
+#: Seconds of fold fits that workers could have taken which this process
+#: makes itself before it starts workers, about what starting two spawned
+#: workers costs; no value changes a result.
+_POOL_AFTER_S = 1.0
+_portable_fit_s = 0.0  # such seconds spent so far
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on: the number of workers."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _fit_units(features: FeatureMatrix, spec: ModelSpec, plan: list[tuple]) -> list[tuple[np.ndarray, bool]]:
+    """_fit_unit of each plan unit, in plan order.
+
+    A call's units could go to worker processes when there are at least 2
+    of them and 2 CPUs, and no name the kind's fits look up has been
+    replaced (`_call_path_is_own`). Such units are fitted here until this
+    process has spent _POOL_AFTER_S on them; from then on, a call's
+    remaining units go to `_workers.run`, one worker per CPU.
+    """
+    global _portable_fit_s
+    workers = _worker_count()
+    portable = workers > 1 and len(plan) > 1 and _call_path_is_own(spec.kind)
+    fitted = []
+    for done, unit in enumerate(plan):
+        if portable and _portable_fit_s >= _POOL_AFTER_S and len(plan) - done > 1:
+            from . import _workers
+
+            return fitted + _workers.run(_fit_unit, [(features, spec, rest) for rest in plan[done:]], workers)
+        start = time.perf_counter()
+        fitted.append(_fit_unit(features, spec, unit))
+        if portable:
+            _portable_fit_s += time.perf_counter() - start
+    return fitted
+
+
+#: This module's names that every kind's fold fits look up at call time,
+#: then each kind's own, and the learner module whose every name it may reach.
+_SHARED_NAMES = ("_fit_unit", "_inner_grid_search", "fit_model", "predict_proba")
+_KIND_NAMES = {
+    **dict.fromkeys(SHALLOW_KINDS, ("shallow_fit", "shallow_predict_proba")),
+    "mtl": ("build_task_graph", "mtl_fit", "mtl_predict_proba"),
+    "cnn": ("CnnConfig", "cnn_train", "cnn_predict_proba"),
+}
+_KIND_MODULES = {**dict.fromkeys(SHALLOW_KINDS, shallow), "mtl": mtl, "cnn": cnn}
+
+#: kind -> (namespace, name, value at import) of every name its fold fits look up.
+_AS_IMPORTED = {
+    kind: [(globals(), name, globals()[name]) for name in (*_SHARED_NAMES, *_KIND_NAMES[kind])]
+    + [(vars(module), name, value) for name, value in vars(module).items() if not name.startswith("__")]
+    for kind, module in _KIND_MODULES.items()
+}
+
+
+def _call_path_is_own(kind: str) -> bool:
+    """Whether every name `kind`'s fold fits look up still holds what it held
+    at import, so a worker process, which imports this code afresh, fits
+    exactly what this process would."""
+    return all(namespace.get(name, _AS_IMPORTED) is value for namespace, name, value in _AS_IMPORTED[kind])
 
 
 # ------------------------------------------------------------------ fusion

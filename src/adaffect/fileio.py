@@ -388,10 +388,10 @@ def write_csv(path, rows, comment=None):
 def write_feature_csv(path, features: FeatureMatrix):
     """item_id,label,quadrant,then one column per feature dimension (f0, f1, ...)."""
     header = ["item_id", "label", "quadrant", *(f"f{j}" for j in range(features.n_dims))]
-    write_csv(path, [header, *(
-        [iid, label.value, quad.code, *row]
-        for iid, label, quad, row in zip(features.item_ids, features.labels, features.quadrants, features.X.tolist())
-    )])
+    write_csv(path, itertools.chain([header], (
+        [iid, label.value, quad.code, *row.tolist()]
+        for iid, label, quad, row in zip(features.item_ids, features.labels, features.quadrants, features.X)
+    )))
 
 
 def _read_rows(path, row_parser):
@@ -451,7 +451,8 @@ def read_feature_csv(path) -> FeatureMatrix:
 
 def write_descriptor_csv(path, series):
     """second index column plus one named column per descriptor."""
-    write_csv(path, [["second", *series.names], *([s, *row] for s, row in enumerate(series.values.tolist()))])
+    write_csv(path, itertools.chain([["second", *series.names]],
+                                    ([s, *row.tolist()] for s, row in enumerate(series.values))))
 
 
 def write_spectrogram_csv(path, sg):
@@ -466,12 +467,11 @@ def write_spectrogram_csv(path, sg):
 
 def write_ratings_csv(path, matrices):
     """Serialize RatingMatrix objects back to rater_id,item_id,attribute,score rows."""
-    rows = [["rater_id", "item_id", "attribute", "score"]]
-    for attr in sorted(matrices):
-        m = matrices[attr]
-        for rid, scores in zip(m.rater_ids, m.values.tolist()):
-            rows.extend([rid, iid, attr, v] for iid, v in zip(m.item_ids, scores) if math.isfinite(v))
-    write_csv(path, rows)
+    rows = ([rid, iid, attr, v]
+            for attr in sorted(matrices)
+            for rid, scores in zip(matrices[attr].rater_ids, matrices[attr].values)
+            for iid, v in zip(matrices[attr].item_ids, scores.tolist()) if math.isfinite(v))
+    write_csv(path, itertools.chain([["rater_id", "item_id", "attribute", "score"]], rows))
 
 
 def load_ratings_csv(path) -> dict[str, RatingMatrix]:
@@ -530,10 +530,10 @@ def read_segment_posteriors_csv(path):
 def write_predictions_csv(path, item_ids, truths, posteriors):
     """Out-of-fold or test predictions: item_id,truth,p_high,p_low."""
     posteriors = np.asarray(posteriors, dtype=float)
-    write_csv(path, [["item_id", "truth", "p_high", "p_low"], *(
+    write_csv(path, itertools.chain([["item_id", "truth", "p_high", "p_low"]], (
         [iid, truth.value, p_high, p_low]
         for iid, truth, (p_high, p_low) in zip(item_ids, truths, posteriors.tolist())
-    )])
+    )))
 
 
 def read_predictions_csv(path):

@@ -298,6 +298,30 @@ class TestDispatch:
         assert capsys.readouterr().err.endswith(f"error: argument --reps: invalid int value: '{text}'\n")
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("band, message", [
+        (["8", "x"], "argument --band: invalid float value: 'x'"),
+        ([8, 12, 14], "argument --band: expected 2 values from --config, got 3"),
+        ([8, None], "argument --band: invalid float value: 'null'"),
+    ])
+    def test_config_list_values_go_through_type_and_count(self, tmp_path, capsys, band, message):
+        # As `--band 8 x` or `--band 8 12 14` would be: usage errors naming --band.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"band": band}))
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "eeg", "--config", config, "--out", tmp_path / "eeg")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_config_list_values_keep_their_values(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"band": ["9", 12.5]}))
+        for extra, expect in (((), [9.0, 12.5]), (("--band", "7", "11"), [7.0, 11.0])):
+            out = tmp_path / f"eeg{len(extra)}"
+            assert run("synth", "eeg", "--config", config, "--n-per-class", 1, "--duration", 2, *extra,
+                       "--out", out) == 0
+            assert json.loads((out / "run.meta.json").read_text())["config"]["band"] == expect
+
     def test_config_scalars_keep_their_values(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"n-per-task": 6, "dims": 9, "class-separation": 3, "noise-std": 0.25}))

@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adaffect import MODEL_KINDS, evaluation
+from adaffect import MODEL_KINDS, _workers, evaluation
+from adaffect.cli import main
 from adaffect.core import AffectLabel, FeatureMatrix, Quadrant
 from adaffect.evaluation import (
     CvReport,
@@ -17,6 +24,8 @@ from adaffect.evaluation import (
     fold_plan,
     west_fuse,
 )
+from adaffect.fileio import write_feature_csv
+from adaffect.learners.cnn import TooShortInputError
 from adaffect.synthgen import GenSpec, gen_quadrant_data
 from oracles import f1_bruteforce, inner_grid_search_full, reference_fold_plan, west_fuse_whole_grid
 
@@ -656,3 +665,134 @@ class TestFitModel:
     def test_mtl_solver_limits_are_hyperparameters(self):
         model = fit_model("mtl", small_features(), {"max_iter": 3, "tol": 0.0}, seed=0)
         assert len(model.objective_history) == 1 + 3
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """`workers(n)` sends every fold fit that may leave the process to `n`
+    worker processes; returns the kinds whose units went to workers since."""
+    sent, run = [], _workers.run
+
+    def spy(fn, calls, count):
+        sent.append(calls[0][1].kind)
+        return run(fn, calls, count)
+
+    def use(n):
+        monkeypatch.setattr(evaluation, "_worker_count", lambda: n)
+        sent.clear()
+        return sent
+
+    monkeypatch.setattr(evaluation, "_POOL_AFTER_S", 0.0)
+    monkeypatch.setattr(_workers, "run", spy)
+    yield use
+    _workers.shutdown()
+
+
+EVERY_KIND = [ModelSpec("lda"), ModelSpec("linear_svm"), ModelSpec("rbf_svm"), ModelSpec("mtl"),
+              ModelSpec("cnn", params={"max_epochs": 5})]
+
+
+class TestWorkerProcesses:
+    def test_reports_do_not_depend_on_the_worker_count(self, workers):
+        feats = weak_features()
+
+        def reports():
+            return [cross_validate(feats, spec, reps=2, folds=3, seed=6) for spec in EVERY_KIND]
+
+        assert workers(1) == []
+        expected = reports()
+        assert workers(1) == []  # one CPU: every fit stays in this process
+        for count in (2, 3):
+            sent = workers(count)
+            for report, want in zip(reports(), expected):
+                assert report.rows == want.rows
+                assert report.oof_posteriors.tobytes() == want.oof_posteriors.tobytes()
+                assert report.unconverged_fits == want.unconverged_fits
+            assert sent == list(MODEL_KINDS)
+
+    def test_a_replaced_learner_keeps_its_kind_in_this_process(self, workers, monkeypatch):
+        # As the benchmark's MTL capture does: the spy sees every MTL fit,
+        # while CNN fits in the same process still go to workers.
+        fits, mtl_fit = [], evaluation.mtl_fit
+
+        def spy(*args, **kwargs):
+            fits.append(args)
+            return mtl_fit(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "mtl_fit", spy)
+        sent = workers(2)
+        feats = weak_features()
+        cross_validate(feats, ModelSpec("mtl"), reps=2, folds=3, seed=6)
+        cross_validate(feats, ModelSpec("cnn", params={"max_epochs": 5}), reps=2, folds=3, seed=6)
+        assert len(fits) == 6
+        assert sent == ["cnn"]
+
+    def test_an_error_in_a_worker_reaches_the_caller_unchanged(self, workers, tmp_path, capsys):
+        feats = small_features()
+        short = FeatureMatrix(feats.X[:, :4], feats.labels, feats.quadrants, feats.item_ids)
+        write_feature_csv(tmp_path / "f.csv", short)
+        errors = {}
+        for count in (1, 2):
+            sent = workers(count)
+            with pytest.raises(TooShortInputError) as exc:
+                cross_validate(short, ModelSpec("cnn"), reps=1, folds=3, seed=0)
+            assert main(["evaluate", "--features", str(tmp_path / "f.csv"), "--model", "cnn", "--reps", "1",
+                         "--folds", "3", "--out", str(tmp_path / "r.csv")]) == 1
+            errors[count] = (str(exc.value), capsys.readouterr().err)
+            assert sent == ["cnn"] * (count - 1) * 2
+        assert errors[1] == errors[2] == ("need at least 8 input features, got 4",
+                                          "error: need at least 8 input features, got 4\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_cli_outputs_do_not_depend_on_the_worker_count(self, workers, tmp_path):
+        write_feature_csv(tmp_path / "f.csv", weak_features())
+        outputs = []
+        for count in (1, 2):
+            sent = workers(count)
+            out = tmp_path / str(count)
+            assert main(["evaluate", "--features", str(tmp_path / "f.csv"), "--model", "cnn", "--hyper",
+                         "max_epochs=5", "--reps", "2", "--folds", "3", "--out", str(out / "r.csv"),
+                         "--predictions", str(out / "p.csv")]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("r.csv", "p.csv")])
+            assert sent == ["cnn"] * (count - 1)
+        assert outputs[0] == outputs[1]
+
+    def test_a_worker_that_dies_raises_and_the_next_call_starts_new_workers(self):
+        # In a process of its own, whose timeout fails the test if a wait hangs.
+        code = (
+            "import os\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "from adaffect import _workers\n"
+            "try:\n"
+            "    _workers.run(os._exit, [(3,), (3,)], 2)\n"
+            "except BrokenProcessPool:\n"
+            "    print(_workers.run(abs, [(-1,), (2,), (-3,)], 2))\n"
+        )
+        assert run_python(code) == "[1, 2, 3]\n"
+
+    def test_a_short_run_starts_no_worker(self):
+        # Below _POOL_AFTER_S of fold fits a process imports no pool machinery
+        # and has no child process; importing this module imports none either.
+        code = (
+            "import json, sys\n"
+            "from adaffect import evaluation\n"
+            "from adaffect.synthgen import GenSpec, gen_quadrant_data\n"
+            "pool = ('multiprocessing', 'concurrent.futures', 'adaffect._workers')\n"
+            "loaded = [[m for m in pool if m in sys.modules]]\n"
+            "feats = gen_quadrant_data(GenSpec(seed=2, n_per_task=8, dims=9, class_separation=2.0,"
+            " task_correlation=0.5, noise_std=0.1)).features\n"
+            "evaluation.cross_validate(feats, evaluation.ModelSpec('lda'), reps=2, folds=3, seed=6)\n"
+            "assert 0.0 < evaluation._portable_fit_s < evaluation._POOL_AFTER_S\n"
+            "loaded.append([m for m in pool if m in sys.modules])\n"
+            "import multiprocessing\n"
+            "print(json.dumps([loaded, len(multiprocessing.active_children())]))\n"
+        )
+        assert json.loads(run_python(code)) == [[[], []], 0]
+
+
+def run_python(code: str) -> str:
+    """Standard output of `code` run by a fresh interpreter that imports this
+    checkout's adaffect."""
+    src = str(Path(evaluation.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=True).stdout

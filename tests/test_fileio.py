@@ -325,6 +325,21 @@ class TestCsvTables:
             tracemalloc.stop()
         assert peak < 2 * (tmp_path / "t.csv").stat().st_size
 
+    def test_ratings_writer_streams_its_rows(self, tmp_path):
+        # 40,000 ratings rows held as Python lists before the write would
+        # peak at over five times the file's size.
+        grid = np.random.default_rng(0).integers(-2, 3, size=(40, 1000)).astype(float)
+        matrices = {"valence": RatingMatrix(grid, *VALENCE_SCALE, "valence")}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_ratings_csv(tmp_path / "r.csv", matrices)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "r.csv").read_text().splitlines()) == 40001
+        assert peak < 2 * (tmp_path / "r.csv").stat().st_size
+
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, 1.0 / 3.0, float("inf"), float("-inf"), float("nan")]
 
