@@ -3,7 +3,7 @@ share with the command-line entry point.
 
 Loading this module imports neither numpy nor the process-pool machinery:
 a spawned worker runs `one_blas_thread` from here before it imports numpy,
-and `run` imports the pool machinery on its first call.
+and `run` imports the pool machinery when its first iterator starts.
 """
 
 from __future__ import annotations
@@ -29,15 +29,18 @@ def one_blas_thread(override: bool = False) -> None:
             os.environ.setdefault(var, "1")
 
 
-def run(fn, calls, workers: int) -> list:
-    """`fn(*args)` for each args tuple in `calls`, run by this process's
-    `workers` spawned worker processes, each on one BLAS thread; the results
-    in `calls` order.
+def run(fn, calls, workers: int):
+    """Iterate over `fn(*args)` for each args tuple in `calls`, in `calls`
+    order, run by this process's `workers` spawned worker processes, each on
+    one BLAS thread.
 
-    Each call goes to whichever worker is free next, and workers start as
-    calls need them. The first call in order that raises, raises here with
-    its type and message. A worker that dies raises BrokenProcessPool, and
-    the next `run` starts new workers.
+    Every call is submitted on the first `next`; each goes to whichever
+    worker is free next, and workers start as calls need them, so the
+    caller can work on one result while workers run later calls. A call
+    that raises, raises here, when its result is due, with its type and
+    message. Closing the iterator cancels the calls no worker has started.
+    A worker that dies raises BrokenProcessPool, and the next `run` starts
+    new workers.
     """
     global _pool
     import multiprocessing
@@ -55,7 +58,8 @@ def run(fn, calls, workers: int) -> list:
     try:
         for args in calls:
             futures.append(_pool[0].submit(fn, *args))
-        return [future.result() for future in futures]
+        for future in futures:
+            yield future.result()
     except BrokenProcessPool:
         shutdown()
         raise

@@ -322,5 +322,7 @@ def pca_apply(model: PcaModel, rows: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(X)
     if X.shape[1] != model.mean.shape[0]:
         raise ValueError(f"expected {model.mean.shape[0]} dims, got {X.shape[1]}")
-    proj = (X - model.mean) @ model.components.T
+    # einsum without `optimize` sums in its own loops, never in BLAS, whose
+    # summation order, and so the last bits, depend on its thread count.
+    proj = np.einsum("ij,kj->ik", X - model.mean, model.components, optimize=False)
     return proj[0] if single else proj

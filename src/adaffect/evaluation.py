@@ -71,8 +71,9 @@ def _as_signs(labels) -> np.ndarray:
 # name) sees every fit and prediction made here. The inner search's
 # shallow solves run in `learners.shallow`, which looks up its solvers
 # at call time likewise. A worker process cannot see such a replacement,
-# so cross_validate fits a kind in this process whenever a name its fold
-# fits look up has been replaced since import (`_call_path_is_own`).
+# so cross_validate runs a stage of a fold unit, the inner search or the
+# final fit, in this process whenever a name that stage looks up has been
+# replaced since import (`_call_path_is_own`).
 
 def _fit_shallow(kind, features, params, seed):
     return shallow_fit(features.X, features.y_signs(), kind, params, seed=seed)
@@ -191,17 +192,9 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
     # its test side and both classes on its training side.
     splits = [(train.subset(fit_idx), train.subset(test_idx))
               for fit_idx, test_idx in stratified_splits(y, n_folds, np.random.default_rng(seed))]
-    kind = spec.kind
-    if kind in SHALLOW_KINDS:
-        models = shallow._grid_models([(fit_set.X, fit_set.y_signs()) for fit_set, _ in splits], kind, candidates)
-        points = ([np.where(model.decision_values(test_set.X) > 0.0, 1.0, -1.0)
-                   for model, (_, test_set) in zip(point, splits)] for point in models)
-    else:
-        points = ([_argmax_signs(predict_proba(kind, fit_model(kind, fit_set, candidate, seed), test_set))
-                   for fit_set, test_set in splits] for candidate in candidates)
     truths = [test_set.y_signs() for _, test_set in splits]
     best_f1, best = -1.0, candidates[0]
-    for candidate, labels in zip(candidates, points):
+    for candidate, labels in zip(candidates, _POINT_SIGNS[spec.kind](splits, spec.kind, candidates, seed)):
         f1s = np.array([f1_score(pred, truth) for pred, truth in zip(labels, truths)])
         mean = f1s.mean()
         if mean > best_f1 + 1e-12:
@@ -209,6 +202,26 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
         if np.all(f1s == 1.0):
             break
     return best
+
+
+def _shallow_point_signs(splits, kind, candidates, seed):
+    """Per grid point, the sign of each split's uncalibrated decision values
+    on its test side; `learners.shallow` schedules the solves."""
+    models = shallow._grid_models([(fit_set.X, fit_set.y_signs()) for fit_set, _ in splits], kind, candidates)
+    return ([np.where(model.decision_values(test_set.X) > 0.0, 1.0, -1.0)
+             for model, (_, test_set) in zip(point, splits)] for point in models)
+
+
+def _fitted_point_signs(splits, kind, candidates, seed):
+    """Per grid point, each split's posterior argmax on its test side, from
+    the model `fit_model` fits on its training side."""
+    return ([_argmax_signs(predict_proba(kind, fit_model(kind, fit_set, candidate, seed), test_set))
+             for fit_set, test_set in splits] for candidate in candidates)
+
+
+#: kind -> how its inner search labels each split per grid point.
+_POINT_SIGNS = {**dict.fromkeys(SHALLOW_KINDS, _shallow_point_signs), "mtl": _fitted_point_signs,
+                "cnn": _fitted_point_signs}
 
 
 def _argmax_signs(proba: np.ndarray) -> np.ndarray:
@@ -235,13 +248,22 @@ def fold_plan(y_signs: np.ndarray, reps: int, folds: int, seed: int) -> list[tup
     return plan
 
 
-def _fit_unit(features: FeatureMatrix, spec: ModelSpec, unit: tuple) -> tuple[np.ndarray, bool]:
-    """The test-side posteriors of the model `spec` fits on one plan unit, and
-    whether that fit stopped short of its solver tolerance."""
+def _unit_params(features: FeatureMatrix, spec: ModelSpec, unit: tuple) -> dict:
+    """The params of one plan unit's final fit: the inner search's pick on
+    its training side, or the spec's params when there is no grid."""
+    _, _, train_idx, _, inner_seed = unit
+    return _inner_grid_search(features.subset(train_idx), spec, inner_seed) if spec.grid else dict(spec.params)
+
+
+def _fit_unit(features: FeatureMatrix, spec: ModelSpec, unit: tuple, params: dict | None = None
+              ) -> tuple[np.ndarray, bool]:
+    """The test-side posteriors of the model `spec` fits on one plan unit with
+    `params` (by default `_unit_params`'s), and whether that fit stopped short
+    of its solver tolerance."""
     _, _, train_idx, test_idx, inner_seed = unit
-    train = features.subset(train_idx)
-    params = _inner_grid_search(train, spec, inner_seed) if spec.grid else dict(spec.params)
-    model = fit_model(spec.kind, train, params, inner_seed)
+    if params is None:
+        params = _unit_params(features, spec, unit)
+    model = fit_model(spec.kind, features.subset(train_idx), params, inner_seed)
     return predict_proba(spec.kind, model, features.subset(test_idx)), any(shallow.unconverged_solves(model))
 
 
@@ -269,9 +291,9 @@ def cross_validate(
                     unconverged_fits=sum(unconverged for _, unconverged in fitted))
 
 
-#: Seconds of fold fits that workers could have taken which this process
-#: makes itself before it starts workers, about what starting two spawned
-#: workers costs; no value changes a result.
+#: Seconds of fold-unit stages that workers could have taken which this
+#: process runs itself before it starts workers, about what starting two
+#: spawned workers costs; no value changes a result.
 _POOL_AFTER_S = 1.0
 _portable_fit_s = 0.0  # such seconds spent so far
 
@@ -284,51 +306,86 @@ def _worker_count() -> int:
 def _fit_units(features: FeatureMatrix, spec: ModelSpec, plan: list[tuple]) -> list[tuple[np.ndarray, bool]]:
     """_fit_unit of each plan unit, in plan order.
 
-    A call's units could go to worker processes when there are at least 2
-    of them and 2 CPUs, and no name the kind's fits look up has been
-    replaced (`_call_path_is_own`). Such units are fitted here until this
-    process has spent _POOL_AFTER_S on them; from then on, a call's
-    remaining units go to `_workers.run`, one worker per CPU.
+    A unit has two stages: the inner search (`_unit_params`), then the
+    final fit. Its search could go to a worker process when there are at
+    least 2 units and 2 CPUs, the spec has a grid to search, and no name
+    the search looks up has been replaced (`_call_path_is_own`). The whole
+    unit could go when no name the final fit looks up has been replaced
+    either, grid or not. Such stages run here until this process has spent
+    _POOL_AFTER_S on them. From then on, each of a call's remaining units
+    goes to `_workers.run` once, one worker per CPU; this process fits, in
+    plan order, the final models that must stay here while the workers
+    search later units.
     """
     global _portable_fit_s
     workers = _worker_count()
-    portable = workers > 1 and len(plan) > 1 and _call_path_is_own(spec.kind)
+    search_own = workers > 1 and len(plan) > 1 and _call_path_is_own(spec.kind, "search")
+    whole = search_own and _call_path_is_own(spec.kind, "final")
+    portable = whole or (search_own and bool(spec.grid))
     fitted = []
-    for done, unit in enumerate(plan):
-        if portable and _portable_fit_s >= _POOL_AFTER_S and len(plan) - done > 1:
-            from . import _workers
-
-            return fitted + _workers.run(_fit_unit, [(features, spec, rest) for rest in plan[done:]], workers)
+    for unit in plan:
+        if portable and _portable_fit_s >= _POOL_AFTER_S and len(plan) - len(fitted) > 1:
+            break
         start = time.perf_counter()
-        fitted.append(_fit_unit(features, spec, unit))
+        params = _unit_params(features, spec, unit)
+        searched = time.perf_counter()
+        fitted.append(_fit_unit(features, spec, unit, params))
         if portable:
-            _portable_fit_s += time.perf_counter() - start
+            _portable_fit_s += (time.perf_counter() if whole else searched) - start
+    else:
+        return fitted
+    from . import _workers
+
+    rest = plan[len(fitted):]
+    results = _workers.run(_fit_unit if whole else _unit_params, [(features, spec, unit) for unit in rest], workers)
+    try:
+        for unit, result in zip(rest, results):
+            fitted.append(result if whole else _fit_unit(features, spec, unit, result))
+    finally:
+        results.close()
     return fitted
 
 
-#: This module's names that every kind's fold fits look up at call time,
-#: then each kind's own, and the learner module whose every name it may reach.
-_SHARED_NAMES = ("_fit_unit", "_inner_grid_search", "fit_model", "predict_proba")
+#: Names in this module that each stage of a fold unit looks up at call time
+#: (`test_evaluation.TestWorkerProcesses` checks them against the code): the
+#: inner search's, the final fit's, and the final fit's of each kind.
+_SEARCH_NAMES = ("_unit_params", "_inner_grid_search", "_POINT_SIGNS", "stratified_splits", "f1_score", "_as_signs",
+                 "_f1_rows", "AffectLabel", "itertools", "np")
+_FINAL_NAMES = ("_fit_unit", "fit_model", "_check_hyperparameter_names", "_LEARNERS", "predict_proba", "shallow")
 _KIND_NAMES = {
     **dict.fromkeys(SHALLOW_KINDS, ("shallow_fit", "shallow_predict_proba")),
-    "mtl": ("build_task_graph", "mtl_fit", "mtl_predict_proba"),
+    "mtl": ("build_task_graph", "MTL_DEFAULTS", "mtl_fit", "mtl_predict_proba"),
     "cnn": ("CnnConfig", "cnn_train", "cnn_predict_proba"),
 }
 _KIND_MODULES = {**dict.fromkeys(SHALLOW_KINDS, shallow), "mtl": mtl, "cnn": cnn}
 
-#: kind -> (namespace, name, value at import) of every name its fold fits look up.
+
+def _stage_lookups(kind: str) -> dict[str, tuple[tuple[str, ...], tuple]]:
+    """stage -> (names in this module, learner modules whose every name it
+    may reach) of a `kind` unit. The final fit always reaches
+    `shallow.unconverged_solves`; a kind whose search fits models
+    (`_fitted_point_signs`) looks up its final fit's names in its search too."""
+    final = ((*_FINAL_NAMES, *_KIND_NAMES[kind]), tuple(dict.fromkeys((shallow, _KIND_MODULES[kind]))))
+    if kind in SHALLOW_KINDS:
+        return {"search": ((*_SEARCH_NAMES, "shallow"), (shallow,)), "final": final}
+    return {"search": ((*_SEARCH_NAMES, "_argmax_signs", *final[0]), final[1]), "final": final}
+
+
+#: kind -> stage -> (namespace, name, value at import) of every name the stage looks up.
 _AS_IMPORTED = {
-    kind: [(globals(), name, globals()[name]) for name in (*_SHARED_NAMES, *_KIND_NAMES[kind])]
-    + [(vars(module), name, value) for name, value in vars(module).items() if not name.startswith("__")]
-    for kind, module in _KIND_MODULES.items()
+    kind: {stage: [(globals(), name, globals()[name]) for name in names]
+           + [(vars(module), name, value) for module in modules
+              for name, value in vars(module).items() if not name.startswith("__")]
+           for stage, (names, modules) in _stage_lookups(kind).items()}
+    for kind in MODEL_KINDS
 }
 
 
-def _call_path_is_own(kind: str) -> bool:
-    """Whether every name `kind`'s fold fits look up still holds what it held
-    at import, so a worker process, which imports this code afresh, fits
-    exactly what this process would."""
-    return all(namespace.get(name, _AS_IMPORTED) is value for namespace, name, value in _AS_IMPORTED[kind])
+def _call_path_is_own(kind: str, stage: str) -> bool:
+    """Whether every name `stage` ("search" or "final") of a `kind` unit looks
+    up still holds what it held at import, so a worker process, which imports
+    this code afresh, runs that stage exactly as this process would."""
+    return all(namespace.get(name, _AS_IMPORTED) is value for namespace, name, value in _AS_IMPORTED[kind][stage])
 
 
 # ------------------------------------------------------------------ fusion

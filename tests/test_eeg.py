@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +218,26 @@ class TestPca:
         for j in range(direct.k):
             sign = np.sign(np.dot(pd[:, j], pg[:, j]))
             assert np.allclose(pd[:, j], sign * pg[:, j], atol=1e-6)
+
+    def test_projection_does_not_depend_on_the_blas_thread_count(self):
+        # A BLAS product sums in an order, and so to last bits, that depends on
+        # its thread count at this size; the projection's bytes must not.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from adaffect.eeg import PcaModel, pca_apply\n"
+            "rng = np.random.default_rng(9)\n"
+            "model = PcaModel(rng.normal(size=500), rng.normal(size=(50, 500)), np.ones(50), 1.0)\n"
+            "sys.stdout.write(pca_apply(model, rng.normal(size=(200, 500)) * 50.0).tobytes().hex())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                                  env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+                 for threads in ("1", "2")]
+        outputs = [proc.communicate(timeout=120)[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert len(outputs[0]) == 2 * 8 * 200 * 50
+        assert outputs[0] == outputs[1]
 
     def test_rank_zero_error(self):
         with pytest.raises(RankZeroDataError):

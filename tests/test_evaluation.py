@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -439,9 +441,9 @@ class TestFoldPlan:
         # Reports of two kinds on one seed pair row by row over the same folds.
         units, fit_unit = [], evaluation._fit_unit
 
-        def spy(features, spec, unit):
+        def spy(features, spec, unit, params=None):
             units.append((spec.kind, unit))
-            return fit_unit(features, spec, unit)
+            return fit_unit(features, spec, unit, params)
 
         monkeypatch.setattr(evaluation, "_fit_unit", spy)
         feats = weak_features()
@@ -669,12 +671,13 @@ class TestFitModel:
 
 @pytest.fixture
 def workers(monkeypatch):
-    """`workers(n)` sends every fold fit that may leave the process to `n`
-    worker processes; returns the kinds whose units went to workers since."""
+    """`workers(n)` sends every fold-unit stage that may leave the process to
+    `n` worker processes; returns, per call that went to workers since, its
+    kind and what the workers ran: "unit", the whole unit, or "search"."""
     sent, run = [], _workers.run
 
     def spy(fn, calls, count):
-        sent.append(calls[0][1].kind)
+        sent.append((calls[0][1].kind, {evaluation._fit_unit: "unit", evaluation._unit_params: "search"}[fn]))
         return run(fn, calls, count)
 
     def use(n):
@@ -708,7 +711,7 @@ class TestWorkerProcesses:
                 assert report.rows == want.rows
                 assert report.oof_posteriors.tobytes() == want.oof_posteriors.tobytes()
                 assert report.unconverged_fits == want.unconverged_fits
-            assert sent == list(MODEL_KINDS)
+            assert sent == [(kind, "unit") for kind in MODEL_KINDS]
 
     def test_a_replaced_learner_keeps_its_kind_in_this_process(self, workers, monkeypatch):
         # As the benchmark's MTL capture does: the spy sees every MTL fit,
@@ -725,7 +728,118 @@ class TestWorkerProcesses:
         cross_validate(feats, ModelSpec("mtl"), reps=2, folds=3, seed=6)
         cross_validate(feats, ModelSpec("cnn", params={"max_epochs": 5}), reps=2, folds=3, seed=6)
         assert len(fits) == 6
-        assert sent == ["cnn"]
+        assert sent == [("cnn", "unit")]
+        # An MTL search fits through the replaced name too, so it stays here.
+        fits.clear()
+        cross_validate(feats, ModelSpec("mtl", grid={"alpha": [0.1, 10.0]}), reps=1, folds=3, seed=6)
+        assert len(fits) == 3 * (1 + 2 * 5)
+        assert sent == [("cnn", "unit")]
+
+    def test_a_replaced_final_fit_leaves_the_search_to_workers(self, workers, monkeypatch):
+        # As the benchmark's final-model capture does: the spy sees every
+        # final fit, on its unit's training fold and in plan order, while
+        # workers run the inner searches. An LDA spec has no grid, so
+        # nothing to search, and stays in this process.
+        specs = [ModelSpec("linear_svm"), ModelSpec("rbf_svm"),
+                 ModelSpec("rbf_svm", params={"gamma": 0.1}, grid={"C": [0.1, 10.0]}), ModelSpec("lda")]
+        feats = weak_features()
+        train_sets = [feats.X[train_idx].tobytes() for _, _, train_idx, _, _ in fold_plan(feats.y_signs(), 2, 3, 6)]
+        fits, shallow_fit = [], evaluation.shallow_fit
+
+        def spy(X, y, *args, **kwargs):
+            fits.append(np.array(X).tobytes())
+            return shallow_fit(X, y, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "shallow_fit", spy)
+        subsets, subset = [], FeatureMatrix.subset
+
+        def subset_spy(self, idx):
+            subsets.append(len(idx))
+            return subset(self, idx)
+
+        monkeypatch.setattr(FeatureMatrix, "subset", subset_spy)
+        reports = {}
+        for count in (1, 2, 3):
+            sent = workers(count)
+            for spec in specs:
+                fits.clear()
+                subsets.clear()
+                reports[count, spec.kind, str(spec.grid)] = cross_validate(feats, spec, reps=2, folds=3, seed=6)
+                assert fits == train_sets, spec
+                if count > 1 or not spec.grid:  # no search here: each unit's final fit takes its two sides
+                    assert len(subsets) == 2 * len(train_sets), spec
+            assert sent == ([] if count == 1 else [(spec.kind, "search") for spec in specs[:3]])
+        for (count, *key), report in reports.items():
+            expected = reports[(1, *key)]  # made in this process, as every report is with one worker
+            assert report.rows == expected.rows
+            assert report.oof_posteriors.tobytes() == expected.oof_posteriors.tobytes()
+            assert report.unconverged_fits == expected.unconverged_fits
+
+    def test_stage_name_lists_cover_every_name_the_stages_load(self):
+        # A stage goes to a worker only while every name on its list holds
+        # what it held at import; a name the code loads but the list lacks
+        # could be replaced by a caller and go unseen in a worker. A worker
+        # runs `_unit_params` (the search) or `_fit_unit` (search and final fit).
+        for kind in MODEL_KINDS:
+            lookups = evaluation._stage_lookups(kind)
+            search = set(lookups["search"][0]), set(lookups["search"][1])
+            final = search[0] | set(lookups["final"][0]), search[1] | set(lookups["final"][1])
+            for entry, (names, modules) in ((evaluation._unit_params, search), (evaluation._fit_unit, final)):
+                loaded, reached = module_globals_loaded(entry, kind)
+                assert loaded <= names, (kind, entry.__name__, sorted(loaded - names))
+                assert reached <= modules, (kind, entry.__name__, reached - modules)
+            if kind in evaluation.SHALLOW_KINDS:
+                loaded, _ = module_globals_loaded(evaluation._unit_params, kind)
+                assert not loaded & {"shallow_fit", "fit_model", "predict_proba"}
+
+    def test_a_final_fit_that_raises_while_searches_are_pending(self, tmp_path):
+        # In a process of its own session, whose timeout fails the test if a
+        # wait hangs: the parent's final fit raises while workers still search
+        # later units; the error reaches the caller unchanged, the next call
+        # goes to workers and matches this process's fits, and no process of
+        # the session outlives it.
+        code = (
+            "import json\n"
+            "from adaffect import evaluation\n"
+            "from adaffect.synthgen import GenSpec, gen_quadrant_data\n"
+            "if __name__ == '__main__':\n"
+            "    feats = gen_quadrant_data(GenSpec(seed=3, n_per_task=10, dims=9, class_separation=1.0,"
+            " task_correlation=0.9, noise_std=0.1)).features\n"
+            "    spec = evaluation.ModelSpec('rbf_svm')\n"
+            "    expected = evaluation.cross_validate(feats, spec, reps=2, folds=3, seed=6)\n"
+            "    evaluation._POOL_AFTER_S, evaluation._worker_count = 0.0, lambda: 2\n"
+            "    fit, finals = evaluation.shallow_fit, []\n"
+            "    def failing(*args, **kwargs):\n"
+            "        finals.append(1)\n"
+            "        if len(finals) == 2:\n"
+            "            raise ArithmeticError('final fit 2 failed')\n"
+            "        return fit(*args, **kwargs)\n"
+            "    evaluation.shallow_fit = failing\n"
+            "    try:\n"
+            "        evaluation.cross_validate(feats, spec, reps=2, folds=3, seed=6)\n"
+            "    except ArithmeticError as exc:\n"
+            "        error = [type(exc).__name__, str(exc), len(finals)]\n"
+            "    evaluation.shallow_fit = fit\n"
+            "    again = evaluation.cross_validate(feats, spec, reps=2, folds=3, seed=6)\n"
+            "    same = (again.rows == expected.rows\n"
+            "            and again.oof_posteriors.tobytes() == expected.oof_posteriors.tobytes())\n"
+            "    import multiprocessing\n"
+            "    print(json.dumps([error, same, len(multiprocessing.active_children())]))\n"
+        )
+        src = str(Path(evaluation.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            assert json.loads(out) == [["ArithmeticError", "final fit 2 failed", 2], True, 2]
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)  # the session's process group is empty
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
     def test_an_error_in_a_worker_reaches_the_caller_unchanged(self, workers, tmp_path, capsys):
         feats = small_features()
@@ -739,7 +853,7 @@ class TestWorkerProcesses:
             assert main(["evaluate", "--features", str(tmp_path / "f.csv"), "--model", "cnn", "--reps", "1",
                          "--folds", "3", "--out", str(tmp_path / "r.csv")]) == 1
             errors[count] = (str(exc.value), capsys.readouterr().err)
-            assert sent == ["cnn"] * (count - 1) * 2
+            assert sent == [("cnn", "unit")] * (count - 1) * 2
         assert errors[1] == errors[2] == ("need at least 8 input features, got 4",
                                           "error: need at least 8 input features, got 4\n")
         assert not (tmp_path / "r.csv").exists()
@@ -754,8 +868,36 @@ class TestWorkerProcesses:
                          "max_epochs=5", "--reps", "2", "--folds", "3", "--out", str(out / "r.csv"),
                          "--predictions", str(out / "p.csv")]) == 0
             outputs.append([(out / name).read_bytes() for name in ("r.csv", "p.csv")])
-            assert sent == ["cnn"] * (count - 1)
+            assert sent == [("cnn", "unit")] * (count - 1)
         assert outputs[0] == outputs[1]
+
+    def test_closing_the_iterator_cancels_the_calls_not_started(self, tmp_path):
+        # Twelve slow calls on two workers; after the first result the
+        # iterator is closed, and the calls no worker had started never run,
+        # not even before a later call, which the pool runs after them.
+        (tmp_path / "slow_touch.py").write_text(
+            "import pathlib, time\n"
+            "def touch(path):\n"
+            "    time.sleep(0.1)\n"
+            "    pathlib.Path(path).touch()\n"
+        )
+        code = (
+            "import sys\n"
+            "from adaffect import _workers\n"
+            "from slow_touch import touch\n"
+            "if __name__ == '__main__':\n"
+            "    results = _workers.run(touch, [(f'{sys.argv[1]}/{i}',) for i in range(12)], 2)\n"
+            "    next(results)\n"
+            "    results.close()\n"
+            "    print(list(_workers.run(abs, [(-1,)], 2)))\n"
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        src = str(Path(evaluation.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code, str(out)], env=dict(os.environ, PYTHONPATH=f"{src}:{tmp_path}"),
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout == "[1]\n"
+        assert 1 <= len(list(out.iterdir())) < 12
 
     def test_a_worker_that_dies_raises_and_the_next_call_starts_new_workers(self):
         # In a process of its own, whose timeout fails the test if a wait hangs.
@@ -764,9 +906,9 @@ class TestWorkerProcesses:
             "from concurrent.futures.process import BrokenProcessPool\n"
             "from adaffect import _workers\n"
             "try:\n"
-            "    _workers.run(os._exit, [(3,), (3,)], 2)\n"
+            "    list(_workers.run(os._exit, [(3,), (3,)], 2))\n"
             "except BrokenProcessPool:\n"
-            "    print(_workers.run(abs, [(-1,), (2,), (-3,)], 2))\n"
+            "    print(list(_workers.run(abs, [(-1,), (2,), (-3,)], 2)))\n"
         )
         assert run_python(code) == "[1, 2, 3]\n"
 
@@ -788,6 +930,38 @@ class TestWorkerProcesses:
             "print(json.dumps([loaded, len(multiprocessing.active_children())]))\n"
         )
         assert json.loads(run_python(code)) == [[[], []], 0]
+
+
+def module_globals_loaded(fn, kind: str) -> tuple[set, set]:
+    """The `evaluation` globals that running `fn`, an evaluation function,
+    for a `kind` unit loads by name, and the learner modules it reaches.
+
+    Follows each code object's `co_names` (attribute names among them may
+    add a name, never lose one), its nested code objects, and the
+    evaluation functions it loads; of a table keyed by kind, such as
+    `_LEARNERS`, only `kind`'s entry.
+    """
+    namespace, loaded, reached = vars(evaluation), set(), set()
+    todo, seen = [fn.__code__], set()
+    while todo:
+        code = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        todo += [const for const in code.co_consts if isinstance(const, types.CodeType)]
+        for name in set(code.co_names) & set(namespace):
+            loaded.add(name)
+            value = namespace[name]
+            if isinstance(value, dict) and kind in value:
+                value = value[kind]
+            for item in value if isinstance(value, tuple) else (value,):
+                item = getattr(item, "func", item)  # a functools.partial
+                module = item if isinstance(item, types.ModuleType) else sys.modules.get(getattr(item, "__module__", ""))
+                if isinstance(item, types.FunctionType) and module is evaluation:
+                    todo.append(item.__code__)
+                elif module is not None and module.__name__.startswith("adaffect.learners."):
+                    reached.add(module)
+    return loaded, reached
 
 
 def run_python(code: str) -> str:
