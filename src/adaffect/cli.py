@@ -610,6 +610,17 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, as numpy's seed sequences take."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _option_name(action) -> str:
     return "/".join(action.option_strings) or action.dest
 
@@ -626,7 +637,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                        help=f"deterministic seed (default {DEFAULT_SEED})")
         p.add_argument("--config", type=str, default=None,
                        help="JSON file of option defaults (CLI flags win)")

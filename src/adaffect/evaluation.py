@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import sys
 import time
 from dataclasses import dataclass, field, fields
 
@@ -68,12 +69,18 @@ def _as_signs(labels) -> np.ndarray:
 # ------------------------------------------------------------ model kinds
 # Each kind's learners are looked up in this module's globals at call time,
 # so a caller that replaces `evaluation.shallow_fit` (or another learner
-# name) sees every fit and prediction made here. The inner search's
-# shallow solves run in `learners.shallow`, which looks up its solvers
-# at call time likewise. A worker process cannot see such a replacement,
-# so cross_validate runs a stage of a fold unit, the inner search or the
-# final fit, in this process whenever a name that stage looks up has been
-# replaced since import (`_call_path_is_own`).
+# name) sees every fit and prediction made here. A worker process imports
+# this code afresh and cannot see such a replacement, so one rule
+# (`_stages_away`) places each fold unit from the names, at import, of this
+# module and of the learner modules:
+# - the unit stays here when a name of `learners.shallow` or of its kind's
+#   learner module has changed, or a name of this module other than a
+#   learner name (a function or class imported from a learner module), even
+#   one no unit reaches (`west_fuse`): that costs time, never a byte;
+# - when its own kind's learner name was replaced here, a shallow kind with
+#   a grid sends its search alone to a worker, as the search solves through
+#   `learners.shallow`, and other units stay here;
+# - otherwise the whole unit goes: no stage looks up another kind's names.
 
 def _fit_shallow(kind, features, params, seed):
     return shallow_fit(features.X, features.y_signs(), kind, params, seed=seed)
@@ -137,7 +144,7 @@ class ModelSpec:
     """What to train inside each CV fold.
 
     `params` are fixed hyperparameters; `grid` maps a hyperparameter name
-    to one or more candidate values searched by inner 5-fold CV (the SVMs
+    to a list or tuple of candidate values searched by inner 5-fold CV (the SVMs
     default to DEFAULT_GRIDS less the keys `params` fixes). A key of either
     that is not a hyperparameter of `kind`, or a key of both, is an error
     here, before any fit.
@@ -152,6 +159,8 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         _check_hyperparameter_names(self.kind, [*self.params, *(self.grid or {})])
         for key, values in (self.grid or {}).items():
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{self.kind} grid {key} must be a list or tuple of values, got {values!r}")
             if len(values) == 0:
                 raise ValueError(f"{self.kind} grid {key} has no values")
         both = sorted(set(self.params) & set(self.grid or {}))
@@ -192,9 +201,17 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
     # its test side and both classes on its training side.
     splits = [(train.subset(fit_idx), train.subset(test_idx))
               for fit_idx, test_idx in stratified_splits(y, n_folds, np.random.default_rng(seed))]
+    kind = spec.kind
+    if kind in SHALLOW_KINDS:
+        models = shallow._grid_models([(fit_set.X, fit_set.y_signs()) for fit_set, _ in splits], kind, candidates)
+        points = ([np.where(model.decision_values(test_set.X) > 0.0, 1.0, -1.0)
+                   for model, (_, test_set) in zip(point, splits)] for point in models)
+    else:
+        points = ([_argmax_signs(predict_proba(kind, fit_model(kind, fit_set, candidate, seed), test_set))
+                   for fit_set, test_set in splits] for candidate in candidates)
     truths = [test_set.y_signs() for _, test_set in splits]
     best_f1, best = -1.0, candidates[0]
-    for candidate, labels in zip(candidates, _POINT_SIGNS[spec.kind](splits, spec.kind, candidates, seed)):
+    for candidate, labels in zip(candidates, points):
         f1s = np.array([f1_score(pred, truth) for pred, truth in zip(labels, truths)])
         mean = f1s.mean()
         if mean > best_f1 + 1e-12:
@@ -202,26 +219,6 @@ def _inner_grid_search(train: FeatureMatrix, spec: ModelSpec, seed: int) -> dict
         if np.all(f1s == 1.0):
             break
     return best
-
-
-def _shallow_point_signs(splits, kind, candidates, seed):
-    """Per grid point, the sign of each split's uncalibrated decision values
-    on its test side; `learners.shallow` schedules the solves."""
-    models = shallow._grid_models([(fit_set.X, fit_set.y_signs()) for fit_set, _ in splits], kind, candidates)
-    return ([np.where(model.decision_values(test_set.X) > 0.0, 1.0, -1.0)
-             for model, (_, test_set) in zip(point, splits)] for point in models)
-
-
-def _fitted_point_signs(splits, kind, candidates, seed):
-    """Per grid point, each split's posterior argmax on its test side, from
-    the model `fit_model` fits on its training side."""
-    return ([_argmax_signs(predict_proba(kind, fit_model(kind, fit_set, candidate, seed), test_set))
-             for fit_set, test_set in splits] for candidate in candidates)
-
-
-#: kind -> how its inner search labels each split per grid point.
-_POINT_SIGNS = {**dict.fromkeys(SHALLOW_KINDS, _shallow_point_signs), "mtl": _fitted_point_signs,
-                "cnn": _fitted_point_signs}
 
 
 def _argmax_signs(proba: np.ndarray) -> np.ndarray:
@@ -307,85 +304,65 @@ def _fit_units(features: FeatureMatrix, spec: ModelSpec, plan: list[tuple]) -> l
     """_fit_unit of each plan unit, in plan order.
 
     A unit has two stages: the inner search (`_unit_params`), then the
-    final fit. Its search could go to a worker process when there are at
-    least 2 units and 2 CPUs, the spec has a grid to search, and no name
-    the search looks up has been replaced (`_call_path_is_own`). The whole
-    unit could go when no name the final fit looks up has been replaced
-    either, grid or not. Such stages run here until this process has spent
-    _POOL_AFTER_S on them. From then on, each of a call's remaining units
-    goes to `_workers.run` once, one worker per CPU; this process fits, in
-    plan order, the final models that must stay here while the workers
-    search later units.
+    final fit. With at least 2 units and 2 CPUs, `_stages_away` places
+    them: a unit stays here when a name of this module, of
+    `learners.shallow` or of its kind's learner module has changed since
+    import, even one no unit reaches, such as `west_fuse`; but a shallow
+    kind with a grid whose own learner name was replaced here sends its
+    search alone, and another kind's learner name is passed over.
+    Otherwise the whole unit goes. Such stages run here until this process
+    has spent _POOL_AFTER_S on them; then each remaining unit goes to
+    `_workers.run` once, one worker per CPU, and when only the searches
+    go, this process fits the final models in plan order meanwhile.
     """
     global _portable_fit_s
     workers = _worker_count()
-    search_own = workers > 1 and len(plan) > 1 and _call_path_is_own(spec.kind, "search")
-    whole = search_own and _call_path_is_own(spec.kind, "final")
-    portable = whole or (search_own and bool(spec.grid))
+    away = _stages_away(spec.kind, spec.grid) if workers > 1 and len(plan) > 1 else 0
     fitted = []
     for unit in plan:
-        if portable and _portable_fit_s >= _POOL_AFTER_S and len(plan) - len(fitted) > 1:
+        if away and _portable_fit_s >= _POOL_AFTER_S and len(plan) - len(fitted) > 1:
             break
         start = time.perf_counter()
         params = _unit_params(features, spec, unit)
         searched = time.perf_counter()
         fitted.append(_fit_unit(features, spec, unit, params))
-        if portable:
-            _portable_fit_s += (time.perf_counter() if whole else searched) - start
+        if away:
+            _portable_fit_s += (time.perf_counter() if away == 2 else searched) - start
     else:
         return fitted
     from . import _workers
 
     rest = plan[len(fitted):]
-    results = _workers.run(_fit_unit if whole else _unit_params, [(features, spec, unit) for unit in rest], workers)
+    results = _workers.run(_fit_unit if away == 2 else _unit_params, [(features, spec, unit) for unit in rest], workers)
     try:
         for unit, result in zip(rest, results):
-            fitted.append(result if whole else _fit_unit(features, spec, unit, result))
+            fitted.append(result if away == 2 else _fit_unit(features, spec, unit, result))
     finally:
         results.close()
     return fitted
 
 
-#: Names in this module that each stage of a fold unit looks up at call time
-#: (`test_evaluation.TestWorkerProcesses` checks them against the code): the
-#: inner search's, the final fit's, and the final fit's of each kind.
-_SEARCH_NAMES = ("_unit_params", "_inner_grid_search", "_POINT_SIGNS", "stratified_splits", "f1_score", "_as_signs",
-                 "_f1_rows", "AffectLabel", "itertools", "np")
-_FINAL_NAMES = ("_fit_unit", "fit_model", "_check_hyperparameter_names", "_LEARNERS", "predict_proba", "shallow")
-_KIND_NAMES = {
-    **dict.fromkeys(SHALLOW_KINDS, ("shallow_fit", "shallow_predict_proba")),
-    "mtl": ("build_task_graph", "MTL_DEFAULTS", "mtl_fit", "mtl_predict_proba"),
-    "cnn": ("CnnConfig", "cnn_train", "cnn_predict_proba"),
-}
-_KIND_MODULES = {**dict.fromkeys(SHALLOW_KINDS, shallow), "mtl": mtl, "cnn": cnn}
-
-
-def _stage_lookups(kind: str) -> dict[str, tuple[tuple[str, ...], tuple]]:
-    """stage -> (names in this module, learner modules whose every name it
-    may reach) of a `kind` unit. The final fit always reaches
-    `shallow.unconverged_solves`; a kind whose search fits models
-    (`_fitted_point_signs`) looks up its final fit's names in its search too."""
-    final = ((*_FINAL_NAMES, *_KIND_NAMES[kind]), tuple(dict.fromkeys((shallow, _KIND_MODULES[kind]))))
-    if kind in SHALLOW_KINDS:
-        return {"search": ((*_SEARCH_NAMES, "shallow"), (shallow,)), "final": final}
-    return {"search": ((*_SEARCH_NAMES, "_argmax_signs", *final[0]), final[1]), "final": final}
-
-
-#: kind -> stage -> (namespace, name, value at import) of every name the stage looks up.
-_AS_IMPORTED = {
-    kind: {stage: [(globals(), name, globals()[name]) for name in names]
-           + [(vars(module), name, value) for module in modules
-              for name, value in vars(module).items() if not name.startswith("__")]
-           for stage, (names, modules) in _stage_lookups(kind).items()}
-    for kind in MODEL_KINDS
-}
-
-
-def _call_path_is_own(kind: str, stage: str) -> bool:
-    """Whether every name `stage` ("search" or "final") of a `kind` unit looks
-    up still holds what it held at import, so a worker process, which imports
-    this code afresh, runs that stage exactly as this process would."""
-    return all(namespace.get(name, _AS_IMPORTED) is value for namespace, name, value in _AS_IMPORTED[kind][stage])
+def _stages_away(kind: str, grid: dict | None) -> int:
+    """How many stages of each `kind` unit searched over `grid` may run in a
+    worker, which sees every name as `_AS_IMPORTED` holds it: 2, the whole
+    unit; 1, the search alone; 0, none (the rule above `_fit_shallow`)."""
+    own = shallow if kind in SHALLOW_KINDS else {"mtl": mtl, "cnn": cnn}[kind]
+    away = 2
+    for module, as_imported in _AS_IMPORTED:
+        namespace = vars(module)
+        for name, value in as_imported.items():
+            if namespace.get(name, _AS_IMPORTED) is value:
+                continue
+            if module is shallow or module is own:
+                return 0
+            if module.__name__ != __name__:
+                continue  # another kind's learner module, which no stage of this unit reaches
+            home = sys.modules.get(getattr(value, "__module__", None))  # a learner name's module
+            if home is own and own is shallow and grid:
+                away = 1
+            elif home is own or home not in (shallow, mtl, cnn):
+                return 0
+    return away
 
 
 # ------------------------------------------------------------------ fusion
@@ -491,3 +468,11 @@ def ad_level_score(segment_posteriors) -> float:
     if arr.ndim == 2:
         arr = arr[:, 0]
     return float(arr.mean())
+
+
+#: (module, {name: value at import}) of this module, once its last name is
+#: bound, and of each learner module; the pool's own settings and counter,
+#: which change no result, are left out.
+_AS_IMPORTED = tuple((module, {name: value for name, value in vars(module).items() if not name.startswith("__")
+                               and name not in ("_POOL_AFTER_S", "_portable_fit_s", "_worker_count")})
+                     for module in (sys.modules[__name__], shallow, mtl, cnn))

@@ -298,6 +298,21 @@ class TestDispatch:
         assert capsys.readouterr().err.endswith(f"error: argument --reps: invalid int value: '{text}'\n")
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["synth", "evaluate"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, source, command):
+        # Not numpy's "expected non-negative integer" at exit 1: a usage error naming --seed.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": -1}))
+        flags = ("--seed", "-1") if source == "flag" else ("--config", config)
+        argv = (("synth", "quadrant") if command == "synth"
+                else ("evaluate", "--features", tmp_path / "f.csv", "--model", "lda"))
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, *flags, "--out", tmp_path / "out.csv")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --seed: expected a non-negative integer, got -1\n")
+        assert list(tmp_path.iterdir()) == [config]
+
     @pytest.mark.parametrize("band, message", [
         (["8", "x"], "argument --band: invalid float value: 'x'"),
         ([8, 12, 14], "argument --band: expected 2 values from --config, got 3"),

@@ -1,9 +1,9 @@
+import functools
 import json
 import os
 import signal
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,9 @@ from adaffect.evaluation import (
     west_fuse,
 )
 from adaffect.fileio import write_feature_csv
+from adaffect.learners import cnn as cnn_module
+from adaffect.learners import mtl as mtl_module
+from adaffect.learners import shallow as shallow_module
 from adaffect.learners.cnn import TooShortInputError
 from adaffect.synthgen import GenSpec, gen_quadrant_data
 from oracles import f1_bruteforce, inner_grid_search_full, reference_fold_plan, west_fuse_whole_grid
@@ -183,6 +186,13 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match=f"^{kind} has no hyperparameter {name} \\(known: "):
             cross_validate(weak_features(), ModelSpec(kind, params=params, grid=grid), reps=1, folds=3, seed=6)
         assert calls == []
+
+    @pytest.mark.parametrize("grid, shown", [({"gamma": "scale"}, "'scale'"), ({"C": 10}, "10")])
+    def test_grid_value_that_is_not_a_list_is_rejected(self, grid, shown):
+        # Not searched one character at a time, nor failing on len().
+        key = next(iter(grid))
+        with pytest.raises(ValueError, match=f"^rbf_svm grid {key} must be a list or tuple of values, got {shown}$"):
+            ModelSpec("rbf_svm", grid=grid)
 
     @pytest.mark.parametrize("kind, point", [("lda", {"shrinkage": 0.9}), ("mtl", {"alpha": 0.2})])
     def test_one_point_grid_equals_fixed_params(self, kind, point):
@@ -694,6 +704,18 @@ def workers(monkeypatch):
 EVERY_KIND = [ModelSpec("lda"), ModelSpec("linear_svm"), ModelSpec("rbf_svm"), ModelSpec("mtl"),
               ModelSpec("cnn", params={"max_epochs": 5})]
 
+#: kind -> its learner module; (module, name) of the learner functions evaluation imported from each.
+LEARNER_MODULES = {"lda": shallow_module, "linear_svm": shallow_module, "rbf_svm": shallow_module,
+                   "mtl": mtl_module, "cnn": cnn_module}
+LEARNER_NAMES = [(shallow_module, "shallow_fit"), (shallow_module, "shallow_predict_proba"),
+                 (mtl_module, "mtl_fit"), (mtl_module, "mtl_predict_proba"),
+                 (cnn_module, "cnn_train"), (cnn_module, "cnn_predict_proba")]
+
+
+def pass_through(fn):
+    """A replacement for `fn` that calls it."""
+    return lambda *args, **kwargs: fn(*args, **kwargs)
+
 
 class TestWorkerProcesses:
     def test_reports_do_not_depend_on_the_worker_count(self, workers):
@@ -775,22 +797,76 @@ class TestWorkerProcesses:
             assert report.oof_posteriors.tobytes() == expected.oof_posteriors.tobytes()
             assert report.unconverged_fits == expected.unconverged_fits
 
-    def test_stage_name_lists_cover_every_name_the_stages_load(self):
-        # A stage goes to a worker only while every name on its list holds
-        # what it held at import; a name the code loads but the list lacks
-        # could be replaced by a caller and go unseen in a worker. A worker
-        # runs `_unit_params` (the search) or `_fit_unit` (search and final fit).
-        for kind in MODEL_KINDS:
-            lookups = evaluation._stage_lookups(kind)
-            search = set(lookups["search"][0]), set(lookups["search"][1])
-            final = search[0] | set(lookups["final"][0]), search[1] | set(lookups["final"][1])
-            for entry, (names, modules) in ((evaluation._unit_params, search), (evaluation._fit_unit, final)):
-                loaded, reached = module_globals_loaded(entry, kind)
-                assert loaded <= names, (kind, entry.__name__, sorted(loaded - names))
-                assert reached <= modules, (kind, entry.__name__, reached - modules)
-            if kind in evaluation.SHALLOW_KINDS:
-                loaded, _ = module_globals_loaded(evaluation._unit_params, kind)
-                assert not loaded & {"shallow_fit", "fit_model", "predict_proba"}
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=MODEL_KINDS)
+    def test_a_learner_name_keeps_a_unit_here_only_if_the_unit_reaches_it(self, workers, monkeypatch, spec):
+        # A learner of another kind, replaced here, is one no stage of this
+        # unit looks up, so its units still go to workers, with the same
+        # report; a learner name of the unit's own module keeps it here.
+        feats, own = weak_features(), LEARNER_MODULES[spec.kind]
+        expected = cross_validate(feats, spec, reps=2, folds=3, seed=6)
+        sent = workers(2)
+        with monkeypatch.context() as patch:
+            for module, name in LEARNER_NAMES:
+                if module is not own:
+                    patch.setattr(evaluation, name, pass_through(getattr(evaluation, name)))
+            report = cross_validate(feats, spec, reps=2, folds=3, seed=6)
+        assert sent == [(spec.kind, "unit")]
+        assert report.rows == expected.rows
+        assert report.oof_posteriors.tobytes() == expected.oof_posteriors.tobytes()
+        for module, name in LEARNER_NAMES:
+            if module is own:
+                with monkeypatch.context() as patch:
+                    patch.setattr(module, name, pass_through(getattr(module, name)))
+                    cross_validate(feats, spec, reps=2, folds=3, seed=6)
+        assert sent == [(spec.kind, "unit")]
+        # Replaced here, its own learner name leaves a shallow kind's search
+        # to workers (a linear or RBF SVM's default grid) and nothing else.
+        with monkeypatch.context() as patch:
+            name = next(name for module, name in LEARNER_NAMES if module is own)
+            patch.setattr(evaluation, name, pass_through(getattr(evaluation, name)))
+            cross_validate(feats, spec, reps=2, folds=3, seed=6)
+        assert sent == [(spec.kind, "unit")] + [(spec.kind, "search")] * bool(spec.grid)
+
+    def test_a_wrapped_solver_keeps_svm_units_here(self, workers, monkeypatch):
+        # As the benchmark's tracer does: a functools.wraps wrapper on a
+        # learners.shallow function sees every solve at 2 workers as at 1.
+        solves, solve = [], shallow_module._fit_uncalibrated
+
+        @functools.wraps(solve)
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(shallow_module, "_fit_uncalibrated", counting)
+        counts = []
+        for count in (1, 2):
+            sent = workers(count)
+            solves.clear()
+            cross_validate(weak_features(), ModelSpec("rbf_svm"), reps=2, folds=3, seed=6)
+            counts.append(len(solves))
+            assert sent == []
+        assert counts[0] == counts[1] > 2 * 3
+
+    @pytest.mark.parametrize("name", ["f1_score", "west_fuse"])
+    def test_a_replaced_evaluation_name_keeps_every_kind_here(self, workers, monkeypatch, name):
+        # f1_score scores every inner search; west_fuse no unit reaches, but
+        # only learner names are told apart, so it keeps units here too.
+        calls, original = [], getattr(evaluation, name)
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, spy)
+        counts = []
+        for count in (1, 2):
+            sent = workers(count)
+            calls.clear()
+            for spec in EVERY_KIND:
+                cross_validate(weak_features(), spec, reps=2, folds=3, seed=6)
+            counts.append(len(calls))
+            assert sent == []
+        assert counts[0] == counts[1]
 
     def test_a_final_fit_that_raises_while_searches_are_pending(self, tmp_path):
         # In a process of its own session, whose timeout fails the test if a
@@ -930,38 +1006,6 @@ class TestWorkerProcesses:
             "print(json.dumps([loaded, len(multiprocessing.active_children())]))\n"
         )
         assert json.loads(run_python(code)) == [[[], []], 0]
-
-
-def module_globals_loaded(fn, kind: str) -> tuple[set, set]:
-    """The `evaluation` globals that running `fn`, an evaluation function,
-    for a `kind` unit loads by name, and the learner modules it reaches.
-
-    Follows each code object's `co_names` (attribute names among them may
-    add a name, never lose one), its nested code objects, and the
-    evaluation functions it loads; of a table keyed by kind, such as
-    `_LEARNERS`, only `kind`'s entry.
-    """
-    namespace, loaded, reached = vars(evaluation), set(), set()
-    todo, seen = [fn.__code__], set()
-    while todo:
-        code = todo.pop()
-        if code in seen:
-            continue
-        seen.add(code)
-        todo += [const for const in code.co_consts if isinstance(const, types.CodeType)]
-        for name in set(code.co_names) & set(namespace):
-            loaded.add(name)
-            value = namespace[name]
-            if isinstance(value, dict) and kind in value:
-                value = value[kind]
-            for item in value if isinstance(value, tuple) else (value,):
-                item = getattr(item, "func", item)  # a functools.partial
-                module = item if isinstance(item, types.ModuleType) else sys.modules.get(getattr(item, "__module__", ""))
-                if isinstance(item, types.FunctionType) and module is evaluation:
-                    todo.append(item.__code__)
-                elif module is not None and module.__name__.startswith("adaffect.learners."):
-                    reached.add(module)
-    return loaded, reached
 
 
 def run_python(code: str) -> str:
